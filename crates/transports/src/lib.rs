@@ -25,7 +25,7 @@ pub mod delay;
 pub mod local;
 pub mod mpl;
 pub mod queue;
-#[cfg(unix)]
+#[cfg(have_epoll)]
 pub mod reactor;
 pub mod ready;
 pub mod rudp;

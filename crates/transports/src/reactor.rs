@@ -1,47 +1,51 @@
-//! The socket reactor: ONE thread watching every registered fd.
+//! The socket reactor: ONE thread turning kernel readiness into doorbell
+//! rings, and the receive-side protocol that keeps it off the data path.
 //!
-//! The first readiness adaptation for socket transports —
-//! [`crate::ready::ReadyPumpReceiver`] — spends a pump thread per
-//! receiver (and `rudp` a second one per *connection*), which is
-//! O(sockets) threads: exactly what does not scale to the many-link
-//! deployments the paper targets. This module replaces all of them with
-//! a single `nexus-reactor` thread that multiplexes every registered
-//! socket through `poll(2)`-style readiness over the raw fds (no
-//! dependencies — the one FFI call is declared here) and rings the
-//! engine's existing doorbells:
+//! Socket transports have no send-side hook to ring the poll engine's
+//! doorbell — the kernel owns the wake-up — and a pump thread per
+//! receiver ([`crate::ready::ReadyPumpReceiver`]) is O(sockets) threads.
+//! Instead every socket of the process is registered with one epoll
+//! instance, watched by a single `nexus-reactor` thread that never reads
+//! payload and never runs handlers.
 //!
-//! * a **pausing** registration ([`ReactorReceiver`]) models a receive
-//!   source: when any of its fds turns readable the reactor rings the
-//!   doorbell once and stops watching the fds until the engine (or a
-//!   shard worker) has drained the receiver empty, which re-arms the
-//!   registration with a fresh fd set — level-triggered polling without
-//!   a busy loop, and connection churn picked up at each re-arm;
-//! * a **periodic** registration (the `rudp` sender pump) fires its
-//!   callback when its fd turns readable *or* its period elapses, and
-//!   keeps being watched — the callback drains the socket itself.
+//! ## Who arms, who re-arms
 //!
-//! Why one thread suffices: the reactor never reads payload and never
-//! runs handlers; it translates kernel readiness into doorbell rings
-//! (sub-microsecond) and 2 ms retransmit ticks. Thousands of sockets
-//! produce one wait call per wakeup batch, and the actual drain
-//! work happens on the engine or shard-worker threads that the rings
-//! wake. The reactor's state lock is never held across the blocking
-//! wait: the loop snapshots the fd set under the lock, releases it,
-//! blocks, then reacquires it to mark what fired.
+//! Registrations live in the kernel. A receive source
+//! ([`ReactorReceiver`]) adds its fds **one-shot** (`EPOLLIN |
+//! EPOLLONESHOT`, level-triggered, event data = registration id) from
+//! the thread that arms it. When an fd turns readable the kernel disarms
+//! it and the reactor thread looks the id up, sets the source's `fired`
+//! flag and rings its doorbell — all it ever does for a source. From
+//! then on the *draining* thread, whoever services the doorbell, owns
+//! the sockets:
 //!
-//! ## Readiness backends
+//! * a visit reads the sockets **once**; if that produced anything the
+//!   source is **hot**: it does not re-arm, it rings its own doorbell,
+//!   and the next pass reads the sockets in place while the fds stay
+//!   disarmed (senders wake nobody, the reactor thread sleeps);
+//! * the first visit that comes back empty-handed re-arms every fd with
+//!   `EPOLL_CTL_MOD` (`ADD` for fds the kernel has not seen — freshly
+//!   accepted connections) and the source is **cold** again: it costs
+//!   no probes until the kernel reports the next arrival.
 //!
-//! On Linux (build-time `have_epoll` probe, see `build.rs`) the wait is
-//! an **epoll** instance: the kernel holds the interest set across
-//! rounds, the reactor diffs its fd snapshot against a mirror of that
-//! set (add/remove only what changed), and `epoll_wait` returns just
-//! the ready fds — O(ready) per wakeup instead of `poll(2)`'s
-//! O(watched) copy-in/scan/copy-out. Everywhere else — and on Linux if
-//! `epoll_create1` fails at startup — the portable `poll(2)` backend
-//! rebuilds its fd array each round exactly as before. Both backends
-//! sit behind the same three-line interface, so the registration
-//! semantics (pausing, periodic ticks, invalid-fd pruning) are
-//! identical.
+//! No wake-up can be missed: a one-shot, level-triggered `MOD`
+//! re-evaluates readiness, so bytes that raced in between the empty read
+//! and the re-arm fire the event at once (`cargo run -p xtask -- model`,
+//! check `rearm-dpor`, enumerates that window). There is no userspace
+//! mirror of the interest set to go stale: the kernel drops a closed fd's
+//! entry itself, and a new owner of the same fd *number* adds it.
+//!
+//! A **periodic** registration (the `rudp` sender pump) is the one other
+//! shape: level-triggered without one-shot, its callback drains the
+//! socket itself and also fires every `period`. Adding one is the only
+//! operation that interrupts a blocked reactor (to shorten its timeout),
+//! which is all the wake datagram is for.
+//!
+//! This module exists only where the build-time probe finds epoll
+//! (`have_epoll`, see `build.rs`); elsewhere the transports keep their
+//! pump threads. If the kernel refuses an epoll instance at runtime,
+//! [`Reactor::global`] is `None`, `set_ready_signal` reports `false` and
+//! the source stays in the polled tier.
 
 use nexus_rt::error::Result;
 use nexus_rt::module::CommReceiver;
@@ -49,394 +53,96 @@ use nexus_rt::poll::ReadySignal;
 use nexus_rt::rsr::Rsr;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::net::UdpSocket;
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-// -- poll(2) FFI -------------------------------------------------------------
+// -- epoll FFI ---------------------------------------------------------------
 
+/// Mirrors `struct epoll_event`. The kernel ABI packs it on x86-64
+/// (12 bytes) and aligns it naturally everywhere else.
 #[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    /// The owning registration's id (or [`WAKE`]).
+    data: u64,
 }
 
-const POLLIN: i16 = 0x001;
-/// `poll(2)` reports error/hangup conditions regardless of `events`, and the
-/// loop fires a registration on *any* nonzero `revents` — a broken fd must
-/// still ring its doorbell so the owner's next drain surfaces the error. The
-/// one condition named explicitly is `POLLNVAL`: an invalid fd must be
-/// dropped from the watch set or the reactor would spin on an
-/// instantly-returning `poll`.
-const POLLNVAL: i16 = 0x020;
-
-#[cfg(target_os = "linux")]
-type NFds = u64;
-#[cfg(not(target_os = "linux"))]
-type NFds = u32;
+const EPOLLIN: u32 = 0x001;
+const EPOLLONESHOT: u32 = 1 << 30;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const ENOENT: i32 = 2;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
 }
 
-// -- epoll FFI (Linux, behind the build-time probe) --------------------------
+// -- the reactor -------------------------------------------------------------
 
-#[cfg(have_epoll)]
-mod epoll_ffi {
-    use super::RawFd;
-
-    /// Mirrors `struct epoll_event`. The kernel ABI packs it on x86-64
-    /// (12 bytes) and aligns it naturally everywhere else.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        /// We store the watched fd here; ownership is resolved through
-        /// the userspace interest mirror, so re-homing an fd to another
-        /// registration never needs a syscall.
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn close(fd: i32) -> i32;
-    }
-}
-
-// -- readiness backends ------------------------------------------------------
-
-/// One entry of a round's watch snapshot: an fd, the registration that
-/// owns it, and the registration's fd-set generation (bumped on every
-/// `resume`, so a backend can tell a re-used fd *number* from the same
-/// open socket).
-struct Watch {
-    fd: RawFd,
-    owner: u64,
-    gen: u64,
-}
-
-/// One readiness report from a backend: which fd fired, for whom, and
-/// whether the fd turned out to be invalid (closed behind our back) and
-/// must be pruned from its registration.
-struct Fired {
-    fd: RawFd,
-    owner: u64,
-    invalid: bool,
-}
-
-/// The portable backend: rebuild a `pollfd` array every round and hand
-/// the whole watch set to `poll(2)`. O(watched) per wakeup.
-struct PollBackend {
-    wake_fd: RawFd,
-    // Reused across rounds: a steady-state round performs no allocation
-    // (pushes into retained capacity).
-    pollfds: Vec<PollFd>,
-    owners: Vec<u64>,
-}
-
-impl PollBackend {
-    fn new(wake_fd: RawFd) -> PollBackend {
-        PollBackend {
-            wake_fd,
-            pollfds: Vec::with_capacity(64),
-            owners: Vec::with_capacity(64),
-        }
-    }
-
-    /// Blocks until readiness or `timeout_ms`. Appends one [`Fired`] per
-    /// ready fd and returns whether the wake socket itself was readable.
-    fn wait_ready(&mut self, watches: &[Watch], timeout_ms: i32, fired: &mut Vec<Fired>) -> bool {
-        self.pollfds.clear();
-        self.owners.clear();
-        self.pollfds.push(PollFd {
-            fd: self.wake_fd,
-            events: POLLIN,
-            revents: 0,
-        });
-        self.owners.push(u64::MAX);
-        for w in watches {
-            self.pollfds.push(PollFd {
-                fd: w.fd,
-                events: POLLIN,
-                revents: 0,
-            });
-            self.owners.push(w.owner);
-        }
-        // SAFETY: `pollfds` is a live, exclusively-borrowed Vec of
-        // `#[repr(C)]` structs matching `struct pollfd`, `nfds` is its
-        // exact length, and the kernel writes only the `revents` fields
-        // within those bounds.
-        let n = unsafe {
-            poll(
-                self.pollfds.as_mut_ptr(),
-                self.pollfds.len() as NFds,
-                timeout_ms,
-            )
-        };
-        if n < 0 {
-            // EINTR or transient failure: the caller re-snapshots.
-            return false;
-        }
-        for (pfd, &owner) in self.pollfds.iter().zip(self.owners.iter()).skip(1) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            fired.push(Fired {
-                fd: pfd.fd,
-                owner,
-                invalid: pfd.revents & POLLNVAL != 0,
-            });
-        }
-        self.pollfds[0].revents != 0
-    }
-}
-
-/// The Linux backend: the kernel holds the interest set in an epoll
-/// instance and `epoll_wait` returns only the ready fds — O(ready) per
-/// wakeup. `interest` mirrors the kernel set so each round issues
-/// `epoll_ctl` only for fds that actually changed (interest-map
-/// diffing); ownership and generations live purely in the mirror, so
-/// re-homing an fd between registrations costs no syscall, while a
-/// *generation* change (the owner resumed with a fresh socket that may
-/// have re-used the fd number) forces a kernel DEL+ADD.
-#[cfg(have_epoll)]
-struct EpollBackend {
-    epfd: RawFd,
-    wake_fd: RawFd,
-    /// fd → (owner, generation) as last synced with the kernel.
-    interest: HashMap<RawFd, (u64, u64)>,
-    /// Scratch: this round's desired set (same shape as `interest`).
-    desired: HashMap<RawFd, (u64, u64)>,
-    /// Scratch: fds to delete this round.
-    stale: Vec<RawFd>,
-    events: Vec<epoll_ffi::EpollEvent>,
-}
-
-#[cfg(have_epoll)]
-impl EpollBackend {
-    /// Runtime half of the probe: `None` if the kernel refuses an epoll
-    /// instance, in which case the caller falls back to `poll(2)`.
-    fn new(wake_fd: RawFd) -> Option<EpollBackend> {
-        // SAFETY: plain syscall, no pointers involved.
-        let epfd = unsafe { epoll_ffi::epoll_create1(epoll_ffi::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return None;
-        }
-        Some(EpollBackend {
-            epfd,
-            wake_fd,
-            interest: HashMap::new(),
-            desired: HashMap::new(),
-            stale: Vec::new(),
-            events: vec![epoll_ffi::EpollEvent { events: 0, data: 0 }; 64],
-        })
-    }
-
-    fn ctl(&self, op: i32, fd: RawFd) -> bool {
-        let mut ev = epoll_ffi::EpollEvent {
-            events: epoll_ffi::EPOLLIN,
-            data: fd as u64,
-        };
-        // SAFETY: `epfd` is the live epoll instance created in `new`,
-        // `ev` is a valid exclusively-borrowed event struct, and the
-        // kernel only reads it (DEL ignores it entirely).
-        unsafe { epoll_ffi::epoll_ctl(self.epfd, op, fd, &mut ev) == 0 }
-    }
-
-    /// Same contract as [`PollBackend::wait`].
-    fn wait_ready(&mut self, watches: &[Watch], timeout_ms: i32, fired: &mut Vec<Fired>) -> bool {
-        // Sync the kernel set with this round's snapshot.
-        self.desired.clear();
-        self.desired.insert(self.wake_fd, (u64::MAX, 0));
-        for w in watches {
-            self.desired.entry(w.fd).or_insert((w.owner, w.gen));
-        }
-        self.stale.clear();
-        for (&fd, &(_, gen)) in self.interest.iter() {
-            match self.desired.get(&fd) {
-                // Same fd, same generation: kernel entry still valid
-                // (an owner change is a pure mirror update).
-                Some(&(_, g)) if g == gen || fd == self.wake_fd => {}
-                // Gone, or same number re-used by a new socket after a
-                // resume: drop the kernel entry (the kernel may already
-                // have auto-removed a closed fd — either way, forget it).
-                _ => self.stale.push(fd),
-            }
-        }
-        for i in 0..self.stale.len() {
-            let fd = self.stale[i];
-            self.ctl(epoll_ffi::EPOLL_CTL_DEL, fd);
-            self.interest.remove(&fd);
-        }
-        for (&fd, &(owner, gen)) in self.desired.iter() {
-            match self.interest.get(&fd) {
-                Some(&(o, g)) if o == owner && g == gen => {}
-                Some(_) => {
-                    // Re-homed to another registration (or generation
-                    // handled above): update the mirror only.
-                    self.interest.insert(fd, (owner, gen));
-                }
-                None => {
-                    if self.ctl(epoll_ffi::EPOLL_CTL_ADD, fd) {
-                        self.interest.insert(fd, (owner, gen));
-                    } else if fd != self.wake_fd {
-                        // Closed or unpollable: surface as invalid so
-                        // the loop prunes it from its registration.
-                        fired.push(Fired {
-                            fd,
-                            owner,
-                            invalid: true,
-                        });
-                    }
-                }
-            }
-        }
-        // SAFETY: `events` is a live, exclusively-borrowed buffer;
-        // `maxevents` is its exact length, and the kernel writes at most
-        // that many entries.
-        let n = unsafe {
-            epoll_ffi::epoll_wait(
-                self.epfd,
-                self.events.as_mut_ptr(),
-                self.events.len() as i32,
-                timeout_ms,
-            )
-        };
-        if n <= 0 {
-            // Timeout, EINTR, or transient failure: empty round.
-            return false;
-        }
-        let mut wake = false;
-        for ev in &self.events[..n as usize] {
-            let fd = ev.data as RawFd;
-            if fd == self.wake_fd {
-                wake = true;
-                continue;
-            }
-            if let Some(&(owner, _)) = self.interest.get(&fd) {
-                fired.push(Fired {
-                    fd,
-                    owner,
-                    invalid: false,
-                });
-            }
-        }
-        wake
-    }
-}
-
-#[cfg(have_epoll)]
-impl Drop for EpollBackend {
-    fn drop(&mut self) {
-        // SAFETY: closing the fd this struct exclusively owns.
-        unsafe { epoll_ffi::close(self.epfd) };
-    }
-}
-
-/// The backend the reactor loop drives: epoll where the build-time probe
-/// found it *and* the runtime instance creation succeeded, `poll(2)`
-/// everywhere else.
-enum Backend {
-    #[cfg(have_epoll)]
-    Epoll(EpollBackend),
-    Poll(PollBackend),
-}
-
-impl Backend {
-    fn new(wake_fd: RawFd) -> Backend {
-        #[cfg(have_epoll)]
-        if let Some(e) = EpollBackend::new(wake_fd) {
-            return Backend::Epoll(e);
-        }
-        Backend::Poll(PollBackend::new(wake_fd))
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            #[cfg(have_epoll)]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
-    }
-
-    fn wait_ready(&mut self, watches: &[Watch], timeout_ms: i32, fired: &mut Vec<Fired>) -> bool {
-        match self {
-            #[cfg(have_epoll)]
-            Backend::Epoll(b) => b.wait_ready(watches, timeout_ms, fired),
-            Backend::Poll(b) => b.wait_ready(watches, timeout_ms, fired),
-        }
-    }
-}
-
-// -- registrations -----------------------------------------------------------
-
-/// Handle to a reactor registration.
+/// Handle to a reactor registration. Ids are never reused, so an event
+/// still in flight for a removed registration resolves to nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistrationId(u64);
 
 type Callback = Arc<dyn Fn() + Send + Sync>;
 
-struct Registration {
-    fds: Vec<RawFd>,
-    /// Bumped every time `resume` replaces the fd set, so the epoll
-    /// backend can tell a re-used fd *number* from the same still-open
-    /// socket and refresh the kernel entry.
-    gen: u64,
-    callback: Callback,
-    /// Stop watching the fds after firing, until `resume` (receive
-    /// sources: the doorbell is rung, nothing more to learn until the
-    /// drain empties).
-    pause_on_ready: bool,
-    paused: bool,
-    /// Also fire every `period` (the rudp retransmit tick).
-    period: Option<Duration>,
-    next_tick: Option<Instant>,
+/// Event data of the wake socket (never a registration id).
+const WAKE: u64 = u64::MAX;
+
+/// Longest the reactor blocks with no tick scheduled; bounds how late a
+/// new periodic registration first ticks if its wake datagram is lost.
+const IDLE_TIMEOUT_MS: i32 = 100;
+
+struct Timer {
+    id: u64,
+    period: Duration,
+    next: Instant,
 }
 
 #[derive(Default)]
-struct ReactorState {
-    regs: HashMap<u64, Registration>,
+struct Table {
     next_id: u64,
+    callbacks: HashMap<u64, Callback>,
+    /// Periodic registrations' ticks.
+    timers: Vec<Timer>,
+}
+
+impl Table {
+    fn insert(&mut self, cb: Callback) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.callbacks.insert(id, cb);
+        id
+    }
 }
 
 /// The process-global socket reactor. See the module docs.
 pub struct Reactor {
-    state: Mutex<ReactorState>,
-    /// Self-wake socket: connected to itself, one byte sent =
-    /// `poll(2)` returns. Lets `watch`/`resume`/`deregister` callers
-    /// interrupt a reactor blocked on last round's fd set.
+    epoll: OwnedFd,
+    table: Mutex<Table>,
+    /// Self-wake socket: connected to itself at `wake_addr`, one byte
+    /// sent there = `epoll_wait` returns. (`send_to`, because the bare
+    /// `send` name is a trait-dispatch point the repo lint over-links.)
     wake: UdpSocket,
-    /// The wake socket's own address, kept so `wake_up` can use the
-    /// explicit-destination datagram call (`send_to`) — the bare `send`
-    /// name is a trait-dispatch point the repo lint deliberately
-    /// over-links, and the wake path must stay visibly non-blocking.
-    wake_addr: std::net::SocketAddr,
-    /// Which readiness backend the loop selected ("epoll" or "poll"),
-    /// set once by the reactor thread (observability for tests).
-    backend: OnceLock<&'static str>,
+    wake_addr: SocketAddr,
 }
-
-/// Longest the reactor blocks with nothing scheduled; bounds how stale
-/// the fd snapshot can get if a wake datagram is ever dropped.
-const IDLE_TIMEOUT_MS: i32 = 100;
 
 static GLOBAL: OnceLock<Option<Arc<Reactor>>> = OnceLock::new();
 
 impl Reactor {
     /// The global reactor, starting its thread on first use. `None` if
-    /// the wake socket or the thread could not be created — callers fall
-    /// back to their per-fd pump paths, trading thread count for
-    /// liveness.
+    /// the epoll instance, the wake socket or the thread could not be
+    /// created — callers fall back to the polled tier (receivers) or a
+    /// pump thread (rudp senders).
     pub fn global() -> Option<&'static Arc<Reactor>> {
         GLOBAL.get_or_init(Reactor::start).as_ref()
     }
@@ -446,12 +152,22 @@ impl Reactor {
         let wake_addr = wake.local_addr().ok()?;
         wake.connect(wake_addr).ok()?;
         wake.set_nonblocking(true).ok()?;
+        // SAFETY: plain syscall, no pointers involved.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return None;
+        }
         let reactor = Arc::new(Reactor {
-            state: Mutex::new(ReactorState::default()),
+            // SAFETY: `epfd` is a freshly created descriptor nothing else
+            // owns; `OwnedFd` closes it if start-up fails below.
+            epoll: unsafe { OwnedFd::from_raw_fd(epfd) },
+            table: Mutex::new(Table::default()),
             wake,
             wake_addr,
-            backend: OnceLock::new(),
         });
+        reactor
+            .ctl(EPOLL_CTL_ADD, reactor.wake.as_raw_fd(), EPOLLIN, WAKE)
+            .ok()?;
         let r = Arc::clone(&reactor);
         std::thread::Builder::new()
             .name("nexus-reactor".to_owned())
@@ -460,160 +176,139 @@ impl Reactor {
         Some(reactor)
     }
 
-    /// Adds a registration and wakes the reactor to start watching it.
-    pub fn watch(
-        &self,
-        fds: &[RawFd],
-        callback: Callback,
-        pause_on_ready: bool,
-        period: Option<Duration>,
-    ) -> RegistrationId {
+    fn ctl(&self, op: i32, fd: RawFd, events: u32, data: u64) -> std::io::Result<()> {
+        let mut ev = EpollEvent { events, data };
+        // SAFETY: `epoll` is the live instance this struct owns, `ev` is
+        // a valid exclusively-borrowed event struct, and the kernel only
+        // reads it (DEL ignores it entirely).
+        if unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut ev) } == 0 {
+            Ok(())
+        } else {
+            Err(std::io::Error::last_os_error())
+        }
+    }
+
+    /// Registers a receive source: `cb` runs on the reactor thread once
+    /// per fd that turns readable, after which that fd stays disarmed
+    /// until [`Reactor::resume`]. `None` (nothing registered) if the
+    /// kernel refuses any of the fds.
+    pub fn watch(&self, fds: &[RawFd], cb: Callback) -> Option<RegistrationId> {
+        let id = RegistrationId(self.table.lock().insert(cb));
+        if self.resume(id, fds) {
+            Some(id)
+        } else {
+            self.deregister(id, fds);
+            None
+        }
+    }
+
+    /// Arms `fds` one-shot for `id`, from the calling thread: `MOD` for
+    /// fds the kernel already holds (armed or not), `ADD` for the rest.
+    /// Level-triggered, so an fd that is readable *now* fires at once.
+    /// Returns whether every fd is armed.
+    pub fn resume(&self, id: RegistrationId, fds: &[RawFd]) -> bool {
+        const ONE_SHOT: u32 = EPOLLIN | EPOLLONESHOT;
+        let mut armed = true;
+        for &fd in fds {
+            armed &= match self.ctl(EPOLL_CTL_MOD, fd, ONE_SHOT, id.0) {
+                Err(e) if e.raw_os_error() == Some(ENOENT) => {
+                    self.ctl(EPOLL_CTL_ADD, fd, ONE_SHOT, id.0).is_ok()
+                }
+                r => r.is_ok(),
+            };
+        }
+        armed
+    }
+
+    /// Registers a periodic source: `cb` runs whenever `fd` is readable
+    /// (it must drain the socket itself) and every `period`.
+    pub fn watch_periodic(&self, fd: RawFd, period: Duration, cb: Callback) -> RegistrationId {
         let id = {
-            let mut st = self.state.lock();
-            let id = st.next_id;
-            st.next_id += 1;
-            st.regs.insert(
+            let mut t = self.table.lock();
+            let id = t.insert(cb);
+            t.timers.push(Timer {
                 id,
-                Registration {
-                    // lint:allow(hot-path-alloc) the fd list is copied once per registration (connect/arm time), not per message
-                    fds: fds.to_vec(),
-                    gen: 0,
-                    callback,
-                    pause_on_ready,
-                    paused: false,
-                    period,
-                    next_tick: period.map(|p| Instant::now() + p),
-                },
-            );
+                period,
+                next: Instant::now() + period,
+            });
             id
         };
-        self.wake_up();
+        // If the kernel refuses the fd the ticks alone still drive the
+        // callback, one period late at worst.
+        let _ = self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, id);
+        // The reactor may be blocked with a longer timeout than the new
+        // tick. A full (or failed) wake socket is fine: the reactor
+        // recomputes its timeout at least every IDLE_TIMEOUT_MS anyway.
+        let _ = self.wake.send_to(&[1], self.wake_addr);
         RegistrationId(id)
     }
 
-    /// Unpauses a registration and replaces its fd set (receivers call
-    /// this after draining empty, with their current listener/connection
-    /// fds — which is how accept-churn reaches the reactor).
-    pub fn resume(&self, id: RegistrationId, fds: &[RawFd]) {
+    /// Removes a registration and its fds. The callback will not fire
+    /// after this returns, except for at most one invocation already in
+    /// flight on the reactor thread — callbacks must stay safe against
+    /// that (doorbell rings and stop-flag-guarded pumps are).
+    pub fn deregister(&self, id: RegistrationId, fds: &[RawFd]) {
         {
-            let mut st = self.state.lock();
-            let Some(reg) = st.regs.get_mut(&id.0) else {
-                return;
-            };
-            reg.paused = false;
-            reg.fds.clear();
-            reg.fds.extend_from_slice(fds);
-            // New fd set, new generation: an fd number here may belong
-            // to a different socket than last round's same number.
-            reg.gen += 1;
+            let mut t = self.table.lock();
+            t.callbacks.remove(&id.0);
+            t.timers.retain(|timer| timer.id != id.0);
         }
-        self.wake_up();
-    }
-
-    /// Removes a registration. The callback will not fire after this
-    /// returns, except for at most one invocation already in flight on
-    /// the reactor thread — callbacks must stay safe against that
-    /// (doorbell rings and stop-flag-guarded pumps are).
-    pub fn deregister(&self, id: RegistrationId) {
-        self.state.lock().regs.remove(&id.0);
-        self.wake_up();
-    }
-
-    /// Number of live registrations (observability for tests).
-    pub fn registrations(&self) -> usize {
-        self.state.lock().regs.len()
-    }
-
-    /// The readiness backend the reactor thread selected — `"epoll"` or
-    /// `"poll"` — or `None` until its first round.
-    pub fn backend_name(&self) -> Option<&'static str> {
-        self.backend.get().copied()
-    }
-
-    fn wake_up(&self) {
-        // A full (or failed) wake socket is fine: the reactor re-snapshots
-        // at least every IDLE_TIMEOUT_MS anyway.
-        let _ = self.wake.send_to(&[1], self.wake_addr);
+        for &fd in fds {
+            // ENOENT (never added, or dropped with a closed file) is fine.
+            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
+        }
     }
 }
 
-/// The reactor thread: snapshot fds → block in the backend's wait →
-/// mark fired registrations → run their callbacks, lock released.
-fn reactor_loop(reactor: &Arc<Reactor>) {
-    let wake_fd = reactor.wake.as_raw_fd();
-    let mut backend = Backend::new(wake_fd);
-    let _ = reactor.backend.set(backend.name());
-    // Reused across rounds: a steady-state round performs no allocation
-    // (pushes into retained capacity).
-    let mut watches: Vec<Watch> = Vec::with_capacity(64);
-    let mut ready: Vec<Fired> = Vec::with_capacity(16);
-    let mut fired: Vec<(u64, Callback)> = Vec::with_capacity(16);
+/// The reactor thread: block in `epoll_wait` → look up what fired → run
+/// the callbacks. The table lock is held across neither.
+fn reactor_loop(reactor: &Reactor) {
+    let mut events = [EpollEvent { events: 0, data: 0 }; 64];
+    // Reused across rounds: a steady-state round allocates nothing.
+    let mut due: Vec<Callback> = Vec::with_capacity(64);
     loop {
-        watches.clear();
-        ready.clear();
-        fired.clear();
-        let mut timeout_ms = IDLE_TIMEOUT_MS;
+        let now = Instant::now();
+        let timeout_ms = reactor
+            .table
+            .lock()
+            .timers
+            .iter()
+            .map(|t| t.next.saturating_duration_since(now).as_millis() as i32)
+            .fold(IDLE_TIMEOUT_MS, |acc, ms| acc.min(ms.max(1)));
+        // SAFETY: `events` is a live, exclusively-borrowed buffer;
+        // `maxevents` is its exact length, and the kernel writes at most
+        // that many entries.
+        let n = unsafe {
+            epoll_wait(
+                reactor.epoll.as_raw_fd(),
+                events.as_mut_ptr(),
+                events.len() as i32,
+                timeout_ms,
+            )
+        };
+        // Timeout, EINTR or a transient failure is an empty round.
+        let fired = &events[..n.max(0) as usize];
         let now = Instant::now();
         {
-            let st = reactor.state.lock();
-            for (&id, reg) in st.regs.iter() {
-                if let Some(tick) = reg.next_tick {
-                    let ms = tick.saturating_duration_since(now).as_millis() as i32;
-                    timeout_ms = timeout_ms.min(ms.max(1));
-                }
-                if reg.paused {
-                    continue;
-                }
-                for &fd in &reg.fds {
-                    watches.push(Watch {
-                        fd,
-                        owner: id,
-                        gen: reg.gen,
-                    });
+            let mut table = reactor.table.lock();
+            let Table {
+                callbacks, timers, ..
+            } = &mut *table;
+            let ticked = timers.iter_mut().filter(|t| now >= t.next).map(|t| {
+                t.next = now + t.period;
+                t.id
+            });
+            for id in fired.iter().map(|ev| ev.data).chain(ticked) {
+                if let Some(cb) = callbacks.get(&id) {
+                    due.push(Arc::clone(cb));
                 }
             }
         }
-        if backend.wait_ready(&watches, timeout_ms, &mut ready) {
+        if fired.iter().any(|ev| ev.data == WAKE) {
             let mut b = [0u8; 16];
             while reactor.wake.recv(&mut b).is_ok() {}
         }
-        let now = Instant::now();
-        {
-            let mut st = reactor.state.lock();
-            for r in ready.drain(..) {
-                let Some(reg) = st.regs.get_mut(&r.owner) else {
-                    continue;
-                };
-                if r.invalid {
-                    // The fd was closed behind our back; keep the
-                    // registration (its owner will resume with a fresh
-                    // set) but stop watching the dead fd.
-                    let dead = r.fd;
-                    reg.fds.retain(|&f| f != dead);
-                }
-                if reg.paused {
-                    // Already fired this round via another fd.
-                    continue;
-                }
-                if reg.pause_on_ready {
-                    reg.paused = true;
-                    fired.push((r.owner, Arc::clone(&reg.callback)));
-                } else if fired.iter().all(|(fid, _)| *fid != r.owner) {
-                    fired.push((r.owner, Arc::clone(&reg.callback)));
-                }
-            }
-            for (&id, reg) in st.regs.iter_mut() {
-                if let (Some(period), Some(tick)) = (reg.period, reg.next_tick) {
-                    if now >= tick {
-                        reg.next_tick = Some(now + period);
-                        if fired.iter().all(|(fid, _)| *fid != id) {
-                            fired.push((id, Arc::clone(&reg.callback)));
-                        }
-                    }
-                }
-            }
-        }
-        for (_, cb) in fired.drain(..) {
+        for cb in due.drain(..) {
             cb();
         }
     }
@@ -621,71 +316,140 @@ fn reactor_loop(reactor: &Arc<Reactor>) {
 
 // -- the receiver adapter ----------------------------------------------------
 
-/// A receiver whose readiness the reactor can watch through raw fds.
+/// A receiver whose readiness the reactor can watch through raw fds. Its
+/// `poll` is "queued message, else scan and look again"; the adapter
+/// needs the two halves apart.
 pub trait FdSource: CommReceiver {
+    /// Reads every socket once without blocking and queues what decodes.
+    /// Returns whether anything came off a socket (bytes, a connection),
+    /// a whole message or not.
+    fn scan(&mut self) -> Result<bool>;
+
+    /// The next message queued by an earlier scan.
+    fn pop(&mut self) -> Option<Rsr>;
+
     /// Appends every fd whose readability means "this receiver may have
-    /// a message" — listener plus accepted connections for TCP, the one
-    /// socket for UDP-based transports. Called after each drain-to-empty,
-    /// so the set may change between calls.
+    /// a message": listener plus accepted connections for TCP, the one
+    /// socket for UDP-based transports. Called at each re-arm.
     fn fill_fds(&self, out: &mut Vec<RawFd>);
 }
 
-/// The doorbell the reactor callback rings. Replaceable — the poll
-/// engine installs one signal at arm time and a shard worker pool
-/// installs another at adoption — while the reactor keeps one stable
-/// callback pointing here.
-struct SignalCell(RwLock<Option<ReadySignal>>);
+/// What the reactor callback and the draining thread share.
+#[derive(Default)]
+struct Bell {
+    /// The doorbell the callback rings. Replaceable (the poll engine
+    /// installs one at arm time, a shard worker pool another at adoption)
+    /// while the reactor keeps one stable callback.
+    signal: RwLock<Option<ReadySignal>>,
+    /// Set by the callback before it rings, consumed by the visit that
+    /// reads the sockets: a cold source visited for any other reason
+    /// (the engine priming a fresh doorbell) has nothing to read.
+    fired: AtomicBool,
+    /// Callback invocations (what the steady state must not need).
+    #[cfg(test)]
+    callbacks: std::sync::atomic::AtomicU32,
+}
+
+impl Bell {
+    fn ring(&self) {
+        if let Some(s) = self.signal.read().as_ref() {
+            s.ring();
+        }
+    }
+}
 
 /// Wraps an [`FdSource`] receiver so the global reactor provides its
-/// readiness: no pump thread, no socket syscalls on the engine's poll
-/// path until the doorbell actually rings.
+/// readiness: no pump thread, no syscall on the engine's poll path while
+/// the source is cold, about one read per message while it is hot.
 pub struct ReactorReceiver<R: FdSource> {
     inner: R,
-    cell: Arc<SignalCell>,
+    bell: Arc<Bell>,
     reg: Option<RegistrationId>,
+    /// The fds are disarmed and this source keeps itself on the ready
+    /// list; cleared by the first visit that reads nothing.
+    hot: bool,
+    /// The current visit already read the sockets; once its queue is
+    /// delivered the visit is over.
+    scanned: bool,
     /// Reused fd scratch for re-arms (no per-drain allocation).
     fds: Vec<RawFd>,
 }
 
 impl<R: FdSource> ReactorReceiver<R> {
-    /// Wraps `inner`. The reactor registration is created lazily at
-    /// arming time; until then the wrapper is a transparent pass-through.
+    /// Wraps `inner`. The reactor registration is created at arming
+    /// time; until then the wrapper is a transparent pass-through.
     pub fn new(inner: R) -> Self {
         ReactorReceiver {
             inner,
-            cell: Arc::new(SignalCell(RwLock::new(None))),
+            bell: Arc::default(),
             reg: None,
+            hot: false,
+            scanned: false,
             fds: Vec::new(),
         }
     }
 
-    /// Re-arms the registration with the receiver's current fd set.
-    fn rearm(&mut self) {
-        if let (Some(id), Some(reactor)) = (self.reg, Reactor::global()) {
+    /// Ends a visit that came back empty-handed (or failed): hands every
+    /// fd back to the kernel. Data that raced in after the read fires at
+    /// once — the re-arm is level-triggered.
+    fn rearm(&mut self, id: RegistrationId) {
+        let Some(reactor) = Reactor::global() else {
+            return;
+        };
+        // Before the MODs: an event they cause must not be erased.
+        self.bell.fired.store(false, Ordering::Release);
+        self.fds.clear();
+        self.inner.fill_fds(&mut self.fds);
+        self.hot = !reactor.resume(id, &self.fds);
+        if self.hot {
+            // The kernel refused an fd: keep reading in place instead.
+            self.bell.ring();
+        }
+    }
+
+    fn disarm(&mut self) {
+        if let (Some(id), Some(reactor)) = (self.reg.take(), Reactor::global()) {
             self.fds.clear();
             self.inner.fill_fds(&mut self.fds);
-            reactor.resume(id, &self.fds);
+            reactor.deregister(id, &self.fds);
         }
     }
 }
 
 impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
+    /// One doorbell visit is the run of calls up to the first `None` or
+    /// error; it reads the sockets at most once.
     fn poll(&mut self) -> Result<Option<Rsr>> {
-        match self.inner.poll() {
-            Ok(Some(m)) => Ok(Some(m)),
-            // Drained empty: hand the fds back to the reactor. Data that
-            // raced in after the inner poll is still readable — poll(2)
-            // is level-triggered, so the next reactor round re-rings.
-            Ok(None) => {
-                self.rearm();
-                Ok(None)
+        let Some(id) = self.reg else {
+            return self.inner.poll();
+        };
+        loop {
+            if let Some(m) = self.inner.pop() {
+                return Ok(Some(m));
             }
-            // Errors do not retire the source: the engine re-rings on
-            // error, and the reactor must keep watching for whatever the
-            // next drain finds (or the same error again, surfaced again).
-            Err(e) => {
-                self.rearm();
-                Err(e)
+            if std::mem::take(&mut self.scanned) {
+                // Everything this visit read is delivered (possibly
+                // nothing: part of a frame). It did read, so stay hot: no
+                // re-arm, the next pass reads the sockets directly.
+                self.bell.ring();
+                return Ok(None);
+            }
+            if !self.hot && !self.bell.fired.swap(false, Ordering::Acquire) {
+                return Ok(None);
+            }
+            match self.inner.scan() {
+                Ok(true) => (self.hot, self.scanned) = (true, true),
+                Ok(false) => {
+                    self.rearm(id);
+                    return Ok(None);
+                }
+                // Errors do not retire the source: the engine re-rings on
+                // error, and the kernel must keep watching for whatever
+                // the next visit finds (or the same error, surfaced again).
+                Err(e) => {
+                    self.rearm(id);
+                    return Err(e);
+                }
             }
         }
     }
@@ -696,214 +460,343 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
 
     fn set_ready_signal(&mut self, signal: ReadySignal) -> bool {
         let Some(reactor) = Reactor::global() else {
-            // No reactor (wake socket or thread creation failed): report
-            // unarmed; the engine keeps the source in the polled rotation.
+            // No reactor: unarmed, the source stays in the polled rotation.
             return false;
         };
-        *self.cell.0.write() = Some(signal);
+        // Under a replacement doorbell (worker-pool adoption) nothing
+        // else changes: the new owner primes it, and that visit finds
+        // the source hot, fired, or armed in the kernel.
+        *self.bell.signal.write() = Some(signal);
         if self.reg.is_none() {
             self.fds.clear();
             self.inner.fill_fds(&mut self.fds);
-            let cell = Arc::clone(&self.cell);
-            let callback: Callback = Arc::new(move || {
-                if let Some(s) = cell.0.read().as_ref() {
-                    s.ring();
-                }
-            });
-            self.reg = Some(reactor.watch(&self.fds, callback, true, None));
-        } else {
-            // Re-arm under a replacement doorbell (worker-pool adoption):
-            // wake the watch in case traffic arrived while the source was
-            // between engines.
-            self.rearm();
+            let bell = Arc::clone(&self.bell);
+            self.reg = reactor.watch(
+                &self.fds,
+                Arc::new(move || {
+                    #[cfg(test)]
+                    bell.callbacks.fetch_add(1, Ordering::Relaxed);
+                    bell.fired.store(true, Ordering::Release);
+                    bell.ring();
+                }),
+            );
         }
-        true
+        self.reg.is_some()
     }
 
     fn close(&mut self) {
-        if let (Some(id), Some(reactor)) = (self.reg.take(), Reactor::global()) {
-            reactor.deregister(id);
-        }
+        self.disarm();
         self.inner.close();
     }
 }
 
 impl<R: FdSource> Drop for ReactorReceiver<R> {
     fn drop(&mut self) {
-        if let (Some(id), Some(reactor)) = (self.reg.take(), Reactor::global()) {
-            reactor.deregister(id);
-        }
+        self.disarm();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_rt::context::ContextId;
-    use nexus_rt::descriptor::MethodId;
+    use crate::rudp::{RudpModule, RudpReceiver};
+    use crate::tcp::{TcpModule, TcpReceiver};
+    use crate::udp::{UdpModule, UdpReceiver};
+    use nexus_rt::context::{ContextId, ContextInfo, NodeId, PartitionId};
+    use nexus_rt::descriptor::{CommDescriptor, MethodId};
     use nexus_rt::endpoint::EndpointId;
-    use nexus_rt::poll::PollEngine;
-    use std::io::ErrorKind;
+    use nexus_rt::module::{CommModule, CommObject};
+    use nexus_rt::poll::{PollEngine, SegQueue};
+    use nexus_rt::rsr::WireFrame;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicU32;
 
-    struct UdpFdSource {
-        socket: UdpSocket,
-        buf: Vec<u8>,
-    }
-
-    impl CommReceiver for UdpFdSource {
-        fn poll(&mut self) -> Result<Option<Rsr>> {
-            loop {
-                match self.socket.recv_from(&mut self.buf) {
-                    Ok((n, _)) => return Ok(Some(Rsr::decode(&self.buf[..n])?)),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-    }
-
-    impl FdSource for UdpFdSource {
-        fn fill_fds(&self, out: &mut Vec<RawFd>) {
-            out.push(self.socket.as_raw_fd());
-        }
-    }
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     fn msg(h: &str) -> Rsr {
         Rsr::new(ContextId(0), EndpointId(0), h, bytes::Bytes::new())
     }
 
-    fn wire(m: &Rsr) -> Vec<u8> {
-        let frame = nexus_rt::rsr::WireFrame::new();
-        let body = frame.body(m);
-        let mut v = m.header().to_vec();
-        v.extend_from_slice(body);
-        v
+    fn info() -> ContextInfo {
+        ContextInfo {
+            id: ContextId(1),
+            node: NodeId(1),
+            partition: PartitionId(1),
+        }
+    }
+
+    fn udp_socket() -> (UdpSocket, SocketAddr) {
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let addr = socket.local_addr().unwrap();
+        (socket, addr)
+    }
+
+    fn connect(module: &dyn CommModule, addr: SocketAddr) -> Arc<dyn CommObject> {
+        let desc = CommDescriptor::new(module.method(), addr.to_string().into_bytes());
+        module.connect(&info(), &desc).unwrap()
+    }
+
+    /// A receiver armed with a hand-held doorbell and visited the way the
+    /// engine's ready drain visits it: pop the token, clear the flag,
+    /// poll up to the first `None`. Nothing else ever polls it, so every
+    /// delivery went through the doorbell.
+    struct Armed<R: FdSource> {
+        rx: ReactorReceiver<R>,
+        list: Arc<SegQueue<usize>>,
+        signal: ReadySignal,
+    }
+
+    impl<R: FdSource> Armed<R> {
+        fn new(inner: R) -> Self {
+            let list = Arc::new(SegQueue::new());
+            let signal = ReadySignal::new(0, Arc::clone(&list));
+            let mut rx = ReactorReceiver::new(inner);
+            assert!(rx.set_ready_signal(signal.clone()), "reactor starts");
+            Armed { rx, list, signal }
+        }
+
+        /// One visit, if the doorbell has rung.
+        fn visit(&mut self) -> Option<Vec<Rsr>> {
+            self.list.pop()?;
+            self.signal.clear();
+            let mut got = Vec::new();
+            while let Some(m) = self.rx.poll().unwrap() {
+                got.push(m);
+            }
+            Some(got)
+        }
+
+        /// Visits until `n` messages have been delivered.
+        fn collect(&mut self, n: usize) -> Vec<Rsr> {
+            let deadline = Instant::now() + PATIENCE;
+            let mut got = Vec::new();
+            while got.len() < n {
+                assert!(Instant::now() < deadline, "{} of {n} delivered", got.len());
+                match self.visit() {
+                    Some(batch) => got.extend(batch),
+                    None => std::thread::yield_now(),
+                }
+            }
+            got
+        }
+
+        /// Visits until an empty-handed visit has re-armed the source.
+        fn cool(&mut self) {
+            while self.rx.hot {
+                self.visit().expect("a hot source keeps its doorbell rung");
+            }
+        }
+
+        fn callbacks(&self) -> u32 {
+            self.rx.bell.callbacks.load(Ordering::Relaxed)
+        }
+    }
+
+    /// An armed TCP receiver and a sender connected to it.
+    fn tcp_pair() -> (Armed<TcpReceiver>, Arc<dyn CommObject>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let armed = Armed::new(TcpReceiver::new(listener));
+        (armed, connect(&TcpModule::new(), addr))
+    }
+
+    fn send(obj: &Arc<dyn CommObject>, h: &str) {
+        obj.send(&msg(h), &WireFrame::new()).unwrap();
     }
 
     #[test]
     fn reactor_rings_the_engine_doorbell_on_readiness() {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        socket.set_nonblocking(true).unwrap();
-        let addr = socket.local_addr().unwrap();
-        let rx = ReactorReceiver::new(UdpFdSource {
-            socket,
-            buf: vec![0; 65_536],
-        });
+        let (socket, addr) = udp_socket();
         let mut eng = PollEngine::new();
-        eng.add_source(MethodId::UDP, Box::new(rx));
+        eng.add_source(
+            MethodId::UDP,
+            Box::new(ReactorReceiver::new(UdpReceiver::new(socket))),
+        );
         assert!(eng.arm_ready(MethodId::UDP));
+        send(&connect(&UdpModule::new(), addr), "via-reactor");
 
-        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        tx.send_to(&wire(&msg("via-reactor")), addr).unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + PATIENCE;
         let mut got = None;
         while got.is_none() && Instant::now() < deadline {
             let out = eng.poll_once();
             got = out.messages.first().map(|(_, m)| m.handler.clone());
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         assert_eq!(got.as_deref(), Some("via-reactor"));
         eng.close_all();
     }
 
-    #[test]
-    fn pausing_registration_does_not_busy_fire() {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        socket.set_nonblocking(true).unwrap();
-        let addr = socket.local_addr().unwrap();
-        let fires = Arc::new(std::sync::atomic::AtomicU32::new(0));
+    /// A counting callback on a raw registration.
+    fn counter() -> (Arc<AtomicU32>, Callback) {
+        let fires = Arc::new(AtomicU32::new(0));
         let f = Arc::clone(&fires);
-        let reactor = Reactor::global().expect("reactor starts");
-        let id = reactor.watch(
-            &[socket.as_raw_fd()],
+        (
+            fires,
             Arc::new(move || {
-                f.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                f.fetch_add(1, Ordering::Relaxed);
             }),
-            true,
-            None,
-        );
-        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        tx.send_to(&[9], addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fires.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+        )
+    }
+
+    fn await_fires(fires: &AtomicU32, want: u32) {
+        let deadline = Instant::now() + PATIENCE;
+        while fires.load(Ordering::Relaxed) < want {
             assert!(Instant::now() < deadline, "registration never fired");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // The datagram is still unread (level-triggered readable), but the
-        // paused registration must not fire again.
+    }
+
+    /// The kernel half of the no-missed-wake-up argument: a fired fd
+    /// stays silent however readable it is, and re-arming it while it is
+    /// readable fires at once.
+    #[test]
+    fn one_shot_fd_fires_once_then_again_on_resume_while_readable() {
+        let (socket, addr) = udp_socket();
+        let fds = [socket.as_raw_fd()];
+        let (fires, callback) = counter();
+        let reactor = Reactor::global().expect("reactor starts");
+        let id = reactor.watch(&fds, callback).expect("fd is watchable");
+        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        tx.send_to(&[9], addr).unwrap();
+        await_fires(&fires, 1);
+        // Still unread, and a second datagram arrives: disarmed is disarmed.
+        tx.send_to(&[9], addr).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(fires.load(std::sync::atomic::Ordering::Relaxed), 1);
-        reactor.deregister(id);
+        assert_eq!(fires.load(Ordering::Relaxed), 1);
+        assert!(reactor.resume(id, &fds));
+        await_fires(&fires, 2);
+        reactor.deregister(id, &fds);
     }
 
     #[test]
     fn periodic_registration_ticks_without_traffic() {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        socket.set_nonblocking(true).unwrap();
-        let fires = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let f = Arc::clone(&fires);
+        let (socket, _) = udp_socket();
+        let (fires, callback) = counter();
         let reactor = Reactor::global().expect("reactor starts");
-        let id = reactor.watch(
-            &[socket.as_raw_fd()],
-            Arc::new(move || {
-                f.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }),
-            false,
-            Some(Duration::from_millis(2)),
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fires.load(std::sync::atomic::Ordering::Relaxed) < 5 {
-            assert!(Instant::now() < deadline, "periodic tick never fired");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        reactor.deregister(id);
-    }
-
-    /// On Linux the build-time probe selects epoll, and `epoll_create1`
-    /// succeeds on every kernel the CI runs, so the running reactor must
-    /// report the epoll backend (not the poll(2) fallback).
-    #[cfg(have_epoll)]
-    #[test]
-    fn reactor_runs_on_epoll_backend() {
-        let reactor = Reactor::global().expect("reactor starts");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match reactor.backend_name() {
-                Some(name) => {
-                    assert_eq!(name, "epoll");
-                    break;
-                }
-                None => {
-                    assert!(Instant::now() < deadline, "backend never recorded");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
+        let id = reactor.watch_periodic(socket.as_raw_fd(), Duration::from_millis(2), callback);
+        await_fires(&fires, 5);
+        reactor.deregister(id, &[socket.as_raw_fd()]);
     }
 
     #[test]
     fn deregistered_fd_stops_firing() {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        socket.set_nonblocking(true).unwrap();
-        let addr = socket.local_addr().unwrap();
-        let fires = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let f = Arc::clone(&fires);
+        let (socket, addr) = udp_socket();
+        let fds = [socket.as_raw_fd()];
+        let (fires, callback) = counter();
         let reactor = Reactor::global().expect("reactor starts");
-        let id = reactor.watch(
-            &[socket.as_raw_fd()],
-            Arc::new(move || {
-                f.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }),
-            false,
-            None,
-        );
-        reactor.deregister(id);
-        std::thread::sleep(Duration::from_millis(20));
+        let id = reactor.watch(&fds, callback).expect("fd is watchable");
+        reactor.deregister(id, &fds);
         let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         tx.send_to(&[9], addr).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(fires.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(fires.load(Ordering::Relaxed), 0);
+    }
+
+    /// Steady state: a source that keeps finding bytes is read in place.
+    /// Frame i+1 is on the wire before the visit that follows frame i's
+    /// delivery, so no visit comes back empty and nothing re-arms.
+    #[test]
+    fn hot_tcp_receiver_costs_no_reactor_round_per_frame() {
+        let (mut armed, obj) = tcp_pair();
+        send(&obj, "f");
+        armed.collect(1);
+        let before = armed.callbacks();
+        for _ in 0..64 {
+            send(&obj, "f");
+            assert_eq!(armed.collect(1).len(), 1);
+        }
+        let rounds = armed.callbacks() - before;
+        assert!(rounds <= 1, "{rounds} reactor callbacks for 64 frames");
+    }
+
+    /// The sender releases message i+1 the moment message i is delivered
+    /// — while the receiver is making the empty-handed visit that re-arms
+    /// — so its writes land before, inside and after the window between
+    /// the empty read and the `MOD`. A lost wake-up stalls the exchange.
+    #[test]
+    fn no_wakeup_is_lost_across_the_rearm_window() {
+        const N: u32 = 10_000;
+        let (mut armed, obj) = tcp_pair();
+        let seen = Arc::new(AtomicU32::new(0));
+        let sender = {
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    while seen.load(Ordering::Acquire) < i {
+                        std::hint::spin_loop();
+                    }
+                    send(&obj, "race");
+                }
+            })
+        };
+        let deadline = Instant::now() + 12 * PATIENCE;
+        while seen.load(Ordering::Relaxed) < N {
+            assert!(
+                Instant::now() < deadline,
+                "stalled after {} of {N}: a wake-up was lost",
+                seen.load(Ordering::Relaxed)
+            );
+            if let Some(got) = armed.visit() {
+                seen.fetch_add(got.len() as u32, Ordering::Release);
+            }
+        }
+        sender.join().unwrap();
+        assert!(armed.callbacks() > 0, "the source never went cold");
+    }
+
+    #[test]
+    fn connection_accepted_after_arming_is_watched() {
+        let (mut armed, obj) = tcp_pair();
+        // Only the listener was armed; its event brings the connection in.
+        send(&obj, "first");
+        assert_eq!(armed.collect(1)[0].handler, "first");
+        armed.cool();
+        assert!(armed.list.is_empty());
+        // Cold: only the connection's own fd can announce this one.
+        send(&obj, "second");
+        assert_eq!(armed.collect(1)[0].handler, "second");
+    }
+
+    #[test]
+    fn peer_close_while_cold_evicts_the_connection() {
+        let (mut armed, obj) = tcp_pair();
+        send(&obj, "only");
+        armed.collect(1);
+        armed.cool();
+        assert_eq!(armed.rx.inner.conn_count(), 1);
+        drop(obj);
+        let deadline = Instant::now() + PATIENCE;
+        while armed.rx.inner.conn_count() > 0 {
+            assert!(Instant::now() < deadline, "EOF never surfaced");
+            if armed.visit().is_none() {
+                std::thread::yield_now();
+            }
+        }
+        assert!(!armed.rx.hot, "an EOF is not bytes: the visit re-armed");
+    }
+
+    /// A burst that is queued before the first visit costs one reactor
+    /// round, not one per datagram.
+    #[test]
+    fn datagram_bursts_are_delivered_in_one_reactor_round() {
+        let (socket, addr) = udp_socket();
+        let mut udp = Armed::new(UdpReceiver::new(socket));
+        let obj = connect(&UdpModule::new(), addr);
+        for _ in 0..32 {
+            send(&obj, "burst");
+        }
+        assert_eq!(udp.collect(32).len(), 32);
+        assert_eq!(udp.callbacks(), 1);
+
+        let (socket, addr) = udp_socket();
+        let mut rudp = Armed::new(RudpReceiver::new(socket, Arc::default()));
+        let obj = connect(&RudpModule::new(), addr);
+        for _ in 0..32 {
+            send(&obj, "burst");
+        }
+        assert_eq!(rudp.collect(32).len(), 32);
+        assert_eq!(rudp.callbacks(), 1);
     }
 }

@@ -188,7 +188,7 @@ struct ConnRecvState {
     reorder: BTreeMap<u64, Rsr>,
 }
 
-struct RudpReceiver {
+pub(crate) struct RudpReceiver {
     socket: UdpSocket,
     buf: Vec<u8>,
     conns: HashMap<u64, ConnRecvState>,
@@ -197,10 +197,24 @@ struct RudpReceiver {
 }
 
 impl RudpReceiver {
-    fn drain_socket(&mut self) -> Result<()> {
+    pub(crate) fn new(socket: UdpSocket, corrupt_drops: Arc<AtomicU64>) -> RudpReceiver {
+        RudpReceiver {
+            socket,
+            buf: vec![0; 65_536],
+            conns: HashMap::new(),
+            ready: VecDeque::new(),
+            corrupt_drops,
+        }
+    }
+
+    /// Reads the socket empty, acking and reordering as it goes; returns
+    /// whether any datagram arrived.
+    fn drain_socket(&mut self) -> Result<bool> {
+        let mut received = false;
         loop {
             match self.socket.recv_from(&mut self.buf) {
                 Ok((n, src)) => {
+                    received = true;
                     let Some((ptype, conn, seq, frame)) = decode_header(&self.buf[..n]) else {
                         continue; // runt packet: drop
                     };
@@ -234,7 +248,7 @@ impl RudpReceiver {
                         self.ready.push_back(m);
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(received),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }
@@ -242,10 +256,18 @@ impl RudpReceiver {
     }
 }
 
-#[cfg(unix)]
+#[cfg(have_epoll)]
 impl crate::reactor::FdSource for RudpReceiver {
-    fn fill_fds(&self, out: &mut Vec<std::os::unix::io::RawFd>) {
-        use std::os::unix::io::AsRawFd;
+    fn scan(&mut self) -> Result<bool> {
+        self.drain_socket()
+    }
+
+    fn pop(&mut self) -> Option<Rsr> {
+        self.ready.pop_front()
+    }
+
+    fn fill_fds(&self, out: &mut Vec<std::os::fd::RawFd>) {
+        use std::os::fd::AsRawFd;
         out.push(self.socket.as_raw_fd());
     }
 }
@@ -381,7 +403,7 @@ impl SenderShared {
 /// drives retransmission), with a dedicated thread as the fallback where
 /// the reactor is unavailable.
 enum PumpDriver {
-    #[cfg(unix)]
+    #[cfg(have_epoll)]
     Reactor(crate::reactor::RegistrationId),
     Thread(std::thread::JoinHandle<()>),
 }
@@ -390,12 +412,13 @@ enum PumpDriver {
 const PUMP_PERIOD: Duration = Duration::from_millis(2);
 
 fn start_pump(shared: &Arc<SenderShared>) -> Result<PumpDriver> {
-    #[cfg(unix)]
+    #[cfg(have_epoll)]
     if let Some(reactor) = crate::reactor::Reactor::global() {
-        use std::os::unix::io::AsRawFd;
+        use std::os::fd::AsRawFd;
         let pump = Arc::clone(shared);
-        let id = reactor.watch(
-            &[shared.socket.as_raw_fd()],
+        let id = reactor.watch_periodic(
+            shared.socket.as_raw_fd(),
+            PUMP_PERIOD,
             Arc::new(move || {
                 // `deregister` tolerates one in-flight callback; the stop
                 // flag makes that callback a no-op on a closing sender.
@@ -403,8 +426,6 @@ fn start_pump(shared: &Arc<SenderShared>) -> Result<PumpDriver> {
                     pump.pump_once();
                 }
             }),
-            false,
-            Some(PUMP_PERIOD),
         );
         return Ok(PumpDriver::Reactor(id));
     }
@@ -502,10 +523,11 @@ impl CommObject for RudpObject {
         // the pump thread must never find this lock wedged while exiting.
         let driver = self.pump.lock().take();
         match driver {
-            #[cfg(unix)]
+            #[cfg(have_epoll)]
             Some(PumpDriver::Reactor(id)) => {
                 if let Some(reactor) = crate::reactor::Reactor::global() {
-                    reactor.deregister(id);
+                    use std::os::fd::AsRawFd;
+                    reactor.deregister(id, &[self.shared.socket.as_raw_fd()]);
                 }
             }
             Some(PumpDriver::Thread(h)) => {
@@ -539,18 +561,12 @@ impl CommModule for RudpModule {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
-        let inner = RudpReceiver {
-            socket,
-            buf: vec![0; 65_536],
-            conns: HashMap::new(),
-            ready: VecDeque::new(),
-            corrupt_drops: Arc::clone(&self.corrupt_drops),
-        };
+        let inner = RudpReceiver::new(socket, Arc::clone(&self.corrupt_drops));
         // Readiness via the shared reactor thread; pump-thread fallback
-        // where poll(2) is unavailable.
-        #[cfg(unix)]
+        // where epoll is unavailable.
+        #[cfg(have_epoll)]
         let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        #[cfg(not(unix))]
+        #[cfg(not(have_epoll))]
         let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
             MethodId::RUDP,
             Box::new(inner),
@@ -604,7 +620,8 @@ impl CommModule for RudpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the pump thread in the receiver's `ReadyPumpReceiver` shell.
+        // Via the shared reactor (`ReactorReceiver`), or the pump thread
+        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
         true
     }
 

@@ -1,11 +1,14 @@
 //! The `tcp` module: stream sockets over the loopback interface.
 //!
 //! This is a genuine socket transport: every context that enables TCP binds
-//! a nonblocking listener on `127.0.0.1`, advertises its address in its
-//! communication descriptor, and scans listener + accepted connections for
-//! readable frames on each poll — the moral equivalent of the `select`
-//! loop whose >100 µs cost motivates `skip_poll` in §3.3. Frames are
-//! length-prefixed RSR encodings.
+//! a nonblocking listener on `127.0.0.1` and advertises its address in its
+//! communication descriptor. A scan — accept what is queued, read every
+//! accepted connection once — is the moral equivalent of the `select`
+//! loop whose >100 µs cost motivates `skip_poll` in §3.3, so the receiver
+//! avoids it: armed into the readiness tier it is scanned only after the
+//! kernel reported an arrival and for as long as scans keep finding bytes
+//! (see [`crate::reactor`]); only an unarmed receiver scans on each poll.
+//! Frames are length-prefixed RSR encodings.
 //!
 //! Parameters (per §2.1's requirement that methods expose their low-level
 //! knobs): `nodelay` (`true`/`false`, applied to every new connection),
@@ -64,7 +67,7 @@ enum SockBuf {
 
 /// Sets `SO_SNDBUF`/`SO_RCVBUF` on a connected stream. The workspace
 /// builds without libc, so this speaks setsockopt(2) directly — the same
-/// raw-FFI idiom as the reactor's poll(2) binding.
+/// raw-FFI idiom as the reactor's epoll binding.
 #[cfg(unix)]
 fn set_socket_buffer(stream: &TcpStream, which: SockBuf, bytes: usize) -> Result<()> {
     use std::os::unix::io::AsRawFd;
@@ -175,7 +178,7 @@ impl ConnState {
 /// largest realistic scientific payloads while catching corrupt lengths).
 const MAX_FRAME: usize = 256 * 1024 * 1024;
 
-/// Receive side: listener + accepted connections, scanned per poll.
+/// Receive side: listener + accepted connections.
 pub struct TcpReceiver {
     listener: TcpListener,
     conns: Vec<ConnState>,
@@ -183,11 +186,23 @@ pub struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    fn scan(&mut self) -> Result<()> {
-        // Accept any queued connections.
+    pub(crate) fn new(listener: TcpListener) -> TcpReceiver {
+        TcpReceiver {
+            listener,
+            conns: Vec::new(),
+            pending: VecDeque::new(),
+        }
+    }
+
+    /// Accepts queued connections and reads every connection once,
+    /// queueing complete frames. Returns whether anything came off a
+    /// socket: a connection, or bytes (of a whole frame or not).
+    fn scan(&mut self) -> Result<bool> {
+        let mut progress = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    progress = true;
                     stream.set_nonblocking(true)?;
                     self.conns.push(ConnState {
                         stream,
@@ -211,8 +226,10 @@ impl TcpReceiver {
         let mut i = 0;
         while i < self.conns.len() {
             let dead;
+            let buffered = self.conns[i].buf.len();
             match self.conns[i].fill() {
                 Ok(alive) => {
+                    progress |= self.conns[i].buf.len() != buffered;
                     // Extract even when the peer has closed: complete
                     // frames received before the EOF are still deliverable.
                     match self.conns[i].extract(&mut self.pending) {
@@ -236,21 +253,29 @@ impl TcpReceiver {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(progress),
         }
     }
 
     /// Live accepted connections (observability for eviction tests).
     #[cfg(test)]
-    fn conn_count(&self) -> usize {
+    pub(crate) fn conn_count(&self) -> usize {
         self.conns.len()
     }
 }
 
-#[cfg(unix)]
+#[cfg(have_epoll)]
 impl crate::reactor::FdSource for TcpReceiver {
-    fn fill_fds(&self, out: &mut Vec<std::os::unix::io::RawFd>) {
-        use std::os::unix::io::AsRawFd;
+    fn scan(&mut self) -> Result<bool> {
+        TcpReceiver::scan(self)
+    }
+
+    fn pop(&mut self) -> Option<Rsr> {
+        self.pending.pop_front()
+    }
+
+    fn fill_fds(&self, out: &mut Vec<std::os::fd::RawFd>) {
+        use std::os::fd::AsRawFd;
         out.push(self.listener.as_raw_fd());
         for c in &self.conns {
             out.push(c.stream.as_raw_fd());
@@ -405,18 +430,14 @@ impl CommModule for TcpModule {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let desc = CommDescriptor::new(MethodId::TCP, addr.to_string().into_bytes());
-        let inner = TcpReceiver {
-            listener,
-            conns: Vec::new(),
-            pending: VecDeque::new(),
-        };
+        let inner = TcpReceiver::new(listener);
         // Readiness comes from the shared reactor thread (one per
         // process, O(workers) not O(sockets)); the receiver stays a
         // pass-through until the poll engine arms it.
-        #[cfg(unix)]
+        #[cfg(have_epoll)]
         let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        // Without poll(2) access, fall back to the per-fd pump thread.
-        #[cfg(not(unix))]
+        // Without epoll, fall back to the per-fd pump thread.
+        #[cfg(not(have_epoll))]
         let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
             MethodId::TCP,
             Box::new(inner),
@@ -458,7 +479,8 @@ impl CommModule for TcpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the pump thread in the receiver's `ReadyPumpReceiver` shell.
+        // Via the shared reactor (`ReactorReceiver`), or the pump thread
+        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
         true
     }
 
@@ -609,11 +631,7 @@ mod tests {
     /// slot per departed peer. Eviction must bring the list back down.
     #[test]
     fn disconnect_churn_does_not_leak_connections() {
-        let mut rx = TcpReceiver {
-            listener: TcpListener::bind(("127.0.0.1", 0)).unwrap(),
-            conns: Vec::new(),
-            pending: VecDeque::new(),
-        };
+        let mut rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
         rx.listener.set_nonblocking(true).unwrap();
         let addr = rx.listener.local_addr().unwrap();
         for round in 0..10 {
@@ -662,11 +680,7 @@ mod tests {
     /// traffic from healthy connections must keep flowing.
     #[test]
     fn corrupt_frame_evicts_connection_and_scan_recovers() {
-        let mut rx = TcpReceiver {
-            listener: TcpListener::bind(("127.0.0.1", 0)).unwrap(),
-            conns: Vec::new(),
-            pending: VecDeque::new(),
-        };
+        let mut rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
         rx.listener.set_nonblocking(true).unwrap();
         let addr = rx.listener.local_addr().unwrap();
 

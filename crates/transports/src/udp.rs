@@ -19,6 +19,7 @@ use nexus_rt::error::{NexusError, Result};
 use nexus_rt::module::{CommModule, CommObject, CommReceiver};
 use nexus_rt::pool;
 use nexus_rt::rsr::{Rsr, WireFrame, HEADER_LEN};
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,29 +62,67 @@ impl UdpModule {
     }
 }
 
-struct UdpReceiver {
+/// Datagrams one scan takes off the socket at most — what the poll
+/// engine delivers per doorbell visit, so a burst is read in one go
+/// without a flood growing the queue unboundedly.
+const SCAN_BATCH: usize = 32;
+
+pub(crate) struct UdpReceiver {
     socket: UdpSocket,
     buf: Vec<u8>,
+    pending: VecDeque<Rsr>,
 }
 
-#[cfg(unix)]
+impl UdpReceiver {
+    pub(crate) fn new(socket: UdpSocket) -> UdpReceiver {
+        UdpReceiver {
+            socket,
+            buf: vec![0; 65_536],
+            pending: VecDeque::with_capacity(SCAN_BATCH),
+        }
+    }
+
+    /// Queues up to [`SCAN_BATCH`] datagrams; returns whether any arrived.
+    fn scan(&mut self) -> Result<bool> {
+        let mut received = false;
+        while self.pending.len() < SCAN_BATCH {
+            match self.socket.recv_from(&mut self.buf) {
+                Ok((n, _)) => {
+                    received = true;
+                    self.pending.push_back(Rsr::decode(&self.buf[..n])?);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(received)
+    }
+}
+
+#[cfg(have_epoll)]
 impl crate::reactor::FdSource for UdpReceiver {
-    fn fill_fds(&self, out: &mut Vec<std::os::unix::io::RawFd>) {
-        use std::os::unix::io::AsRawFd;
+    fn scan(&mut self) -> Result<bool> {
+        UdpReceiver::scan(self)
+    }
+
+    fn pop(&mut self) -> Option<Rsr> {
+        self.pending.pop_front()
+    }
+
+    fn fill_fds(&self, out: &mut Vec<std::os::fd::RawFd>) {
+        use std::os::fd::AsRawFd;
         out.push(self.socket.as_raw_fd());
     }
 }
 
 impl CommReceiver for UdpReceiver {
     fn poll(&mut self) -> Result<Option<Rsr>> {
-        loop {
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((n, _)) => return Ok(Some(Rsr::decode(&self.buf[..n])?)),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
+        if let Some(m) = self.pending.pop_front() {
+            return Ok(Some(m));
         }
+        self.scan()?;
+        Ok(self.pending.pop_front())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Rsr>> {
@@ -162,15 +201,12 @@ impl CommModule for UdpModule {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
-        let inner = UdpReceiver {
-            socket,
-            buf: vec![0; 65_536],
-        };
+        let inner = UdpReceiver::new(socket);
         // Readiness via the shared reactor thread; pump-thread fallback
-        // where poll(2) is unavailable.
-        #[cfg(unix)]
+        // where epoll is unavailable.
+        #[cfg(have_epoll)]
         let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        #[cfg(not(unix))]
+        #[cfg(not(have_epoll))]
         let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
             MethodId::UDP,
             Box::new(inner),
@@ -206,7 +242,8 @@ impl CommModule for UdpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the pump thread in the receiver's `ReadyPumpReceiver` shell.
+        // Via the shared reactor (`ReactorReceiver`), or the pump thread
+        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
         true
     }
 

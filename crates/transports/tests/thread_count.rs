@@ -113,6 +113,7 @@ fn service_threads_scale_with_workers_not_sockets() {
         0,
         "per-connection rudp pump threads leaked: {names:?}"
     );
+    let names = await_prefix_count("nexus-reactor", 1);
     assert_eq!(
         count_prefix(&names, "nexus-reactor"),
         1,

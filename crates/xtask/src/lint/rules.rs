@@ -542,7 +542,7 @@ fn rule_poll_blocking(ws: &Workspace) -> Vec<Diagnostic> {
     // multi-threaded form. A blocked worker stalls every source hashed to
     // its shard; a blocked reactor stalls readiness for every socket in
     // the process. (Their intentional waits — the worker's bounded park
-    // and the reactor's `poll(2)` — are not spelled with these tokens.)
+    // and the reactor's `epoll_wait` — are not spelled with these tokens.)
     //
     // `deliver_sharded` is the worker's dispatch hand-off: past it run
     // application handlers, which may block — the same boundary the

@@ -107,6 +107,12 @@ pub const CHECKS: &[Check] = &[
         run: doorbell_dpor,
     },
     Check {
+        name: "rearm-dpor",
+        description: "socket hot/cold hand-off: a re-arm after an empty read misses no arrival",
+        kind: Kind::Systematic,
+        run: rearm_dpor,
+    },
+    Check {
         name: "shard-handoff",
         description: "per-shard ready-list handoff strands no token under any interleaving",
         kind: Kind::Systematic,
@@ -657,6 +663,21 @@ fn doorbell_dpor(cx: &CheckCtx) -> Result<u64, String> {
         }
     };
     systematic(cx, &footprints, &init, &step, &check)
+}
+
+/// The socket transports' hot/cold hand-off (`transports::reactor`) as
+/// the micro-op program in [`super::programs`]: kernel arrivals raise an
+/// event iff the one-shot fd is armed, the reactor turns events into
+/// rings, and the drainer's visit is split enter / read / re-arm so
+/// arrivals land in every gap — above all between the empty read and the
+/// level-triggered `MOD`.
+fn rearm_dpor(cx: &CheckCtx) -> Result<u64, String> {
+    match &cx.schedule {
+        Some(s) => super::programs::replay_rearm(false, s).map(|()| 1),
+        None => super::programs::explore_rearm(false)
+            .map(|stats| stats.schedules)
+            .map_err(|v| v.to_string()),
+    }
 }
 
 /// The per-shard ready-list handoff on a real [`ReadyShards`]: two

@@ -21,6 +21,12 @@
 //!   flag *after* draining loses a ring that lands in between (the
 //!   producer saw `true`, queued no token, and the message strands).
 //!   The fix clears before draining, so a mid-drain ring re-queues.
+//! * **rearm** — the socket transports' hot/cold hand-off
+//!   (`transports::reactor`): the draining thread re-arms a one-shot fd
+//!   after a read that found nothing, and bytes can land between the two.
+//!   Not a historical bug but the variant the design rules out: a re-arm
+//!   that only watches for *new* edges strands them; the level-triggered
+//!   `EPOLL_CTL_MOD` the code issues re-evaluates readiness and fires.
 
 use super::dpor::{self, Explored, Violation};
 
@@ -299,6 +305,186 @@ pub fn replay_doorbell(broken: bool, schedule: &[usize]) -> Result<(), String> {
     )
 }
 
+// ---------------------------------------------------------------------------
+// rearm
+// ---------------------------------------------------------------------------
+
+/// Where the drainer's current doorbell visit stands.
+#[derive(Default, PartialEq)]
+enum Visit {
+    #[default]
+    Idle,
+    /// Token popped, flag cleared, the sockets are to be read.
+    Read,
+    /// The read found nothing: the fd is to be handed back to the kernel.
+    Rearm,
+}
+
+struct RearmState {
+    /// Kernel: unread bytes in the socket.
+    socket: u64,
+    /// Kernel: the fd's one-shot interest is armed.
+    armed: bool,
+    /// Kernel: an event is queued for the reactor thread.
+    event: bool,
+    /// Set by the reactor callback, consumed by the visit that reads.
+    fired: bool,
+    /// The doorbell latch (flag set, token queued).
+    rung: bool,
+    /// Drainer: reading in place, fd disarmed.
+    hot: bool,
+    visit: Visit,
+    sent: u64,
+    received: u64,
+}
+
+impl RearmState {
+    /// A cold, armed source with nothing in flight.
+    fn new() -> Self {
+        RearmState {
+            socket: 0,
+            armed: true,
+            event: false,
+            fired: false,
+            rung: false,
+            hot: false,
+            visit: Visit::Idle,
+            sent: 0,
+            received: 0,
+        }
+    }
+
+    /// Kernel: bytes arrive; an event is raised iff the fd is armed, and
+    /// raising it disarms the fd (one-shot).
+    fn arrive(&mut self) {
+        self.socket += 1;
+        self.sent += 1;
+        self.raise_if_armed();
+    }
+
+    fn raise_if_armed(&mut self) {
+        if self.armed {
+            self.armed = false;
+            self.event = true;
+        }
+    }
+
+    /// Reactor thread: turn a queued event into flag + doorbell ring.
+    fn dispatch(&mut self) {
+        if self.event {
+            self.event = false;
+            self.fired = true;
+            self.rung = true;
+        }
+    }
+
+    /// Drainer: one third of a visit — enter, read, re-arm.
+    fn drain(&mut self, stage: usize, broken: bool) {
+        match stage {
+            0 => {
+                // Pop the token and clear the flag; a cold source reads
+                // only if the reactor said something fired.
+                let rung = std::mem::take(&mut self.rung);
+                if rung && (self.hot || std::mem::take(&mut self.fired)) {
+                    self.visit = Visit::Read;
+                }
+            }
+            1 if self.visit == Visit::Read => {
+                let n = std::mem::take(&mut self.socket);
+                self.received += n;
+                if n > 0 {
+                    // Read something: stay hot, ring our own doorbell.
+                    self.hot = true;
+                    self.rung = true;
+                    self.visit = Visit::Idle;
+                } else {
+                    self.visit = Visit::Rearm;
+                }
+            }
+            2 if self.visit == Visit::Rearm => {
+                self.fired = false;
+                self.hot = false;
+                self.armed = true;
+                if !broken && self.socket > 0 {
+                    // Level-triggered MOD: readiness is re-evaluated.
+                    self.raise_if_armed();
+                }
+                self.visit = Visit::Idle;
+            }
+            _ => {}
+        }
+    }
+}
+
+fn rearm_footprints() -> Vec<Vec<u64>> {
+    // Kernel: two arrivals. Reactor: two dispatches. Drainer: three
+    // visits of three micro-ops each.
+    vec![vec![SHARED; 2], vec![SHARED; 2], vec![SHARED; 9]]
+}
+
+fn rearm_step(broken: bool) -> impl Fn(&mut RearmState, usize, usize) {
+    move |st, t, op| match t {
+        0 => st.arrive(),
+        1 => st.dispatch(),
+        _ => st.drain(op % 3, broken),
+    }
+}
+
+fn rearm_check(broken: bool) -> impl Fn(&mut RearmState) -> Result<(), String> {
+    move |st| {
+        // Quiescence: no sender is left, so let the reactor and the
+        // drainer run until neither has anything to do. Whatever is then
+        // still in the socket has nobody left to announce it.
+        for stage in 1..3 {
+            st.drain(stage, broken);
+        }
+        while st.event || st.rung {
+            st.dispatch();
+            for stage in 0..3 {
+                st.drain(stage, broken);
+            }
+        }
+        if st.received == st.sent {
+            Ok(())
+        } else {
+            Err(format!(
+                "missed wakeup: read {} of {} arrivals ({} stranded in a socket \
+                 that is {})",
+                st.received,
+                st.sent,
+                st.socket,
+                if st.armed {
+                    "armed but was never re-evaluated"
+                } else {
+                    "disarmed with no visit pending"
+                }
+            ))
+        }
+    }
+}
+
+/// Explores the hot/cold re-arm hand-off; `broken` re-arms without
+/// re-evaluating readiness.
+pub fn explore_rearm(broken: bool) -> Result<Explored, Violation> {
+    dpor::explore(
+        &rearm_footprints(),
+        &RearmState::new,
+        &rearm_step(broken),
+        &rearm_check(broken),
+    )
+}
+
+/// Replays one schedule of the re-arm hand-off model.
+pub fn replay_rearm(broken: bool, schedule: &[usize]) -> Result<(), String> {
+    dpor::replay(
+        &rearm_footprints(),
+        &RearmState::new,
+        &rearm_step(broken),
+        &rearm_check(broken),
+        schedule,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +495,7 @@ mod tests {
             ("seq-ring", explore_seq_ring(false)),
             ("ewma-first", explore_ewma_first(false)),
             ("doorbell", explore_doorbell(false)),
+            ("rearm", explore_rearm(false)),
         ] {
             let stats = got.unwrap_or_else(|v| panic!("{name} fixed variant failed: {v}"));
             assert!(stats.schedules > 0, "{name} explored nothing");
@@ -321,6 +508,7 @@ mod tests {
             ("seq-ring", explore_seq_ring(true)),
             ("ewma-first", explore_ewma_first(true)),
             ("doorbell", explore_doorbell(true)),
+            ("rearm", explore_rearm(true)),
         ] {
             let v = got.expect_err(name);
             // The reported schedule must reproduce the violation when
@@ -328,7 +516,8 @@ mod tests {
             let replayed = match name {
                 "seq-ring" => replay_seq_ring(true, &v.schedule),
                 "ewma-first" => replay_ewma_first(true, &v.schedule),
-                _ => replay_doorbell(true, &v.schedule),
+                "doorbell" => replay_doorbell(true, &v.schedule),
+                _ => replay_rearm(true, &v.schedule),
             };
             replayed.expect_err(name);
         }

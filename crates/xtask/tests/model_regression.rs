@@ -77,7 +77,8 @@ fn doorbell_seed_from_master_3_stays_fixed() {
 //
 // The op-level models in `xtask::model::programs` encode the three
 // historical races above at the micro-op granularity where each bug
-// lived. Unlike the seeds, these pins are *deterministic*: the sleep-set
+// lived, plus the one protocol variant a current design rules out (a
+// socket re-arm that does not re-evaluate readiness). Unlike the seeds, these pins are *deterministic*: the sleep-set
 // explorer re-finds each race by enumeration on every run — no lucky
 // seed — and the exact violating interleaving is pinned as a schedule
 // digit string. The fixed counterparts (micro-ops fused, as the
@@ -88,6 +89,7 @@ const PINNED: &[(&str, &str)] = &[
     ("seq-ring", "0110"),
     ("ewma-first", "001101"),
     ("doorbell", "010111"),
+    ("rearm", "0112222202222"),
 ];
 
 fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation> {
@@ -95,6 +97,7 @@ fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation>
         "seq-ring" => programs::explore_seq_ring(broken),
         "ewma-first" => programs::explore_ewma_first(broken),
         "doorbell" => programs::explore_doorbell(broken),
+        "rearm" => programs::explore_rearm(broken),
         other => panic!("unknown model {other}"),
     }
 }
@@ -104,6 +107,7 @@ fn replay_schedule(model: &str, broken: bool, schedule: &[usize]) -> Result<(), 
         "seq-ring" => programs::replay_seq_ring(broken, schedule),
         "ewma-first" => programs::replay_ewma_first(broken, schedule),
         "doorbell" => programs::replay_doorbell(broken, schedule),
+        "rearm" => programs::replay_rearm(broken, schedule),
         other => panic!("unknown model {other}"),
     }
 }

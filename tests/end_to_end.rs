@@ -147,6 +147,9 @@ fn skip_poll_still_delivers_and_counts_fewer_polls() {
     sp.set_method(MethodId::TCP);
     a.rsr(&sp, "x", Buffer::new()).unwrap();
     assert!(drive_until(&[&b], || got.load(Ordering::Relaxed) == 1, 10));
+    // The delivering visit left TCP hot (read in place, fds disarmed);
+    // the next visit finds nothing, re-arms, and the source is idle.
+    let _ = b.progress();
     let mpl_before = b.stats().snapshot_method(MethodId::MPL).polls;
     let tcp_before = b.stats().snapshot_method(MethodId::TCP).polls;
     for _ in 0..500 {
