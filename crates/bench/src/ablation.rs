@@ -133,7 +133,7 @@ fn run_skip_config(
     }
     let row = SkipAblationRow {
         label,
-        probes: b.stats().snapshot_method(MethodId::MPL).polls,
+        probes: b.trace().snapshot_method(MethodId::MPL).polls,
         delivered: delivered.load(Ordering::Relaxed),
         final_skip: b.skip_poll(MethodId::MPL).unwrap_or(0),
     };

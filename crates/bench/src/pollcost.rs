@@ -203,7 +203,7 @@ pub fn measured(msgs_per_method: u32, quiet_polls: u32) -> Vec<MeasuredCost> {
                 poll_samples: rx.poll_samples,
                 send_ewma_ns: tx.send_cost_ns,
                 send_samples: tx.send_samples,
-                ready_wakeups: b.stats().snapshot_method(m).ready_wakeups,
+                ready_wakeups: b.trace().snapshot_method(m).ready_wakeups,
                 hint_ns: hint_ns(m),
             }
         })

@@ -28,9 +28,8 @@ use crate::selection::{
     self, ExcludeMethods, FirstApplicable, MethodCostEstimate, ReselectConfig, SelectionPolicy,
 };
 use crate::startpoint::{Link, SelectedMethod, Startpoint, Target};
-use crate::stats::Stats;
 use crate::stripe::{self, gather_handler, StripeAssembler, StripeMeta, StripeRail, StripedObject};
-use crate::trace::{HistogramSummary, Trace, TraceEventKind};
+use crate::trace::{HistogramSummary, LinkMethodTrace, Trace, TraceEventKind};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -179,7 +178,11 @@ impl Fabric {
         }
 
         let mut table = DescriptorTable::new();
-        let mut engine = PollEngine::new();
+        // The engine's sources record into the context's trace: every
+        // probe then notes its measured cost and outcome through cached
+        // atomics, without locking.
+        let trace = Arc::new(Trace::new());
+        let mut engine = PollEngine::with_trace(Arc::clone(&trace));
         let mut ready_methods = Vec::new();
 
         // Walk modules in registry (priority) order so the context's own
@@ -213,12 +216,6 @@ impl Fabric {
             }
         }
 
-        // Bind the engine's sources to the context's stats and trace
-        // before construction: every probe then records its measured cost
-        // and outcome through cached atomics, without locking.
-        let stats = Stats::new();
-        let trace = Arc::new(Trace::new());
-        engine.bind(&stats, &trace);
         // Move readiness-capable sources out of the polled rotation: their
         // transports ring the engine doorbell on enqueue, so the unified
         // polling function only ever visits them when they have traffic.
@@ -239,7 +236,6 @@ impl Fabric {
             comm_cache: Mutex::new(HashMap::new()),
             policy: RwLock::new(Arc::new(FirstApplicable)),
             reselect: RwLock::new(None),
-            stats,
             trace,
             shutdown: AtomicBool::new(false),
             passes: AtomicU64::new(0),
@@ -302,7 +298,6 @@ pub struct Context {
     comm_cache: Mutex<HashMap<(ContextId, MethodId), Arc<dyn CommObject>>>,
     policy: RwLock<Arc<dyn SelectionPolicy>>,
     reselect: RwLock<Option<ReselectConfig>>,
-    stats: Stats,
     trace: Arc<Trace>,
     shutdown: AtomicBool,
     /// Progress passes completed; every 64th pass runs the deadline/idle
@@ -522,8 +517,8 @@ impl Context {
         self.select_into_link(link, method, &table)
     }
 
-    /// Connects `method` for a link, stores the selection (with cached
-    /// recording handles) on the link, and traces the method switch.
+    /// Connects `method` for a link, stores the selection (with its cached
+    /// recording handle) on the link, and traces the method switch.
     fn select_into_link(
         &self,
         link: &Link,
@@ -534,7 +529,6 @@ impl Context {
         let sel = Arc::new(SelectedMethod {
             method,
             obj,
-            counters: self.stats.method(method),
             ltrace: self.trace.link(link.target.context, method),
         });
         let prev = {
@@ -730,22 +724,8 @@ impl Context {
             match sent {
                 Ok(()) => {
                     // Steady-state recording: atomics only, through the
-                    // handles cached on the link's selection; the event
-                    // timestamp reuses the end-of-send clock reading.
-                    let end = Instant::now();
-                    let cost_ns = end.duration_since(start).as_nanos() as u64;
-                    sel.counters.note_send(wire);
-                    sel.ltrace.send_latency_ns.record(cost_ns);
-                    sel.ltrace.send_bytes.record(wire as u64);
-                    sel.ltrace.send_cost_ns.record(cost_ns as f64);
-                    self.trace.record_event_at(
-                        end,
-                        TraceEventKind::Send {
-                            target: link.target.context,
-                            method: sel.method,
-                            wire_bytes: wire as u64,
-                        },
-                    );
+                    // handle cached on the link's selection.
+                    self.note_send(&sel.ltrace, link.target.context, sel.method, wire, start);
                     if !pinned {
                         self.consider_reselect(link, sel.method);
                     }
@@ -758,7 +738,10 @@ impl Context {
                     self.comm_cache
                         .lock()
                         .remove(&(link.target.context, method));
-                    self.stats.record_failover(method);
+                    self.trace
+                        .method(method)
+                        .failovers
+                        .fetch_add(1, Ordering::Relaxed);
                     self.trace.record_event(TraceEventKind::Failover {
                         target: link.target.context,
                         from: method,
@@ -770,6 +753,32 @@ impl Context {
                 }
             }
         }
+    }
+
+    /// Records one completed transport send, begun at `start`, on its
+    /// `(link, method)` record and in the event ring; the event timestamp
+    /// reuses the end-of-send clock reading.
+    fn note_send(
+        &self,
+        ltrace: &LinkMethodTrace,
+        target: ContextId,
+        method: MethodId,
+        wire: usize,
+        start: Instant,
+    ) {
+        let end = Instant::now();
+        let cost_ns = end.duration_since(start).as_nanos() as u64;
+        ltrace.send_latency_ns.record(cost_ns);
+        ltrace.send_bytes.record(wire as u64);
+        ltrace.send_cost_ns.record(cost_ns as f64);
+        self.trace.record_event_at(
+            end,
+            TraceEventKind::Send {
+                target,
+                method,
+                wire_bytes: wire as u64,
+            },
+        );
     }
 
     /// Cost-driven live re-selection (§6's proposed adaptive method
@@ -921,12 +930,11 @@ impl Context {
             .lock()
             .remove_source(method)
             .ok_or(NexusError::UnknownMethod(method))?;
-        let poller = BlockingPoller::spawn_instrumented(
+        let poller = BlockingPoller::spawn(
             method,
             receiver,
             Duration::from_millis(10),
-            Some(self.stats.method(method)),
-            Some(Arc::clone(&self.trace)),
+            Arc::clone(&self.trace),
         )?;
         {
             let mut blocking = self.blocking.lock();
@@ -976,7 +984,7 @@ impl Context {
             eng.poll_once_into(out);
         }
         // Per-probe counters and poll-cost EWMAs were recorded lock-free
-        // inside the engine, through the handles bound at construction.
+        // inside the engine, through the handles its sources cache.
         for sc in &out.skip_changes {
             self.trace.record_event(TraceEventKind::SkipPollChange {
                 method: sc.method,
@@ -999,37 +1007,19 @@ impl Context {
             if first_err.is_none() {
                 first_err = Some(e);
             } else {
-                self.trace.record_event(TraceEventKind::PollError {
-                    method,
-                    consecutive: 1,
-                });
+                self.note_poll_error(method);
             }
         }
         let n = out.messages.len();
-        // Recv counters/histograms were already recorded where the
-        // message was retrieved (poll engine source or blocking-poller
-        // thread), through handles cached there. Here we only stamp the
-        // pass's Recv events — with a single clock reading — and run the
-        // handlers.
+        // Recv histograms were already recorded where the message was
+        // retrieved (poll engine source or blocking-poller thread),
+        // through handles cached there. Here we only stamp the pass's Recv
+        // events — with a single clock reading — and run the handlers.
         let pass_at = if n > 0 { Some(Instant::now()) } else { None };
         for (method, msg) in out.messages.drain(..) {
-            let wire = msg.wire_len();
-            self.trace.record_event_at(
-                pass_at.expect("set when any message exists"),
-                TraceEventKind::Recv {
-                    method,
-                    wire_bytes: wire as u64,
-                },
-            );
-            if let Err(e) = self.dispatch(method, msg) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                } else {
-                    self.trace.record_event(TraceEventKind::PollError {
-                        method,
-                        consecutive: 1,
-                    });
-                }
+            let at = pass_at.expect("set when any message exists");
+            if let Err(e) = self.deliver(at, method, msg) {
+                first_err.get_or_insert(e);
             }
         }
         // Periodic housekeeping rides the progress loop: every 64th pass
@@ -1131,9 +1121,6 @@ impl Context {
             .get(&msg.handler)
             .ok_or_else(|| NexusError::UnknownHandler(msg.handler.to_string()))?;
         let mut buf = Buffer::from_bytes(msg.payload);
-        self.stats
-            .handler_invocations
-            .fetch_add(1, Ordering::Relaxed);
         handler(HandlerArgs {
             context: self,
             endpoint: ep,
@@ -1161,10 +1148,17 @@ impl Context {
         // in the per-send header, so this still encodes the body at most
         // once even if the message hops onward over a wire transport.
         let frame = WireFrame::new();
+        let start = Instant::now();
         obj.send(&msg, &frame)?;
+        // A forwarded send is a send on the (destination, method) link like
+        // any other: enquiries and re-selection see its cost.
+        let ltrace = self.trace.link(msg.dest, method);
+        self.note_send(&ltrace, msg.dest, method, msg.wire_len(), start);
         frame.reclaim();
-        self.stats.record_forward(arrival);
-        self.stats.record_send(method, msg.wire_len());
+        self.trace
+            .method(arrival)
+            .forwards
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1595,7 +1589,6 @@ impl Context {
             let sel = Arc::new(SelectedMethod {
                 method: MethodId::STRIPE,
                 obj,
-                counters: self.stats.method(MethodId::STRIPE),
                 ltrace: self.trace.link(link.target.context, MethodId::STRIPE),
             });
             let prev = {
@@ -1790,36 +1783,45 @@ impl Context {
     }
 
     /// Re-installs a source released by [`Context::release_armed_sources`]
-    /// (or refused by a pool): back into the engine, re-bound to stats
-    /// and trace, re-armed into the readiness tier.
+    /// (or refused by a pool): back into the engine, re-armed into the
+    /// readiness tier.
     pub(crate) fn restore_source(&self, method: MethodId, receiver: Box<dyn CommReceiver>) {
         // lint:allow(lock-across-blocking) arm_ready installs a doorbell via set_ready_signal; the pump-loop sleep the lint attributes to that fn runs on the pump's own spawned thread, never in this caller
         let mut eng = self.poll.lock();
         eng.add_source(method, receiver);
-        eng.bind(&self.stats, &self.trace);
         eng.arm_ready(method);
     }
 
-    /// Dispatches one message drained by a shard worker, with the same
-    /// trace events a progress pass would record. Dispatch errors land
-    /// in the event ring — there is no progress-pass return value to
-    /// carry them on a worker thread.
-    pub(crate) fn deliver_sharded(&self, method: MethodId, msg: Rsr) {
-        self.trace.record_event(TraceEventKind::Recv {
-            method,
-            wire_bytes: msg.wire_len() as u64,
-        });
-        if let Err(e) = self.dispatch(method, msg) {
-            let _ = e;
-            self.trace.record_event(TraceEventKind::PollError {
+    /// Delivers one drained message, identically whichever thread drained
+    /// it: stamps the `Recv` event, dispatches, and surfaces a dispatch
+    /// error as a `PollError` event. The error is also returned, for the
+    /// progress pass that can carry it to its caller.
+    fn deliver(&self, at: Instant, method: MethodId, msg: Rsr) -> Result<()> {
+        self.trace.record_event_at(
+            at,
+            TraceEventKind::Recv {
                 method,
-                consecutive: 1,
-            });
+                wire_bytes: msg.wire_len() as u64,
+            },
+        );
+        let dispatched = self.dispatch(method, msg);
+        if dispatched.is_err() {
+            self.note_poll_error(method);
         }
+        dispatched
     }
 
-    /// Records a transport poll error observed on a worker thread.
-    pub(crate) fn note_sharded_error(&self, method: MethodId, _e: &NexusError) {
+    /// The shard worker's dispatch hand-off. Dispatch errors land in the
+    /// event ring only — there is no progress-pass return value to carry
+    /// them on a worker thread.
+    pub(crate) fn deliver_sharded(&self, method: MethodId, msg: Rsr) {
+        let _ = self.deliver(Instant::now(), method, msg);
+    }
+
+    /// Surfaces a receive-side error that no caller will be handed (one
+    /// that lost the race for a pass's return value, or happened on a
+    /// worker thread) as a `PollError` event.
+    pub(crate) fn note_poll_error(&self, method: MethodId) {
         self.trace.record_event(TraceEventKind::PollError {
             method,
             consecutive: 1,
@@ -1832,16 +1834,12 @@ impl Context {
             .record_event(TraceEventKind::ReadyWakeup { method, drained });
     }
 
-    // -- stats / shutdown ---------------------------------------------------------
+    // -- enquiry / shutdown -------------------------------------------------------
 
-    /// The context's statistics block (enquiry).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The context's observability layer (enquiry): per-`(link, method)`
-    /// latency/size histograms, measured poll-cost EWMAs, and the event
-    /// ring. `self.trace().render()` exports it as plain text.
+    /// The context's instrument (enquiry): per-method counters
+    /// (`trace().snapshot_method(m)`), per-`(link, method)` latency/size
+    /// histograms, measured poll-cost EWMAs, and the event ring.
+    /// `self.trace().render()` exports it as plain text.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -2124,8 +2122,8 @@ mod tests {
         a.rsr(&sp, "hit", buf).unwrap();
         assert_eq!(sp.current_methods()[0].1, Some(MethodId::MPL));
         assert!(b.progress_until(|| hits.load(Ordering::Relaxed) == 1, Duration::from_secs(1)));
-        assert_eq!(a.stats().snapshot_method(MethodId::MPL).sends, 1);
-        assert_eq!(b.stats().snapshot_method(MethodId::MPL).recvs, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::MPL).sends, 1);
+        assert_eq!(b.trace().snapshot_method(MethodId::MPL).recvs, 1);
     }
 
     #[test]
@@ -2156,7 +2154,7 @@ mod tests {
         sp.set_method(MethodId::TCP);
         a.rsr(&sp, "hit", Buffer::new()).unwrap();
         assert_eq!(sp.current_methods()[0].1, Some(MethodId::TCP));
-        assert_eq!(a.stats().snapshot_method(MethodId::TCP).sends, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::TCP).sends, 1);
         // Unpin: next send re-selects the faster method.
         sp.clear_method();
         a.rsr(&sp, "hit", Buffer::new()).unwrap();
@@ -2301,10 +2299,17 @@ mod tests {
         external.rsr(&sp, "hit", Buffer::new()).unwrap();
         // Message lands at the forwarder over TCP...
         forwarder.progress().unwrap();
-        assert_eq!(forwarder.stats().snapshot_method(MethodId::TCP).forwards, 1);
+        assert_eq!(forwarder.trace().snapshot_method(MethodId::TCP).forwards, 1);
+        // The relayed send is recorded on the forwarder's (worker, MPL)
+        // link like any send it originated (pre-fix: counted, but with no
+        // link trace — no latency, nothing for re-selection to compare).
+        let relayed = forwarder.trace().snapshot_method(MethodId::MPL);
+        assert_eq!((relayed.sends, relayed.forwards), (1, 0));
+        let lat = forwarder.link_latency(worker.id(), MethodId::MPL);
+        assert_eq!(lat.expect("forwarded send is traced").count, 1);
         // ...and reaches the worker over MPL.
         assert!(worker.progress_until(|| hits.load(Ordering::Relaxed) == 1, Duration::from_secs(1)));
-        assert_eq!(worker.stats().snapshot_method(MethodId::MPL).recvs, 1);
+        assert_eq!(worker.trace().snapshot_method(MethodId::MPL).recvs, 1);
     }
 
     #[test]
@@ -2520,12 +2525,12 @@ mod tests {
         a.rsr(&sp, "hit", Buffer::new()).unwrap();
         assert_eq!(sp.current_methods()[0].1, Some(MethodId::TCP));
         assert!(b.progress_until(|| hits.load(Ordering::Relaxed) == 2, Duration::from_secs(1)));
-        assert_eq!(a.stats().snapshot_method(MethodId::MPL).failovers, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::MPL).failovers, 1);
         // The replacement sticks: a third send goes straight over TCP with
         // no further failed attempts on the broken method.
         a.rsr(&sp, "hit", Buffer::new()).unwrap();
-        assert_eq!(a.stats().snapshot_method(MethodId::MPL).failovers, 1);
-        assert_eq!(a.stats().snapshot_method(MethodId::TCP).sends, 2);
+        assert_eq!(a.trace().snapshot_method(MethodId::MPL).failovers, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::TCP).sends, 2);
     }
 
     #[test]
@@ -2663,8 +2668,8 @@ mod tests {
         // Both sources fail in the same pass. The first (rotation order)
         // is returned to the caller...
         assert!(matches!(c.progress(), Err(NexusError::ConnectionClosed)));
-        assert_eq!(c.stats().snapshot_method(MethodId::MPL).poll_errors, 1);
-        assert_eq!(c.stats().snapshot_method(MethodId::TCP).poll_errors, 1);
+        assert_eq!(c.trace().snapshot_method(MethodId::MPL).poll_errors, 1);
+        assert_eq!(c.trace().snapshot_method(MethodId::TCP).poll_errors, 1);
         // ...and the one that lost the race lands in the event ring
         // instead of vanishing (pre-fix it was silently dropped).
         assert!(c.trace().events().iter().any(|e| matches!(
@@ -2690,7 +2695,7 @@ mod tests {
         let sp = b.startpoint_to(ep).unwrap();
         a.rsr(&sp, "hit", Buffer::new()).unwrap();
         assert!(b.progress_until(|| hits.load(Ordering::Relaxed) == 1, Duration::from_secs(1)));
-        let snap = b.stats().snapshot_method(MethodId::LOCAL);
+        let snap = b.trace().snapshot_method(MethodId::LOCAL);
         assert_eq!(snap.recvs, 1);
         assert!(snap.ready_wakeups >= 1);
         assert!(b.trace().events().iter().any(|e| matches!(
@@ -2699,11 +2704,11 @@ mod tests {
         )));
         // An armed source leaves the polled rotation entirely: idle passes
         // must not probe it even once.
-        let polls = b.stats().snapshot_method(MethodId::LOCAL).polls;
+        let polls = b.trace().snapshot_method(MethodId::LOCAL).polls;
         for _ in 0..100 {
             let _ = b.progress();
         }
-        assert_eq!(b.stats().snapshot_method(MethodId::LOCAL).polls, polls);
+        assert_eq!(b.trace().snapshot_method(MethodId::LOCAL).polls, polls);
     }
 
     // -- striping / collectives -----------------------------------------
@@ -2738,7 +2743,7 @@ mod tests {
         a.rsr(&sp, "bulk", patterned(64 * 1024)).unwrap();
         assert_eq!(sp.current_methods()[0].1, Some(MethodId::STRIPE));
         assert!(b.progress_until(|| ok.load(Ordering::Relaxed) == 1, Duration::from_secs(2)));
-        assert_eq!(a.stats().snapshot_method(MethodId::STRIPE).sends, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::STRIPE).sends, 1);
     }
 
     #[test]
@@ -2761,7 +2766,7 @@ mod tests {
         assert!(b.progress_until(|| ok.load(Ordering::Relaxed) == 1, Duration::from_secs(1)));
         // No chunks were manufactured: the single message arrived intact
         // on the fastest rail, but accounting stays with the stripe link.
-        assert_eq!(a.stats().snapshot_method(MethodId::STRIPE).sends, 1);
+        assert_eq!(a.trace().snapshot_method(MethodId::STRIPE).sends, 1);
     }
 
     #[test]

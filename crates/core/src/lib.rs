@@ -54,7 +54,6 @@
 //! | module | role |
 //! |--------|------|
 //! | [`buffer`] | typed put/get data buffers (the RSR payload) |
-//! | [`bandwidth`] | observed-throughput tracking for QoS-aware selection |
 //! | [`bulk`] | eager/rendezvous bulk protocol: pull-based zero-copy handles |
 //! | [`context`] | contexts, the fabric, RSR issue/dispatch, forwarding |
 //! | [`descriptor`] | method ids, communication descriptors, mobile tables |
@@ -69,13 +68,11 @@
 //! | [`handler`] | handler registration and dispatch |
 //! | [`gp`] | global pointers: remote read/write/fetch-add through startpoints |
 //! | [`stripe`] | multi-link striped bulk transfer (rail pattern) |
-//! | [`stats`] | per-method counters for the enquiry functions |
-//! | [`trace`] | per-link histograms, measured poll-cost EWMAs, event ring |
+//! | [`trace`] | the enquiry instrument: per-method counters, per-link histograms, measured poll-cost EWMAs, event ring |
 //! | [`config`] | resource database + command-line overrides |
 
 #![warn(missing_docs)]
 
-pub mod bandwidth;
 pub mod buffer;
 pub mod bulk;
 pub mod config;
@@ -93,7 +90,6 @@ pub mod rsr;
 pub mod selection;
 pub mod shard;
 pub mod startpoint;
-pub mod stats;
 pub mod stripe;
 pub mod trace;
 
@@ -111,16 +107,15 @@ pub mod prelude {
     pub use crate::gp::{GlobalCell, GlobalPointer};
     pub use crate::handler::HandlerArgs;
     pub use crate::module::{CommModule, CommObject, CommReceiver, ModuleRegistry};
-    pub use crate::poll::{AdaptiveSkipPoll, PollOutcome, Probe, SkipChange};
+    pub use crate::poll::{AdaptiveSkipPoll, PollOutcome, SkipChange};
     pub use crate::selection::{
         applicable_methods, method_cost_estimate, ExcludeMethods, FirstApplicable,
         MethodCostEstimate, QosAware, SelectionPolicy,
     };
     pub use crate::shard::{ShardSnapshot, WorkerPool};
     pub use crate::startpoint::{Startpoint, Target};
-    pub use crate::stats::{MethodSnapshot, Stats};
     pub use crate::stripe::{weighted_shares, StripeAssembler, StripeRail, StripedObject};
     pub use crate::trace::{
-        Ewma, HistogramSummary, LogHistogram, Trace, TraceEvent, TraceEventKind,
+        Ewma, HistogramSummary, LogHistogram, MethodSnapshot, Trace, TraceEvent, TraceEventKind,
     };
 }

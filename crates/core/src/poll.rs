@@ -25,7 +25,6 @@ use crate::descriptor::MethodId;
 use crate::error::NexusError;
 use crate::module::CommReceiver;
 use crate::rsr::Rsr;
-use crate::stats::{MethodCounters, Stats};
 use crate::trace::{MethodTrace, Trace, TraceEventKind};
 // Re-exported so external drivers of the doorbell protocol (transports,
 // the xtask model checker) can build a ready list without depending on
@@ -91,9 +90,6 @@ impl Default for AdaptiveSkipPoll {
 
 /// Smoothing factor of the per-probe hit-rate EWMA.
 const HIT_EWMA_ALPHA: f64 = 1.0 / 16.0;
-/// Smoothing factor of the per-source local probe-cost EWMA (used when the
-/// engine is not bound to a [`Trace`]).
-const COST_EWMA_ALPHA: f64 = 0.25;
 /// Below this per-probe hit rate the cost-driven layer considers the
 /// method idle and hands control back to the reactive layer.
 const COST_MODE_HIT_FLOOR: f64 = 0.01;
@@ -103,7 +99,7 @@ const PASS_COST_FLOOR_NS: f64 = 100.0;
 /// Upper bound on messages drained from one armed source per ready visit.
 /// On hitting the bound the engine re-rings the source's own doorbell, so
 /// the remainder is picked up next pass instead of starving other sources.
-pub(crate) const READY_BATCH: u64 = 32;
+const READY_BATCH: u64 = 32;
 
 /// Destination for rung doorbell tokens.
 ///
@@ -373,10 +369,6 @@ struct PollSource {
     adaptive: Option<AdaptiveSkipPoll>,
     /// Consecutive empty probes (drives adaptive growth).
     empty_streak: u64,
-    /// Local probe-cost EWMA in ns (fallback when the engine is unbound).
-    cost_ewma: f64,
-    /// Timed probes folded into `cost_ewma`.
-    cost_samples: u64,
     /// Per-probe hit-rate EWMA (messages found per probe).
     hit_ewma: f64,
     /// Probes since the cost-driven layer last recomputed.
@@ -385,12 +377,9 @@ struct PollSource {
     /// traffic with a measured probe cost). While set, the reactive
     /// halve/double layer stands down.
     cost_mode: bool,
-    /// Cached per-method counters (set by [`PollEngine::bind`]); recording
-    /// through them is lock-free.
-    counters: Option<Arc<MethodCounters>>,
-    /// Cached per-method trace (poll-cost EWMA), set by
-    /// [`PollEngine::bind`].
-    mtrace: Option<Arc<MethodTrace>>,
+    /// The method's record in the engine's [`Trace`], cached so each probe
+    /// records into plain atomics — no lock is taken per poll event.
+    rec: Arc<MethodTrace>,
     /// Probes performed on this source; every
     /// [`PROBE_SAMPLE_EVERY`]-th one (starting with the first) is timed.
     probe_tick: u64,
@@ -412,22 +401,13 @@ struct PollSource {
 pub const PROBE_SAMPLE_EVERY: u64 = 16;
 
 impl PollSource {
-    /// Best available measured probe-cost estimate: the shared trace EWMA
-    /// when the engine is bound (so the controller is literally driven by
-    /// `core::trace`'s measurements), else the local fallback EWMA.
-    fn probe_cost_estimate(&self) -> Option<f64> {
-        if let Some(v) = self.mtrace.as_ref().and_then(|mt| mt.poll_cost_ns.value()) {
-            return Some(v);
-        }
-        (self.cost_samples > 0).then_some(self.cost_ewma)
-    }
-
     /// The cost-driven layer's periodic recomputation: decide whether the
     /// layer owns the skip (measured cost + live traffic) and, if so, move
     /// the skip to the objective minimum when it falls outside the
     /// hysteresis dead band.
     fn recompute_cost_skip(&mut self, cfg: &AdaptiveSkipPoll, pass_cost_ns: f64) {
-        let Some(cost) = self.probe_cost_estimate() else {
+        // The controller is literally driven by `core::trace`'s measurement.
+        let Some(cost) = self.rec.poll_cost_ns.value() else {
             self.cost_mode = false;
             return;
         };
@@ -450,11 +430,102 @@ impl PollSource {
     }
 }
 
+/// The receive step every route shares — polled tier, readiness tier,
+/// shard worker, blocking thread: account what one receive attempt
+/// returned on the method's record and hand a retrieved message to `sink`.
+/// Returns whether a message was handed over.
+fn account(
+    rec: &MethodTrace,
+    received: crate::error::Result<Option<Rsr>>,
+    sink: impl FnOnce(Rsr),
+) -> crate::error::Result<bool> {
+    match received {
+        Ok(Some(msg)) => {
+            rec.recv_bytes.record(msg.wire_len() as u64);
+            sink(msg);
+            Ok(true)
+        }
+        Ok(None) => Ok(false),
+        Err(e) => {
+            rec.poll_errors.fetch_add(1, Ordering::Relaxed);
+            Err(e)
+        }
+    }
+}
+
+/// One probe of a receive source in a poll pass: poll (wall-clock timed
+/// into the method's poll-cost EWMA when `timed`), count the probe, then
+/// [`account`] for what it found.
+fn probe(
+    receiver: &mut dyn CommReceiver,
+    rec: &MethodTrace,
+    timed: bool,
+    sink: impl FnOnce(Rsr),
+) -> crate::error::Result<bool> {
+    let start = timed.then(Instant::now);
+    let polled = receiver.poll();
+    if let Some(t) = start {
+        rec.poll_cost_ns.record(t.elapsed().as_nanos() as f64);
+    }
+    rec.polls.fetch_add(1, Ordering::Relaxed);
+    if !matches!(polled, Ok(Some(_))) {
+        rec.empty_polls.fetch_add(1, Ordering::Relaxed);
+    }
+    account(rec, polled, sink)
+}
+
+/// One doorbell visit to an armed source, by whichever thread popped its
+/// token (the engine's ready drain or a shard worker): probe it to empty,
+/// bounded by [`READY_BATCH`], handing each message to `sink`. Returns the
+/// number drained and the transport error that cut the visit short, if any.
+///
+/// The flag is cleared with an Acquire-swap *before* polling, so a ring
+/// racing the drain re-queues the token instead of vanishing — the
+/// no-missed-wakeup protocol documented on [`ReadySignal`]. Probes here
+/// are untimed: the poll-cost EWMA steers the skip_poll rotation, which
+/// armed sources have left.
+pub(crate) fn ready_visit(
+    receiver: &mut dyn CommReceiver,
+    signal: &ReadySignal,
+    rec: &MethodTrace,
+    mut sink: impl FnMut(Rsr),
+) -> (u64, Option<NexusError>) {
+    signal.clear();
+    let mut drained = 0u64;
+    let mut error = None;
+    loop {
+        if drained >= READY_BATCH {
+            // Leave the remainder for the next visit without losing the
+            // wakeup: ring our own doorbell, so one hot source cannot
+            // starve the others.
+            signal.ring();
+            break;
+        }
+        match probe(receiver, rec, false, &mut sink) {
+            Ok(true) => drained += 1,
+            Ok(false) => break,
+            Err(e) => {
+                // Messages may still be queued behind a transient error;
+                // re-ring so the source is revisited instead of parked on
+                // a cleared flag.
+                signal.ring();
+                error = Some(e);
+                break;
+            }
+        }
+    }
+    rec.ready_wakeups.fetch_add(1, Ordering::Relaxed);
+    (drained, error)
+}
+
 /// The unified poll engine for one context.
 ///
 /// Not thread-safe by itself; the owning context serializes access.
 #[derive(Default)]
 pub struct PollEngine {
+    /// Where sources record. A context hands in its own
+    /// ([`PollEngine::with_trace`]); a standalone engine keeps a private one.
+    trace: Arc<Trace>,
     sources: Vec<PollSource>,
     /// MPSC list of tokens whose doorbells rang since the last drain.
     ready_list: Arc<SegQueue<usize>>,
@@ -467,18 +538,6 @@ pub struct PollEngine {
     polled: Vec<usize>,
     /// Total invocations of [`PollEngine::poll_once`].
     calls: u64,
-}
-
-/// One probe of one receive source within a poll pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Probe {
-    /// The probed method.
-    pub method: MethodId,
-    /// Whether the probe retrieved a message.
-    pub found: bool,
-    /// Measured wall-clock cost of the probe in nanoseconds, if this
-    /// probe was one of the timed samples (see [`PROBE_SAMPLE_EVERY`]).
-    pub cost_ns: Option<u64>,
 }
 
 /// A skip_poll adjustment made by the adaptive controller during a pass.
@@ -502,9 +561,6 @@ pub struct PollOutcome {
     /// Messages retrieved this pass, tagged with the method that carried
     /// them.
     pub messages: Vec<(MethodId, Rsr)>,
-    /// Probes issued this pass (after skip_poll filtering), with measured
-    /// costs.
-    pub probed: Vec<Probe>,
     /// Transport errors encountered this pass, per method. Erroring
     /// sources stay in the rotation; persistent failures repeat here.
     pub errors: Vec<(MethodId, NexusError)>,
@@ -519,7 +575,6 @@ impl PollOutcome {
     /// Empties every field, keeping the vectors' storage for reuse.
     pub fn clear(&mut self) {
         self.messages.clear();
-        self.probed.clear();
         self.errors.clear();
         self.skip_changes.clear();
         self.ready_wakeups.clear();
@@ -527,9 +582,18 @@ impl PollOutcome {
 }
 
 impl PollEngine {
-    /// Creates an engine with no sources.
+    /// Creates an engine with no sources, recording into a private trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an engine whose sources record into `trace` — the owning
+    /// context's, so enquiries see every probe and receive.
+    pub fn with_trace(trace: Arc<Trace>) -> Self {
+        PollEngine {
+            trace,
+            ..Self::default()
+        }
     }
 
     /// Adds a receive source for `method` (at skip_poll = 1, in the polled
@@ -546,13 +610,10 @@ impl PollEngine {
             since_last: 0,
             adaptive: None,
             empty_streak: 0,
-            cost_ewma: 0.0,
-            cost_samples: 0,
             hit_ewma: 0.0,
             probes_since_update: 0,
             cost_mode: false,
-            counters: None,
-            mtrace: None,
+            rec: self.trace.method(method),
             probe_tick: 0,
             token,
             armed: false,
@@ -606,18 +667,6 @@ impl PollEngine {
     /// Whether `method`'s source is served by the readiness tier.
     pub fn is_armed(&self, method: MethodId) -> bool {
         self.sources.iter().any(|s| s.method == method && s.armed)
-    }
-
-    /// Attaches per-method counters and trace handles (poll-cost EWMAs) to
-    /// every current source. The owning context calls this once at
-    /// construction; afterwards each probe records into plain atomics —
-    /// no lock is taken per poll event. Engines that are never bound
-    /// (benches, tests) skip recording entirely.
-    pub fn bind(&mut self, stats: &Stats, trace: &Trace) {
-        for s in &mut self.sources {
-            s.counters = Some(stats.method(s.method));
-            s.mtrace = Some(trace.method(s.method));
-        }
     }
 
     /// Removes and returns the receiver for `method` (used when moving a
@@ -735,7 +784,7 @@ impl PollEngine {
                 .iter()
                 .map(|&i| {
                     let s = &self.sources[i];
-                    s.probe_cost_estimate().unwrap_or(0.0) / s.skip.max(1) as f64
+                    s.rec.poll_cost_ns.value().unwrap_or(0.0) / s.skip.max(1) as f64
                 })
                 .sum::<f64>()
                 .max(PASS_COST_FLOOR_NS)
@@ -759,86 +808,39 @@ impl PollEngine {
             // overhead.
             let timed = s.probe_tick.is_multiple_of(PROBE_SAMPLE_EVERY);
             s.probe_tick += 1;
-            let start = timed.then(Instant::now);
-            let polled = s.receiver.poll();
-            let cost_ns = start.map(|t| t.elapsed().as_nanos() as u64);
-            let found = matches!(polled, Ok(Some(_)));
-            if let Some(ns) = cost_ns {
-                if let Some(mt) = &s.mtrace {
-                    mt.poll_cost_ns.record(ns as f64);
-                }
-                let x = ns as f64;
-                s.cost_ewma = if s.cost_samples == 0 {
-                    x
-                } else {
-                    s.cost_ewma + COST_EWMA_ALPHA * (x - s.cost_ewma)
-                };
-                s.cost_samples += 1;
-            }
-            if s.adaptive.is_some() {
+            let method = s.method;
+            let probed = probe(&mut *s.receiver, &s.rec, timed, |msg| {
+                out.messages.push((method, msg))
+            });
+            let found = matches!(probed, Ok(true));
+            if let Some(cfg) = s.adaptive {
                 // Only the adaptive controller consumes the hit-rate EWMA;
                 // skip the float update for plain sources.
                 s.hit_ewma += HIT_EWMA_ALPHA * (f64::from(u8::from(found)) - s.hit_ewma);
-            }
-            if let Some(c) = &s.counters {
-                c.note_poll(found);
-            }
-            out.probed.push(Probe {
-                method: s.method,
-                found,
-                cost_ns,
-            });
-            match polled {
-                Ok(Some(msg)) => {
-                    // Recv accounting happens here, where the per-method
-                    // handles are already cached, so the dispatch loop
-                    // upstairs never touches the stats/trace maps.
-                    let wire = msg.wire_len() as u64;
-                    if let Some(c) = &s.counters {
-                        c.note_recv(wire as usize);
+                if found {
+                    s.empty_streak = 0;
+                    if !s.cost_mode {
+                        // Activity: look more often. (With the cost-driven
+                        // layer in charge, reactive halving would fight the
+                        // computed operating point and oscillate under
+                        // steady load.)
+                        s.skip = (s.skip / 2).max(cfg.min.max(1));
                     }
-                    if let Some(mt) = &s.mtrace {
-                        mt.recv_bytes.record(wire);
-                    }
-                    out.messages.push((s.method, msg));
-                    if let Some(cfg) = s.adaptive {
+                } else {
+                    // An error is as empty-handed as `Ok(None)`: without
+                    // feeding the grow path, an adaptive source whose
+                    // transport has died would be probed at its minimum
+                    // skip forever.
+                    s.empty_streak += 1;
+                    if !s.cost_mode && s.empty_streak >= cfg.grow_after {
+                        // Sustained silence: back off.
                         s.empty_streak = 0;
-                        if !s.cost_mode {
-                            // Activity: look more often. (With the
-                            // cost-driven layer in charge, reactive halving
-                            // would fight the computed operating point and
-                            // oscillate under steady load.)
-                            s.skip = (s.skip / 2).max(cfg.min.max(1));
-                        }
+                        s.skip = (s.skip * 2).clamp(cfg.min.max(1), cfg.max.max(1));
                     }
                 }
-                Ok(None) => {
-                    if let Some(cfg) = s.adaptive {
-                        s.empty_streak += 1;
-                        if !s.cost_mode && s.empty_streak >= cfg.grow_after {
-                            // Sustained silence: back off.
-                            s.empty_streak = 0;
-                            s.skip = (s.skip * 2).clamp(cfg.min.max(1), cfg.max.max(1));
-                        }
-                    }
-                }
-                Err(e) => {
-                    if let Some(cfg) = s.adaptive {
-                        // An error is as empty-handed as Ok(None): without
-                        // feeding the grow path, an adaptive source whose
-                        // transport has died would be probed at its minimum
-                        // skip forever.
-                        s.empty_streak += 1;
-                        if !s.cost_mode && s.empty_streak >= cfg.grow_after {
-                            s.empty_streak = 0;
-                            s.skip = (s.skip * 2).clamp(cfg.min.max(1), cfg.max.max(1));
-                        }
-                    }
-                    if let Some(c) = &s.counters {
-                        c.note_poll_error();
-                    }
-                    out.errors.push((s.method, e));
-                }
+            }
+            if let Err(e) = probed {
+                out.errors.push((method, e));
             }
             if let Some(cfg) = s.adaptive {
                 if cfg.update_every > 0 {
@@ -859,12 +861,9 @@ impl PollEngine {
         }
     }
 
-    /// Visits every armed source whose doorbell rang since the last pass,
-    /// polling each to empty (bounded by [`READY_BATCH`] per visit). The
-    /// flag is cleared with an Acquire-swap *before* polling, so a ring
-    /// racing the drain re-queues the token instead of vanishing — the
-    /// no-missed-wakeup protocol documented on [`ReadySignal`]. Cost is
-    /// O(rung sources), independent of how many idle sources are armed.
+    /// Visits every armed source whose doorbell rang since the last pass
+    /// (one [`ready_visit`] each). Cost is O(rung sources), independent of
+    /// how many idle sources are armed.
     fn drain_ready(&mut self, out: &mut PollOutcome) {
         // Only service tokens that were already queued when the pass
         // began: tokens re-rung mid-drain (batch limit, erroring source,
@@ -880,60 +879,17 @@ impl PollEngine {
                 continue;
             };
             let s = &mut self.sources[idx];
-            let Some(signal) = s.signal.clone() else {
+            let Some(signal) = &s.signal else {
                 continue;
             };
-            signal.clear();
-            let mut drained = 0u64;
-            loop {
-                if drained >= READY_BATCH {
-                    // Leave the remainder for the next pass without losing
-                    // the wakeup: ring our own doorbell.
-                    signal.ring();
-                    break;
-                }
-                let polled = s.receiver.poll();
-                let found = matches!(polled, Ok(Some(_)));
-                if let Some(c) = &s.counters {
-                    c.note_poll(found);
-                }
-                // Ready-path probes are untimed: the poll-cost EWMA steers
-                // the skip_poll rotation, which armed sources have left.
-                out.probed.push(Probe {
-                    method: s.method,
-                    found,
-                    cost_ns: None,
-                });
-                match polled {
-                    Ok(Some(msg)) => {
-                        let wire = msg.wire_len() as u64;
-                        if let Some(c) = &s.counters {
-                            c.note_recv(wire as usize);
-                        }
-                        if let Some(mt) = &s.mtrace {
-                            mt.recv_bytes.record(wire);
-                        }
-                        out.messages.push((s.method, msg));
-                        drained += 1;
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        if let Some(c) = &s.counters {
-                            c.note_poll_error();
-                        }
-                        out.errors.push((s.method, e));
-                        // Messages may still be queued behind a transient
-                        // error; re-ring so the source is revisited next
-                        // pass instead of parked on a cleared flag.
-                        signal.ring();
-                        break;
-                    }
-                }
+            let method = s.method;
+            let (drained, err) = ready_visit(&mut *s.receiver, signal, &s.rec, |msg| {
+                out.messages.push((method, msg))
+            });
+            if let Some(e) = err {
+                out.errors.push((method, e));
             }
-            if let Some(c) = &s.counters {
-                c.note_ready_wakeup();
-            }
-            out.ready_wakeups.push((s.method, drained));
+            out.ready_wakeups.push((method, drained));
         }
     }
 
@@ -986,29 +942,19 @@ const BLOCKING_BACKOFF_CAP: Duration = Duration::from_millis(256);
 
 impl BlockingPoller {
     /// Spawns a thread that blocks on `receiver` (with `timeout` as the
-    /// shutdown-check granularity) and enqueues everything it receives.
-    /// Fails with [`NexusError::Io`] if the OS refuses the thread.
+    /// shutdown-check granularity) and enqueues everything it receives,
+    /// recording into `trace`: receives and transport errors on the
+    /// method's record, errors also as [`TraceEventKind::PollError`]
+    /// events (at each power-of-two consecutive count, to bound ring
+    /// traffic). Consecutive errors back off exponentially from 1 ms,
+    /// capped at 256 ms, so a persistently failing transport does not spin
+    /// the thread; a successful receive resets the backoff. Fails with
+    /// [`NexusError::Io`] if the OS refuses the thread.
     pub fn spawn(
-        method: MethodId,
-        receiver: Box<dyn CommReceiver>,
-        timeout: Duration,
-    ) -> crate::error::Result<Self> {
-        Self::spawn_instrumented(method, receiver, timeout, None, None)
-    }
-
-    /// Like [`BlockingPoller::spawn`], with instrumentation: transport
-    /// errors are counted into `counters` and surfaced as
-    /// [`TraceEventKind::PollError`] events in `trace` (at each
-    /// power-of-two consecutive count, to bound ring traffic). Consecutive
-    /// errors back off exponentially from 1 ms, capped at 256 ms, so a
-    /// persistently failing transport does not spin the thread; a
-    /// successful receive resets the backoff.
-    pub fn spawn_instrumented(
         method: MethodId,
         mut receiver: Box<dyn CommReceiver>,
         timeout: Duration,
-        counters: Option<Arc<MethodCounters>>,
-        trace: Option<Arc<Trace>>,
+        trace: Arc<Trace>,
     ) -> crate::error::Result<Self> {
         let queue = Arc::new(SegQueue::new());
         let stop = Arc::new(AtomicBool::new(false));
@@ -1016,50 +962,35 @@ impl BlockingPoller {
         let q = Arc::clone(&queue);
         let st = Arc::clone(&stop);
         let errs = Arc::clone(&errors);
-        // Resolve the per-method trace handle once; the thread then
-        // records receives through plain atomics.
-        let mtrace = trace.as_ref().map(|t| t.method(method));
+        // Resolve the per-method handle once; the thread then records
+        // receives through plain atomics.
+        let rec = trace.method(method);
         let handle = std::thread::Builder::new()
             .name(format!("nexus-blocking-poll-{method}"))
             .spawn(move || {
                 let mut consecutive: u64 = 0;
                 while !st.load(Ordering::Relaxed) {
-                    match receiver.recv_timeout(timeout) {
-                        Ok(Some(msg)) => {
-                            consecutive = 0;
-                            let wire = msg.wire_len() as u64;
-                            if let Some(c) = &counters {
-                                c.note_recv(wire as usize);
-                            }
-                            if let Some(mt) = &mtrace {
-                                mt.recv_bytes.record(wire);
-                            }
-                            q.push(msg);
-                        }
-                        Ok(None) => {
-                            consecutive = 0;
-                        }
-                        Err(_) => {
-                            consecutive += 1;
-                            errs.fetch_add(1, Ordering::Relaxed);
-                            if let Some(c) = &counters {
-                                c.note_poll_error();
-                            }
-                            if let Some(t) = &trace {
-                                if consecutive.is_power_of_two() {
-                                    t.record_event(TraceEventKind::PollError {
-                                        method,
-                                        consecutive,
-                                    });
-                                }
-                            }
-                            let exp = consecutive.saturating_sub(1).min(8) as u32;
-                            let backoff = BLOCKING_BACKOFF_BASE
-                                .saturating_mul(1u32 << exp)
-                                .min(BLOCKING_BACKOFF_CAP);
-                            std::thread::sleep(backoff);
-                        }
+                    // A blocking wait is not a probe of the rotation, so
+                    // `polls` stays untouched; everything else is the
+                    // shared accounting.
+                    let received = receiver.recv_timeout(timeout);
+                    if account(&rec, received, |msg| q.push(msg)).is_ok() {
+                        consecutive = 0;
+                        continue;
                     }
+                    consecutive += 1;
+                    errs.fetch_add(1, Ordering::Relaxed);
+                    if consecutive.is_power_of_two() {
+                        trace.record_event(TraceEventKind::PollError {
+                            method,
+                            consecutive,
+                        });
+                    }
+                    let exp = consecutive.saturating_sub(1).min(8) as u32;
+                    let backoff = BLOCKING_BACKOFF_BASE
+                        .saturating_mul(1u32 << exp)
+                        .min(BLOCKING_BACKOFF_CAP);
+                    std::thread::sleep(backoff);
                 }
                 receiver.close();
             })
@@ -1173,7 +1104,9 @@ mod tests {
         in2.lock().push(msg("b"));
         let out = eng.poll_once();
         assert_eq!(out.messages.len(), 2);
-        assert_eq!(out.probed.len(), 2);
+        for s in &eng.sources {
+            assert_eq!(s.rec.polls.load(Ordering::Relaxed), 1, "{}", s.method);
+        }
     }
 
     #[test]
@@ -1323,8 +1256,13 @@ mod tests {
     #[test]
     fn blocking_poller_delivers_and_stops() {
         let (r, inbox, _) = scripted();
-        let poller = BlockingPoller::spawn(MethodId::TCP, Box::new(r), Duration::from_millis(5))
-            .expect("spawn poller");
+        let poller = BlockingPoller::spawn(
+            MethodId::TCP,
+            Box::new(r),
+            Duration::from_millis(5),
+            Arc::default(),
+        )
+        .expect("spawn poller");
         inbox.lock().push(msg("x"));
         let mut got = None;
         for _ in 0..200 {
@@ -1344,9 +1282,8 @@ mod tests {
         let (r, _, _) = scripted();
         eng.add_source(MethodId::MPL, Box::new(r));
         let out = eng.poll_once();
-        assert_eq!(out.probed.len(), 1);
-        assert_eq!(out.probed[0].method, MethodId::MPL);
-        assert!(!out.probed[0].found);
+        let snap = eng.trace.snapshot_method(MethodId::MPL);
+        assert_eq!((snap.polls, snap.empty_polls), (1, 1));
         assert!(out.messages.is_empty());
         assert!(out.errors.is_empty());
     }
@@ -1386,45 +1323,29 @@ mod tests {
     }
 
     #[test]
-    fn probes_carry_measured_costs() {
-        let mut eng = PollEngine::new();
-        let (r, inbox, _) = scripted();
-        eng.add_source(MethodId::MPL, Box::new(r));
-        inbox.lock().push(msg("m"));
-        let out = eng.poll_once();
-        assert!(out.probed[0].found);
-        // The first probe of a source is always a timed sample; check the
-        // cost is populated sanely (a mutex-guarded vec pop stays well
-        // under a second).
-        assert!(out.probed[0].cost_ns.unwrap() < 1_000_000_000);
-        // Subsequent probes inside the sampling window are untimed.
-        let next = eng.poll_once();
-        assert_eq!(next.probed[0].cost_ns, None);
-    }
-
-    #[test]
-    fn bound_engine_records_polls_and_errors_lock_free() {
-        let stats = Stats::new();
-        let trace = Trace::new();
-        let mut eng = PollEngine::new();
+    fn engine_records_polls_errors_and_sampled_costs_into_its_trace() {
+        let trace = Arc::new(Trace::new());
+        let mut eng = PollEngine::with_trace(Arc::clone(&trace));
         let (good, inbox, _) = scripted();
         eng.add_source(MethodId::MPL, Box::new(good));
         eng.add_source(MethodId::TCP, Box::new(Failing));
-        eng.bind(&stats, &trace);
         inbox.lock().push(msg("m"));
         for _ in 0..3 {
             eng.poll_once();
         }
-        let mpl = stats.snapshot_method(MethodId::MPL);
+        let mpl = trace.snapshot_method(MethodId::MPL);
         assert_eq!(mpl.polls, 3);
         assert_eq!(mpl.empty_polls, 2, "one probe found the message");
-        let tcp = stats.snapshot_method(MethodId::TCP);
+        assert_eq!(mpl.recvs, 1);
+        let tcp = trace.snapshot_method(MethodId::TCP);
         assert_eq!(tcp.polls, 3);
         assert_eq!(tcp.poll_errors, 3);
         let ewma = trace.get_method(MethodId::MPL).unwrap();
-        // Of the three probes only the first falls on the sampling grid.
+        // The first probe of a source is always a timed sample; of the
+        // three probes only it falls on the sampling grid. A mutex-guarded
+        // vec pop stays well under a second.
         assert_eq!(ewma.poll_cost_ns.samples(), 1);
-        assert!(ewma.poll_cost_ns.value().is_some());
+        assert!(ewma.poll_cost_ns.value().unwrap() < 1e9);
     }
 
     #[test]
@@ -1699,14 +1620,12 @@ mod tests {
 
     #[test]
     fn blocking_poller_counts_errors_and_backs_off() {
-        let stats = Stats::new();
         let trace = Arc::new(Trace::new());
-        let poller = BlockingPoller::spawn_instrumented(
+        let poller = BlockingPoller::spawn(
             MethodId::TCP,
             Box::new(Failing),
             Duration::from_millis(1),
-            Some(stats.method(MethodId::TCP)),
-            Some(Arc::clone(&trace)),
+            Arc::clone(&trace),
         )
         .expect("spawn poller");
         std::thread::sleep(Duration::from_millis(60));
@@ -1715,7 +1634,7 @@ mod tests {
         // Exponential backoff: 60 ms admits at most 1+2+4+8+16+32 ms of
         // sleeping ≈ 6 errors; a 1 ms flat sleep would admit ~60.
         assert!(seen <= 10, "backoff must slow the error loop, saw {seen}");
-        assert_eq!(stats.snapshot_method(MethodId::TCP).poll_errors, seen);
+        assert_eq!(trace.snapshot_method(MethodId::TCP).poll_errors, seen);
         let events = trace.events();
         assert!(
             events

@@ -31,9 +31,8 @@
 use crate::context::Context;
 use crate::descriptor::MethodId;
 use crate::module::CommReceiver;
-use crate::poll::{ReadyShards, ReadySignal, ReadySink, READY_BATCH};
+use crate::poll::{ready_visit, ReadyShards, ReadySignal, ReadySink};
 use crate::rsr::Rsr;
-use crate::stats::MethodCounters;
 use crate::trace::MethodTrace;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -164,8 +163,8 @@ struct ShardSource {
     ctx: Weak<Context>,
     receiver: Box<dyn CommReceiver>,
     signal: ReadySignal,
-    counters: Arc<MethodCounters>,
-    mtrace: Arc<MethodTrace>,
+    /// The method's record in the owning context's trace.
+    rec: Arc<MethodTrace>,
 }
 
 struct PoolShared {
@@ -284,8 +283,7 @@ impl WorkerPool {
             ctx: Arc::downgrade(ctx),
             receiver,
             signal: signal.clone(),
-            counters: ctx.stats().method(method),
-            mtrace: ctx.trace().method(method),
+            rec: ctx.trace().method(method),
         })));
         // Grow every shard ring to the installed-token count now, off the
         // hot path: the doorbell latch caps queue depth at one entry per
@@ -458,9 +456,9 @@ fn shard_worker_loop(shared: &Arc<PoolShared>, shard: usize) {
     }
 }
 
-/// Services one rung token: clear-then-drain with the same batch bound
-/// and re-ring rules as the single-threaded engine's ready drain, plus
-/// inline handler dispatch on this worker thread.
+/// Services one rung token: the engine's own [`ready_visit`] (clear, then
+/// drain under the batch bound, re-ring when cut short), with inline
+/// handler dispatch on this worker thread as the per-message sink.
 fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
     let slot = {
         let slots = shared.slots.read();
@@ -469,7 +467,8 @@ fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
             None => return,
         }
     };
-    let mut src = slot.lock();
+    let mut guard = slot.lock();
+    let src = &mut *guard;
     let home = shared.shard_of(token);
     let counters = &shared.counters[home];
     counters.wakeups.fetch_add(1, Ordering::Relaxed);
@@ -482,44 +481,18 @@ fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
         // the orphaned source goes quiet until the pool closes it.
         return;
     };
-    src.signal.clear();
-    let mut drained = 0u64;
-    loop {
-        if drained >= READY_BATCH {
-            // Leave the remainder for another service without losing the
-            // wakeup: ring our own doorbell (re-queues the token).
-            src.signal.ring();
-            break;
-        }
-        let polled = src.receiver.poll();
-        let found = matches!(polled, Ok(Some(_)));
-        src.counters.note_poll(found);
-        match polled {
-            Ok(Some(msg)) => {
-                let wire = msg.wire_len() as u64;
-                src.counters.note_recv(wire as usize);
-                src.mtrace.recv_bytes.record(wire);
-                drained += 1;
-                // Dispatch on this worker thread — the whole point of the
-                // pool. The handler runs under the slot lock, which only
-                // ever serializes services of this one source.
-                ctx.deliver_sharded(src.method, msg);
-            }
-            Ok(None) => break,
-            Err(e) => {
-                src.counters.note_poll_error();
-                ctx.note_sharded_error(src.method, &e);
-                // Messages may still be queued behind a transient error;
-                // re-ring so the source is revisited instead of parked on
-                // a cleared flag.
-                src.signal.ring();
-                break;
-            }
-        }
+    let method = src.method;
+    // Dispatch on this worker thread — the whole point of the pool. The
+    // handler runs under the slot lock, which only ever serializes
+    // services of this one source.
+    let (drained, err) = ready_visit(&mut *src.receiver, &src.signal, &src.rec, |msg| {
+        ctx.deliver_sharded(method, msg)
+    });
+    if err.is_some() {
+        ctx.note_poll_error(method);
     }
-    src.counters.note_ready_wakeup();
     counters.messages.fetch_add(drained, Ordering::Relaxed);
-    ctx.note_ready_wakeup(src.method, drained);
+    ctx.note_ready_wakeup(method, drained);
 }
 
 #[cfg(test)]

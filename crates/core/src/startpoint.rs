@@ -26,7 +26,6 @@ use crate::descriptor::{DescriptorTable, MethodId};
 use crate::endpoint::EndpointId;
 use crate::error::{NexusError, Result};
 use crate::module::CommObject;
-use crate::stats::MethodCounters;
 use crate::trace::LinkMethodTrace;
 use parking_lot::Mutex;
 use std::fmt;
@@ -43,8 +42,8 @@ pub struct Target {
 }
 
 /// A link's resolved selection: the method, its live connection, and the
-/// cached recording handles (per-method counters, per-`(link, method)`
-/// trace) that make the send hot path lock-free. Built by the context when
+/// cached recording handle (the per-`(link, method)` trace, from which the
+/// per-method send counts derive) that makes the send hot path lock-free. Built by the context when
 /// it (re)selects a method for the link.
 #[derive(Clone)]
 pub(crate) struct SelectedMethod {
@@ -52,8 +51,6 @@ pub(crate) struct SelectedMethod {
     pub(crate) method: MethodId,
     /// The live communication object.
     pub(crate) obj: Arc<dyn CommObject>,
-    /// The selecting context's counters for `method`.
-    pub(crate) counters: Arc<MethodCounters>,
     /// The selecting context's trace for `(target, method)`.
     pub(crate) ltrace: Arc<LinkMethodTrace>,
 }

@@ -1,9 +1,9 @@
-//! Low-overhead per-link observability.
+//! The per-method record: enquiry counters and low-overhead observability.
 //!
 //! The paper's enquiry functions (§2.1) let programmers *evaluate the
-//! effectiveness of method selection*; doing that well needs more than the
-//! event counters in [`crate::stats`]. This module adds the measurement
-//! layer behind those enquiries:
+//! effectiveness of method selection* and tune manual selections. This
+//! module is the one instrument the send and receive paths record into
+//! and the one place those enquiries read:
 //!
 //! * [`LogHistogram`] — lock-free, log-bucketed (power-of-two buckets,
 //!   HDR-style) histograms of send latency and message sizes, kept per
@@ -13,6 +13,11 @@
 //!   of a probe in the unified polling function, giving a live counterpart
 //!   to the §3.3 probe-cost constants (mpc_status ≈ 15 µs, `select()`
 //!   > 100 µs), and one per `(link, method)` for transport send cost.
+//! * [`MethodTrace`] / [`LinkMethodTrace`] — what one method's receive
+//!   source and one link's selection record into, through a handle each
+//!   caches, and [`MethodSnapshot`] — the plain-integer enquiry view of a
+//!   method ([`Trace::snapshot_method`]). Message and byte totals are not
+//!   stored twice: they are the `count()`/`sum()` of the size histograms.
 //! * [`Trace`] — the per-context registry of the above plus a
 //!   fixed-capacity event ring ([`TraceEvent`]) recording sends, receives,
 //!   failovers, method switches, skip_poll changes, and poll errors, with
@@ -24,14 +29,28 @@
 //!
 //! # Memory model
 //!
-//! Every atomic in this module uses `Relaxed` ordering, deliberately:
-//! all values are *monotone accumulators* (bucket counts, sums, sample
-//! counts, sequence numbers) read for reporting, so no load here is used
-//! to justify reading non-atomic data written by another thread — the
-//! only situation that would require Acquire/Release pairing. Readers may
-//! observe momentarily inconsistent cross-field snapshots (e.g. a bucket
-//! incremented before the matching `total`), which reporting tolerates;
-//! per-field monotonicity is exactly what the `xtask model` checks
+//! Every atomic in this module is updated and read with `Relaxed`
+//! ordering, uniformly. That is sufficient — and anything stronger would
+//! buy nothing — because:
+//!
+//! * every value is a *monotone accumulator* (event counts, bucket
+//!   counts, sums, sample counts, sequence numbers) read for reporting;
+//!   no thread reads one to decide whether *other, non-atomic* memory is
+//!   safe to touch, so there is no acquire/release publication edge to
+//!   establish;
+//! * each counter is individually exact (`fetch_add` is atomic at every
+//!   ordering), so totals are never lost, only observed slightly late;
+//! * snapshots taken while senders are active are *per-counter* exact but
+//!   only *cross-counter* approximate (e.g. `sends` may already include a
+//!   send whose `send_bytes` increment is still in flight, or a bucket may
+//!   be incremented before the matching `total`). Enquiry readers tolerate
+//!   that; tests that need exact cross-counter totals join the worker
+//!   threads first, and the join itself provides the happens-before edge
+//!   that makes every prior `Relaxed` write visible.
+//!
+//! The `xtask lint` atomic-pairing rule machine-checks the uniformity (a
+//! lone Release store or Acquire load here would be a smell), and per-field
+//! monotonicity is exactly what the `xtask model` checks
 //! (histogram-monotone, ring-seq-order, ewma-first-sample) pin down. The
 //! event ring's cross-field invariant — seq order matching insertion
 //! order — is protected by its mutex, not by atomic ordering.
@@ -39,7 +58,7 @@
 use crate::context::ContextId;
 use crate::descriptor::MethodId;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -523,7 +542,10 @@ pub struct LinkMethodTrace {
     pub send_cost_ns: Ewma,
 }
 
-/// Per-method receive-path measurements.
+/// One method's record within one context: what its receive source
+/// measures, plus the per-method event counts no histogram can derive.
+/// The source (poll engine, shard worker, blocking thread) caches the
+/// handle, so recording is lock-free.
 #[derive(Debug, Default)]
 pub struct MethodTrace {
     /// EWMA of the measured cost of one probe of this method's receiver in
@@ -532,6 +554,44 @@ pub struct MethodTrace {
     pub poll_cost_ns: Ewma,
     /// Encoded frame sizes received, in bytes.
     pub recv_bytes: LogHistogram,
+    /// Poll operations issued against this method's receiver.
+    pub polls: AtomicU64,
+    /// Poll operations that found no message.
+    pub empty_polls: AtomicU64,
+    /// Messages that arrived by this method and were forwarded onward
+    /// (forwarding-node role).
+    pub forwards: AtomicU64,
+    /// Send failures that triggered failover away from this method.
+    pub failovers: AtomicU64,
+    /// Transport errors returned by this method's receive source.
+    pub poll_errors: AtomicU64,
+    /// Readiness-tier doorbell visits serviced for this method.
+    pub ready_wakeups: AtomicU64,
+}
+
+/// The enquiry view of one method within one context (plain integers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MethodSnapshot {
+    /// RSRs sent via this method, over every link.
+    pub sends: u64,
+    /// Payload + header bytes sent.
+    pub send_bytes: u64,
+    /// RSRs received via this method.
+    pub recvs: u64,
+    /// Payload + header bytes received.
+    pub recv_bytes: u64,
+    /// Poll operations issued against this method's receiver.
+    pub polls: u64,
+    /// Poll operations that found no message.
+    pub empty_polls: u64,
+    /// Messages forwarded onward.
+    pub forwards: u64,
+    /// Send failures that triggered failover away from this method.
+    pub failovers: u64,
+    /// Transport errors returned by this method's receive source.
+    pub poll_errors: u64,
+    /// Readiness-tier doorbell visits serviced for this method.
+    pub ready_wakeups: u64,
 }
 
 /// The observability registry for one context.
@@ -621,6 +681,40 @@ impl Trace {
             .collect();
         v.sort_by_key(|(k, _)| *k);
         v
+    }
+
+    /// Enquiry: the counters for `method` (zeroes if never used). Sends
+    /// are summed over every link that used the method.
+    pub fn snapshot_method(&self, method: MethodId) -> MethodSnapshot {
+        let mut snap = MethodSnapshot::default();
+        for ((_, m), link) in self.links.read().iter() {
+            if *m == method {
+                snap.sends += link.send_bytes.count();
+                snap.send_bytes += link.send_bytes.sum();
+            }
+        }
+        if let Some(t) = self.methods.read().get(&method) {
+            snap.recvs = t.recv_bytes.count();
+            snap.recv_bytes = t.recv_bytes.sum();
+            snap.polls = t.polls.load(Ordering::Relaxed);
+            snap.empty_polls = t.empty_polls.load(Ordering::Relaxed);
+            snap.forwards = t.forwards.load(Ordering::Relaxed);
+            snap.failovers = t.failovers.load(Ordering::Relaxed);
+            snap.poll_errors = t.poll_errors.load(Ordering::Relaxed);
+            snap.ready_wakeups = t.ready_wakeups.load(Ordering::Relaxed);
+        }
+        snap
+    }
+
+    /// Enquiry: counters for every method this context has selected,
+    /// opened a receive source for, or recorded an event against.
+    pub fn snapshot(&self) -> HashMap<MethodId, MethodSnapshot> {
+        let mut methods: HashSet<MethodId> = self.methods.read().keys().copied().collect();
+        methods.extend(self.links.read().keys().map(|(_, m)| *m));
+        methods
+            .into_iter()
+            .map(|m| (m, self.snapshot_method(m)))
+            .collect()
     }
 
     /// Appends an event to the ring, stamped with the current uptime.
@@ -863,6 +957,74 @@ mod tests {
             t.get_method(MethodId::MPL).unwrap().poll_cost_ns.samples(),
             1
         );
+    }
+
+    #[test]
+    fn method_snapshot_derives_sends_across_links_and_recvs_without_sends() {
+        let t = Trace::new();
+        // Two links to different contexts over TCP, one over MPL.
+        for (target, method, sizes) in [
+            (ContextId(2), MethodId::TCP, &[100u64, 50][..]),
+            (ContextId(3), MethodId::TCP, &[7][..]),
+            (ContextId(2), MethodId::MPL, &[1][..]),
+        ] {
+            let link = t.link(target, method);
+            for &b in sizes {
+                link.send_bytes.record(b);
+            }
+        }
+        // UDP only ever receives here.
+        let udp = t.method(MethodId::UDP);
+        udp.recv_bytes.record(64);
+        udp.recv_bytes.record(36);
+        udp.polls.fetch_add(3, Ordering::Relaxed);
+        udp.empty_polls.fetch_add(1, Ordering::Relaxed);
+
+        let tcp = t.snapshot_method(MethodId::TCP);
+        assert_eq!((tcp.sends, tcp.send_bytes), (3, 157), "summed over links");
+        assert_eq!((tcp.recvs, tcp.polls), (0, 0), "no receive source");
+        let udp = t.snapshot_method(MethodId::UDP);
+        assert_eq!((udp.sends, udp.send_bytes), (0, 0));
+        assert_eq!((udp.recvs, udp.recv_bytes), (2, 100));
+        assert_eq!((udp.polls, udp.empty_polls), (3, 1));
+        let all = t.snapshot();
+        assert_eq!(all.len(), 3, "send-only and receive-only methods both");
+        assert_eq!(all[&MethodId::MPL].send_bytes, 1);
+        assert_eq!(all[&MethodId::TCP], tcp);
+        assert_eq!(all[&MethodId::UDP], udp);
+    }
+
+    #[test]
+    fn unused_method_snapshots_to_zero() {
+        let t = Trace::new();
+        assert_eq!(t.snapshot_method(MethodId::UDP), MethodSnapshot::default());
+        assert!(t.snapshot().is_empty());
+    }
+
+    #[test]
+    fn concurrent_updates_do_not_lose_counts() {
+        let t = Arc::new(Trace::new());
+        let handles: Vec<_> = (0..4u32)
+            .map(|i| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    // Two threads per link, so both the per-link histogram
+                    // and the cross-link sum are contended.
+                    let link = t.link(ContextId(i % 2), MethodId::MPL);
+                    let method = t.method(MethodId::MPL);
+                    for _ in 0..1000 {
+                        link.send_bytes.record(3);
+                        method.failovers.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let snap = t.snapshot_method(MethodId::MPL);
+        assert_eq!((snap.sends, snap.send_bytes), (4000, 12_000));
+        assert_eq!(snap.failovers, 4000);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl PollClock {
     }
 
     /// Whether method `idx` is probed on pass number `pass`.
-    pub fn probed_on(&self, idx: usize, pass: u64) -> bool {
+    pub fn is_probed_on(&self, idx: usize, pass: u64) -> bool {
         pass.is_multiple_of(self.skips[idx].max(1))
     }
 
@@ -178,7 +178,7 @@ impl PollClock {
     pub fn pass_cost(&self, pass: u64, probe_ns: &[u64]) -> u64 {
         let mut c = 0;
         for (i, &p) in probe_ns.iter().enumerate() {
-            if self.probed_on(i, pass) {
+            if self.is_probed_on(i, pass) {
                 c += p;
             }
         }
@@ -249,8 +249,8 @@ mod tests {
         assert_eq!(clock.pass_cost(0, &probes), 115_000);
         assert_eq!(clock.pass_cost(1, &probes), 15_000);
         assert_eq!(clock.pass_cost(5, &probes), 115_000);
-        assert!(clock.probed_on(1, 0));
-        assert!(!clock.probed_on(1, 3));
-        assert!(clock.probed_on(1, 10));
+        assert!(clock.is_probed_on(1, 0));
+        assert!(!clock.is_probed_on(1, 3));
+        assert!(clock.is_probed_on(1, 10));
     }
 }

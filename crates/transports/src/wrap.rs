@@ -351,7 +351,7 @@ mod tests {
             || got.load(Ordering::Relaxed) == 1,
             std::time::Duration::from_secs(2)
         ));
-        assert_eq!(b.stats().snapshot_method(SECURE).recvs, 1);
+        assert_eq!(b.trace().snapshot_method(SECURE).recvs, 1);
         fabric.shutdown();
     }
 }

@@ -127,7 +127,7 @@ fn rudp_connection_death_triggers_failover_to_tcp() {
     a.rsr(&sp, "x", payload("healthy")).unwrap();
     assert_eq!(sp.current_methods()[0].1, Some(MethodId::RUDP));
     assert!(b.progress_until(|| got.load(Ordering::Relaxed) == 1, Duration::from_secs(5)));
-    assert_eq!(b.stats().snapshot_method(MethodId::RUDP).recvs, 1);
+    assert_eq!(b.trace().snapshot_method(MethodId::RUDP).recvs, 1);
 
     // Black-hole the transport: every DATA transmission is suppressed, so
     // the pump exhausts the retransmit cap and marks the connection dead.
@@ -163,7 +163,7 @@ fn rudp_connection_death_triggers_failover_to_tcp() {
         )),
         "no MethodSwitch onto tcp recorded"
     );
-    assert!(a.stats().snapshot_method(MethodId::RUDP).failovers >= 1);
+    assert!(a.trace().snapshot_method(MethodId::RUDP).failovers >= 1);
 
     // The migrated link still delivers.
     let before = got.load(Ordering::Relaxed);

@@ -148,9 +148,9 @@ fn stripe_rides_shmem_and_tcp_simultaneously() {
 
     // Method heterogeneity: chunks of the one transfer arrived over both
     // substrates, not just the fastest one.
-    assert!(b.stats().snapshot_method(MethodId::SHMEM).recvs >= 1);
-    assert!(b.stats().snapshot_method(MethodId::TCP).recvs >= 1);
-    assert_eq!(a.stats().snapshot_method(MethodId::STRIPE).sends, 1);
+    assert!(b.trace().snapshot_method(MethodId::SHMEM).recvs >= 1);
+    assert!(b.trace().snapshot_method(MethodId::TCP).recvs >= 1);
+    assert_eq!(a.trace().snapshot_method(MethodId::STRIPE).sends, 1);
     fabric.shutdown();
 }
 
@@ -182,7 +182,7 @@ fn rail_death_reroutes_chunks_to_the_surviving_rail() {
 
     // Still striped, and the death never reached the failover machinery.
     assert_eq!(sp.current_methods()[0].1, Some(MethodId::STRIPE));
-    assert_eq!(a.stats().snapshot_method(MethodId::STRIPE).failovers, 0);
+    assert_eq!(a.trace().snapshot_method(MethodId::STRIPE).failovers, 0);
     assert!(!a
         .trace()
         .events()
@@ -224,7 +224,7 @@ fn all_rails_dead_feeds_the_context_failover_path() {
             ..
         }
     )));
-    assert!(a.stats().snapshot_method(MethodId::STRIPE).failovers >= 1);
+    assert!(a.trace().snapshot_method(MethodId::STRIPE).failovers >= 1);
 
     // Transports recover: the evicted connections are re-established and
     // the link lands on a plain method (the stripe install is gone).

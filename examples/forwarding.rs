@@ -84,13 +84,13 @@ fn main() -> Result<()> {
     );
     assert!(all_done, "all work items must arrive through the forwarder");
 
-    let fwd_stats = forwarder.stats().snapshot_method(MethodId::TCP);
+    let fwd_stats = forwarder.trace().snapshot_method(MethodId::TCP);
     println!(
         "forwarder relayed {} message(s) that arrived over TCP",
         fwd_stats.forwards
     );
     for w in &workers {
-        let s = w.stats().snapshot_method(MethodId::TCP);
+        let s = w.trace().snapshot_method(MethodId::TCP);
         assert_eq!(s.polls, 0, "workers never poll TCP — that is the point");
     }
     println!("workers performed zero TCP polls");

@@ -113,7 +113,7 @@ fn main() -> Result<()> {
     );
 
     // --- enquiry: per-method traffic counters -----------------------------
-    for (method, snap) in n2.stats().snapshot() {
+    for (method, snap) in n2.trace().snapshot() {
         if snap.recvs > 0 {
             println!(
                 "[node 2] received {} RSR(s) over {} ({} bytes)",

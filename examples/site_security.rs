@@ -83,7 +83,7 @@ fn main() -> Result<()> {
     println!("across sites  : {inter} (cipher + integrity at the boundary)");
     assert_eq!(intra, MethodId::SHMEM);
     assert_eq!(inter, SECURE_TCP);
-    assert_eq!(b1.stats().snapshot_method(SECURE_TCP).recvs, 1);
+    assert_eq!(b1.trace().snapshot_method(SECURE_TCP).recvs, 1);
     fabric.shutdown();
     Ok(())
 }

@@ -95,7 +95,7 @@ fn ready_path_stays_allocation_free_with_many_idle_armed_sources() {
          {IDLE_SOURCES} idle armed sources (budget {BUDGET})"
     );
     // The deliveries really took the doorbell path, not the polled tier.
-    let local = ctx.stats().snapshot_method(MethodId::LOCAL);
+    let local = ctx.trace().snapshot_method(MethodId::LOCAL);
     assert!(
         local.ready_wakeups >= ITERS,
         "local link should deliver via doorbell wakeups, saw {}",

@@ -96,6 +96,6 @@ fn rsr_crosses_a_process_boundary_over_tcp() {
     let _guard = ctx.spawn_progress_thread();
     let status = child.wait().unwrap();
     assert!(status.success(), "child test must pass");
-    assert_eq!(ctx.stats().snapshot_method(MethodId::TCP).recvs, 1);
+    assert_eq!(ctx.trace().snapshot_method(MethodId::TCP).recvs, 1);
     fabric.shutdown();
 }

@@ -117,8 +117,8 @@ fn live_method_switch_mid_stream() {
         a.rsr(&sp, "n", buf).unwrap();
     }
     assert!(drive_until(&[&b], || got.load(Ordering::Relaxed) == 10, 10));
-    let shmem = b.stats().snapshot_method(MethodId::SHMEM);
-    let tcp = b.stats().snapshot_method(MethodId::TCP);
+    let shmem = b.trace().snapshot_method(MethodId::SHMEM);
+    let tcp = b.trace().snapshot_method(MethodId::TCP);
     assert_eq!(shmem.recvs, 5, "first half over the fast path");
     assert_eq!(tcp.recvs, 5, "second half over TCP after the live switch");
     fabric.shutdown();
@@ -150,13 +150,13 @@ fn skip_poll_still_delivers_and_counts_fewer_polls() {
     // The delivering visit left TCP hot (read in place, fds disarmed);
     // the next visit finds nothing, re-arms, and the source is idle.
     let _ = b.progress();
-    let mpl_before = b.stats().snapshot_method(MethodId::MPL).polls;
-    let tcp_before = b.stats().snapshot_method(MethodId::TCP).polls;
+    let mpl_before = b.trace().snapshot_method(MethodId::MPL).polls;
+    let tcp_before = b.trace().snapshot_method(MethodId::TCP).polls;
     for _ in 0..500 {
         let _ = b.progress();
     }
-    let mpl_polls = b.stats().snapshot_method(MethodId::MPL).polls - mpl_before;
-    let tcp_polls = b.stats().snapshot_method(MethodId::TCP).polls - tcp_before;
+    let mpl_polls = b.trace().snapshot_method(MethodId::MPL).polls - mpl_before;
+    let tcp_polls = b.trace().snapshot_method(MethodId::TCP).polls - tcp_before;
     assert!(
         mpl_polls <= 500 / 50 + 2,
         "skip_poll=50 must throttle the polled tier: {mpl_polls} probes in 500 passes"
@@ -346,6 +346,6 @@ fn blocking_poller_delivers_without_poll_rotation() {
     a.rsr(&sp, "x", Buffer::new()).unwrap();
     assert!(drive_until(&[&b], || got.load(Ordering::Relaxed) == 1, 10));
     // The poll rotation never touched TCP; the blocking thread did.
-    assert_eq!(b.stats().snapshot_method(MethodId::TCP).polls, 0);
+    assert_eq!(b.trace().snapshot_method(MethodId::TCP).polls, 0);
     fabric.shutdown();
 }

@@ -11,6 +11,7 @@
 use nexus::rt::buffer::Buffer;
 use nexus::rt::context::Fabric;
 use nexus::rt::descriptor::MethodId;
+use nexus::rt::rsr::Rsr;
 use nexus::rt::trace::TraceEventKind;
 use nexus::transports::{register_defaults, DelayModule, ShmemModule, TcpModule};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,7 +71,7 @@ fn ready_tier_traffic_is_counted_as_wakeups_not_probes() {
     // 2 000 idle passes cost at most a handful of visits — not one probe
     // per pass per source.
     for method in [MethodId::SHMEM, MethodId::TCP] {
-        let snap = b.stats().snapshot_method(method);
+        let snap = b.trace().snapshot_method(method);
         assert!(snap.ready_wakeups > 0, "{method}: no doorbell wakeups");
         assert_eq!(snap.recvs, 50, "{method}: all messages delivered");
         assert!(
@@ -191,4 +192,89 @@ fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
         );
     }
     fabric.shutdown();
+}
+
+/// The four ways a message can reach a context's handlers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Route {
+    /// Skip_poll rotation (a zero-latency `DelayModule` opts out of
+    /// readiness).
+    Polled,
+    /// Doorbell visit from the context's own progress pass.
+    Ready,
+    /// Doorbell visit from a shard worker thread.
+    Worker,
+    /// Dedicated blocking receive thread.
+    Blocking,
+}
+
+#[test]
+fn every_receive_route_accounts_a_message_identically() {
+    const POLLED_SHMEM: MethodId = MethodId(0x122);
+    // More than one ready batch (32), so the doorbell routes also cross
+    // the batch-limit re-ring.
+    const N: u64 = 40;
+    for route in [Route::Polled, Route::Ready, Route::Worker, Route::Blocking] {
+        let fabric = Fabric::new();
+        let method = if route == Route::Polled {
+            fabric.registry().register(Arc::new(DelayModule::new(
+                POLLED_SHMEM,
+                "polled-shmem",
+                20,
+                Arc::new(ShmemModule::new()),
+                Duration::ZERO,
+            )));
+            POLLED_SHMEM
+        } else {
+            fabric.registry().register(Arc::new(ShmemModule::new()));
+            MethodId::SHMEM
+        };
+        let a = fabric.create_context().unwrap();
+        let b = fabric.create_context().unwrap();
+        match route {
+            Route::Worker => assert_eq!(b.start_workers(1), 1, "{route:?}"),
+            Route::Blocking => b.start_blocking_poller(method).unwrap(),
+            Route::Polled | Route::Ready => {}
+        }
+        let got = Arc::new(AtomicU64::new(0));
+        {
+            let g = Arc::clone(&got);
+            b.register_handler("m", move |_| {
+                g.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        let ep = b.create_endpoint();
+        let sp = b.startpoint_to(ep).unwrap();
+        let mut payload = Buffer::new();
+        payload.put_raw(&[7u8; 24]);
+        let wire = Rsr::new(b.id(), ep, "m", payload.clone().into_bytes()).wire_len() as u64;
+        for _ in 0..N {
+            a.rsr(&sp, "m", payload.clone()).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while got.load(Ordering::Relaxed) < N {
+            b.progress().unwrap();
+            std::thread::yield_now();
+            assert!(std::time::Instant::now() < deadline, "{route:?}: drain");
+        }
+
+        let sent = a.trace().snapshot_method(method);
+        assert_eq!((sent.sends, sent.send_bytes), (N, N * wire), "{route:?}");
+        let snap = b.trace().snapshot_method(method);
+        assert_eq!((snap.recvs, snap.recv_bytes), (N, N * wire), "{route:?}");
+        assert_eq!(snap.poll_errors, 0, "{route:?}");
+        if route == Route::Blocking {
+            // A blocking wait is not a probe of the rotation.
+            assert_eq!(snap.polls, 0, "{route:?}");
+        } else {
+            assert!(snap.polls >= N, "{route:?}: {} polls", snap.polls);
+            assert_eq!(snap.polls - snap.empty_polls, N, "{route:?}: hits");
+        }
+        if matches!(route, Route::Ready | Route::Worker) {
+            assert!(snap.ready_wakeups >= 2, "{route:?}: batch limit re-rings");
+        } else {
+            assert_eq!(snap.ready_wakeups, 0, "{route:?}");
+        }
+        fabric.shutdown();
+    }
 }

@@ -123,7 +123,7 @@ fn randomized_mixed_method_soak() {
     let mut sends: HashMap<MethodId, u64> = HashMap::new();
     let mut recvs: HashMap<MethodId, u64> = HashMap::new();
     for n in &nodes {
-        for (m, s) in n.ctx.stats().snapshot() {
+        for (m, s) in n.ctx.trace().snapshot() {
             *sends.entry(m).or_default() += s.sends;
             *recvs.entry(m).or_default() += s.recvs;
         }
