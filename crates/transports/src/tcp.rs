@@ -10,17 +10,44 @@
 //! (see [`crate::reactor`]); only an unarmed receiver scans on each poll.
 //! Frames are length-prefixed RSR encodings.
 //!
+//! # Who touches a payload byte
+//!
+//! The method adds no user-space pass over a bulk payload in either
+//! direction; what remains is the kernel's own copy on each side.
+//!
+//! *Send.* `send` and `send_parts` are one vectored write: the lead
+//! (`prefix | header | hlen | handler | plen | head`) is assembled on the
+//! stack and the payload is gathered by the kernel from the caller's
+//! [`Bytes`]. The encode-once shared body ([`WireFrame::body`]) is never
+//! built here — it would be a copy of the payload with nine bytes in front.
+//!
+//! *Receive.* Each connection owns one 16 KiB read window, and the length
+//! prefix of the frame at its front picks the route. A frame that fits the
+//! window is cut out of it: every complete frame a read leaves there goes
+//! out as a [`Rsr::decode_shared`] view of **one** copy of the whole run —
+//! the single receive-side copy that remains, per batch and sized to it
+//! (the window itself is never handed out, so a pending 64-byte message
+//! does not pin 16 KiB). A longer frame gets storage of its own, is read
+//! from the socket straight into it in reads of at most a window that stop
+//! at the frame's last byte, and is delivered as a view of that storage;
+//! only the first fragment, which arrived in the window behind the prefix,
+//! is moved. The storage comes back through [`Bytes::try_into_mut`] for
+//! the next large frame once every view of it has dropped. A prefix is a
+//! claim, not data: it is checked against `MAX_FRAME` before anything is
+//! sized from it, and storage is committed as bytes arrive (at most
+//! `LARGE_AHEAD` past them), never from the claim alone.
+//!
 //! Parameters (per §2.1's requirement that methods expose their low-level
 //! knobs): `nodelay` (`true`/`false`, applied to every new connection),
 //! `connect_timeout_ms`, and the socket-buffer sizes `sndbuf`/`rcvbuf`
 //! (bytes; 0 keeps the kernel default) — default buffers throttle striped
 //! bulk transfers long before the link saturates.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{send_parts_fallback, CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver};
 use nexus_rt::rsr::{Rsr, WireFrame, HEADER_LEN, PREFIX_LEN};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -131,52 +158,186 @@ fn parse_bufsize(key: &str, value: &str) -> Result<usize> {
     }
 }
 
-/// Per-connection read state.
-struct ConnState {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl ConnState {
-    /// Reads whatever is available without blocking; returns false when the
-    /// peer has closed the connection.
-    fn fill(&mut self) -> Result<bool> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(false),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(true),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Extracts complete frames from the read buffer.
-    fn extract(&mut self, out: &mut VecDeque<Rsr>) -> Result<()> {
-        loop {
-            if self.buf.len() < 4 {
-                return Ok(());
-            }
-            let len =
-                u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-            if len > MAX_FRAME {
-                return Err(NexusError::Decode("TCP frame exceeds maximum size"));
-            }
-            if self.buf.len() < 4 + len {
-                return Ok(());
-            }
-            let frame = &self.buf[4..4 + len];
-            out.push_back(Rsr::decode(frame)?);
-            self.buf.drain(..4 + len);
-        }
-    }
-}
-
 /// Upper bound on a single frame (1 GiB would be absurd; 256 MiB allows the
 /// largest realistic scientific payloads while catching corrupt lengths).
 const MAX_FRAME: usize = 256 * 1024 * 1024;
+
+/// Size of a connection's read window, which is also the most one `read`
+/// asks the kernel for: PR 13 measured that granularity as what lets a
+/// bulk sender and the receiver overlap.
+const WINDOW: usize = 16 * 1024;
+
+/// The longest frame that (with its prefix) fits the window and is cut out
+/// of it; a longer one gets storage of its own. The frame's length prefix
+/// decides between the two routes, nothing else does.
+const MAX_WINDOWED: usize = WINDOW - PREFIX_LEN;
+
+/// How far ahead of the bytes that have arrived a large frame's storage
+/// may be sized. A length prefix is a claim, not data: storage follows
+/// arrival, so a peer commits receiver memory only by sending bytes.
+const LARGE_AHEAD: usize = 1 << 20;
+
+/// The frame length announced at the front of `bytes`, once all four
+/// prefix bytes are there.
+fn frame_len(bytes: &[u8]) -> Option<usize> {
+    let prefix = bytes.first_chunk::<PREFIX_LEN>()?;
+    Some(u32::from_le_bytes(*prefix) as usize)
+}
+
+/// A frame longer than the window, received straight into the storage it
+/// is delivered in.
+struct LargeFrame {
+    /// Frame length announced by the prefix (≤ `MAX_FRAME`).
+    len: usize,
+    /// Bytes of the frame received so far; `< len` while it is pending.
+    filled: usize,
+    /// The storage. `buf.len()` is what is committed so far: at least
+    /// `filled`, and exactly `len` by the time the last byte arrives.
+    buf: BytesMut,
+}
+
+impl LargeFrame {
+    /// Storage to commit for a `len`-byte frame of which `filled` bytes
+    /// have arrived: `LARGE_AHEAD` past them or double, whichever is more,
+    /// and never past the frame — so a 1 MiB frame is sized once, exactly,
+    /// and a far-off end is approached geometrically.
+    fn storage_for(len: usize, filled: usize) -> usize {
+        len.min(filled + filled.max(LARGE_AHEAD))
+    }
+}
+
+/// Per-connection read state.
+struct ConnState {
+    stream: TcpStream,
+    /// The read window: `window[..tail]` is received and not yet cut into
+    /// frames. Never handed out — frames leave as views of a copy, so a
+    /// pending small message pins its batch, not 16 KiB.
+    window: Box<[u8]>,
+    tail: usize,
+    /// The large frame being received, if the stream is inside one.
+    large: Option<LargeFrame>,
+    /// Whole view of the storage the last large frame was delivered in;
+    /// taken back for the next one if every other view has dropped.
+    spare: Option<Bytes>,
+}
+
+impl ConnState {
+    fn new(stream: TcpStream) -> ConnState {
+        ConnState {
+            stream,
+            window: vec![0u8; WINDOW].into_boxed_slice(),
+            tail: 0,
+            large: None,
+            spare: None,
+        }
+    }
+
+    /// Reads whatever is available without blocking, queueing every frame
+    /// that completes; returns false when the peer has closed the
+    /// connection. Sets `progress` if any bytes arrived. Bytes go from the
+    /// kernel into the window or, inside a large frame, into that frame's
+    /// own storage in reads that stop at its last byte. A completed large
+    /// frame ends the visit: it is delivered, and its storage can come
+    /// back, before the next one is sized.
+    fn read_frames(&mut self, out: &mut VecDeque<Rsr>, progress: &mut bool) -> Result<bool> {
+        loop {
+            let read = match &mut self.large {
+                Some(f) => {
+                    if f.filled == f.buf.len() {
+                        f.buf.resize(LargeFrame::storage_for(f.len, f.filled), 0);
+                    }
+                    let end = f.buf.len().min(f.filled + WINDOW);
+                    self.stream.read(&mut f.buf[f.filled..end])
+                }
+                None => self.stream.read(&mut self.window[self.tail..]),
+            };
+            let n = match read {
+                Ok(0) => return Ok(false),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            *progress = true;
+            let Some(f) = &mut self.large else {
+                self.tail += n;
+                self.cut_frames(out)?;
+                continue;
+            };
+            f.filled += n;
+            if let Some(done) = self.large.take_if(|f| f.filled == f.len) {
+                let frame = done.buf.freeze();
+                self.spare = Some(frame.clone());
+                out.push_back(Rsr::decode_shared(frame)?);
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Cuts every complete frame out of the window — one copy of the whole
+    /// run, each frame a view of it — then starts a large frame if one
+    /// begins where the run ends, and moves what is left (part of one
+    /// frame at most) to the front: one compaction per read.
+    fn cut_frames(&mut self, out: &mut VecDeque<Rsr>) -> Result<()> {
+        let received = &self.window[..self.tail];
+        let mut cut = 0;
+        let mut next = frame_len(received);
+        while let Some(len) = next {
+            if len > MAX_WINDOWED || received.len() - cut - PREFIX_LEN < len {
+                break;
+            }
+            cut += PREFIX_LEN + len;
+            next = frame_len(&received[cut..]);
+        }
+        if cut > 0 {
+            let batch = Bytes::copy_from_slice(&received[..cut]);
+            let mut at = 0;
+            while let Some(len) = frame_len(&batch[at..]) {
+                let body = at + PREFIX_LEN;
+                at = body + len;
+                out.push_back(Rsr::decode_shared(batch.slice(body..at))?);
+            }
+        }
+        let mut rest = cut..self.tail;
+        match next {
+            // Checked behind the complete frames, which are delivered
+            // first, and before anything is sized from the claim.
+            Some(len) if len > MAX_FRAME => {
+                return Err(NexusError::Decode("TCP frame exceeds maximum size"));
+            }
+            Some(len) if len > MAX_WINDOWED => {
+                let got = &received[cut + PREFIX_LEN..];
+                let mut buf = self
+                    .spare
+                    .take()
+                    .and_then(|b| b.try_into_mut().ok())
+                    .unwrap_or_default();
+                buf.resize(LargeFrame::storage_for(len, got.len()), 0);
+                buf[..got.len()].copy_from_slice(got);
+                self.large = Some(LargeFrame {
+                    len,
+                    filled: got.len(),
+                    buf,
+                });
+                rest = 0..0;
+            }
+            _ => {}
+        }
+        self.tail = rest.len();
+        if rest.start > 0 {
+            self.window.copy_within(rest, 0);
+        }
+        Ok(())
+    }
+
+    /// Bytes of receive storage this connection holds.
+    #[cfg(test)]
+    fn committed(&self) -> usize {
+        self.window.len()
+            + self.large.as_ref().map_or(0, |f| f.buf.capacity())
+            + self.spare.as_ref().map_or(0, Bytes::len)
+    }
+}
 
 /// Receive side: listener + accepted connections.
 pub struct TcpReceiver {
@@ -204,11 +365,7 @@ impl TcpReceiver {
                 Ok((stream, _)) => {
                     progress = true;
                     stream.set_nonblocking(true)?;
-                    self.conns.push(ConnState {
-                        stream,
-                        // lint:allow(hot-path-alloc) per-connection accept-time state, not per message
-                        buf: Vec::new(),
-                    });
+                    self.conns.push(ConnState::new(stream));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e.into()),
@@ -225,26 +382,15 @@ impl TcpReceiver {
         let mut first_err: Option<NexusError> = None;
         let mut i = 0;
         while i < self.conns.len() {
-            let dead;
-            let buffered = self.conns[i].buf.len();
-            match self.conns[i].fill() {
-                Ok(alive) => {
-                    progress |= self.conns[i].buf.len() != buffered;
-                    // Extract even when the peer has closed: complete
-                    // frames received before the EOF are still deliverable.
-                    match self.conns[i].extract(&mut self.pending) {
-                        Ok(()) => dead = !alive,
-                        Err(e) => {
-                            dead = true;
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
+            // Frames completed before an EOF or an error are queued by then
+            // and stay deliverable.
+            let dead = match self.conns[i].read_frames(&mut self.pending, &mut progress) {
+                Ok(alive) => !alive,
                 Err(e) => {
-                    dead = true;
                     first_err.get_or_insert(e);
+                    true
                 }
-            }
+            };
             if dead {
                 self.conns.swap_remove(i);
             } else {
@@ -261,6 +407,12 @@ impl TcpReceiver {
     #[cfg(test)]
     pub(crate) fn conn_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Bytes of receive storage committed across all connections.
+    #[cfg(test)]
+    fn committed_storage(&self) -> usize {
+        self.conns.iter().map(ConnState::committed).sum()
     }
 }
 
@@ -311,24 +463,15 @@ pub struct TcpObject {
     stream: Mutex<TcpStream>,
 }
 
-/// Writes `head` then `body` as one gathered stream, restarting the
+/// Writes `bufs` back to back as one gathered stream, restarting the
 /// vectored write after partial writes and `EINTR`.
-fn write_all_vectored(s: &mut TcpStream, head: &[u8], body: &[u8]) -> Result<()> {
-    let mut head_off = 0;
-    let mut body_off = 0;
-    while head_off < head.len() || body_off < body.len() {
-        let iov = [
-            IoSlice::new(&head[head_off..]),
-            IoSlice::new(&body[body_off..]),
-        ];
-        match s.write_vectored(&iov) {
+fn write_all_vectored(s: &mut TcpStream, mut bufs: &mut [IoSlice<'_>]) -> Result<()> {
+    // Drops empty slices (an empty payload must not read as `WriteZero`).
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match s.write_vectored(bufs) {
             Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
-            Ok(mut n) => {
-                let in_head = n.min(head.len() - head_off);
-                head_off += in_head;
-                n -= in_head;
-                body_off += n;
-            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
@@ -336,48 +479,64 @@ fn write_all_vectored(s: &mut TcpStream, head: &[u8], body: &[u8]) -> Result<()>
     Ok(())
 }
 
+impl TcpObject {
+    /// The one writer behind `send` and `send_parts`: frames `rsr` with
+    /// the payload `head ++ tail` and writes it in a single vectored
+    /// write. Everything in front of `tail` — `prefix | header | hlen |
+    /// handler | plen | head`, the lead — is assembled on the stack;
+    /// `tail` is gathered by the kernel from where the caller keeps it, so
+    /// no body is ever built around it and the payload is never copied here.
+    fn send_gathered(&self, rsr: &Rsr, head: &[u8], tail: &[u8]) -> Result<()> {
+        const STACK: usize = 128;
+        let handler = rsr.handler.as_bytes();
+        let plen = head.len() + tail.len();
+        let body_len = 2 + handler.len() + 4 + plen;
+        if handler.len() > usize::from(u16::MAX) || HEADER_LEN + body_len > MAX_FRAME {
+            // The length fields below could not carry it, and the receiver
+            // drops a connection whose prefix claims more than `MAX_FRAME`.
+            let why = "RSR exceeds the TCP frame limit";
+            return Err(std::io::Error::new(ErrorKind::InvalidInput, why).into());
+        }
+        let fixed = WireFrame::prefixed_header(rsr, body_len);
+        let hlen = (handler.len() as u16).to_le_bytes();
+        let plen = (plen as u32).to_le_bytes();
+        let lead = [&fixed[..], &hlen, handler, &plen, head];
+        if lead.iter().map(|part| part.len()).sum::<usize>() <= STACK {
+            let mut buf = [0u8; STACK];
+            let mut o = 0;
+            for part in lead {
+                buf[o..o + part.len()].copy_from_slice(part);
+                o += part.len();
+            }
+            let mut iov = [IoSlice::new(&buf[..o]), IoSlice::new(tail)];
+            write_all_vectored(&mut self.stream.lock(), &mut iov)
+        } else {
+            // A lead past the stack buffer (handler names are u16-length):
+            // gather its parts where they lie rather than copy anything.
+            let [fixed, hlen, handler, plen, head] = lead.map(IoSlice::new);
+            let mut iov = [fixed, hlen, handler, plen, head, IoSlice::new(tail)];
+            write_all_vectored(&mut self.stream.lock(), &mut iov)
+        }
+    }
+}
+
 impl CommObject for TcpObject {
     fn method(&self) -> MethodId {
         MethodId::TCP
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
-        // One vectored write per RSR: the 18-byte length prefix + header
-        // live on the stack and the shared body is the message's
-        // encode-once storage — no per-send serialization or copy, and no
-        // second syscall for the body.
-        let body = frame.body(rsr);
-        let head = WireFrame::prefixed_header(rsr, body.len());
-        let mut s = self.stream.lock();
-        write_all_vectored(&mut s, &head, body)
+    fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+        // One vectored write per RSR, the payload gathered from the
+        // message's own storage. The shared encode-once body is not
+        // touched: building it would copy the payload only to put
+        // `hlen | handler | plen` in front, and the lead carries those.
+        self.send_gathered(rsr, &[], &rsr.payload)
     }
 
     fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &Bytes) -> Result<()> {
-        // Stripe-chunk fast path: the frame prefix, header, body sections
-        // (hlen handler plen), and the small chunk head all fit one stack
-        // buffer, so the chunk goes out as prefix-buffer + zero-copy tail
-        // in a single vectored write — no combined payload is ever built.
-        const STACK: usize = 128;
-        let hlen = rsr.handler.len();
-        let lead = PREFIX_LEN + HEADER_LEN + 2 + hlen + 4 + head.len();
-        if lead > STACK {
-            return send_parts_fallback(self, rsr, head, tail);
-        }
-        let plen = head.len() + tail.len();
-        let body_len = 2 + hlen + 4 + plen;
-        let mut buf = [0u8; STACK];
-        buf[..PREFIX_LEN + HEADER_LEN].copy_from_slice(&WireFrame::prefixed_header(rsr, body_len));
-        let mut o = PREFIX_LEN + HEADER_LEN;
-        buf[o..o + 2].copy_from_slice(&(hlen as u16).to_le_bytes());
-        o += 2;
-        buf[o..o + hlen].copy_from_slice(rsr.handler.as_bytes());
-        o += hlen;
-        buf[o..o + 4].copy_from_slice(&(plen as u32).to_le_bytes());
-        o += 4;
-        buf[o..o + head.len()].copy_from_slice(head);
-        o += head.len();
-        let mut s = self.stream.lock();
-        write_all_vectored(&mut s, &buf[..o], tail)
+        // Stripe chunks: the small chunk head rides in the lead, the tail
+        // is a slice of the original body — no combined payload is built.
+        self.send_gathered(rsr, head, tail)
     }
 
     fn set_param(&self, key: &str, value: &str) -> Result<()> {
@@ -544,6 +703,25 @@ mod tests {
         )
     }
 
+    /// The reference wire image of `m`: length prefix, header, and the
+    /// encode-once body — built the way the method no longer does, so the
+    /// gathered writer is checked against an independent encoder.
+    fn framed(m: &Rsr) -> Vec<u8> {
+        let f = WireFrame::new();
+        let body = f.body(m);
+        let mut frame = WireFrame::prefixed_header(m, body.len()).to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// A bare receiver (no reactor shell) and the address peers dial.
+    fn bare_receiver() -> (TcpReceiver, SocketAddr) {
+        let rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
+        rx.listener.set_nonblocking(true).unwrap();
+        let addr = rx.listener.local_addr().unwrap();
+        (rx, addr)
+    }
+
     #[test]
     fn roundtrip_over_real_sockets() {
         let m = TcpModule::new();
@@ -631,21 +809,10 @@ mod tests {
     /// slot per departed peer. Eviction must bring the list back down.
     #[test]
     fn disconnect_churn_does_not_leak_connections() {
-        let mut rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
-        rx.listener.set_nonblocking(true).unwrap();
-        let addr = rx.listener.local_addr().unwrap();
+        let (mut rx, addr) = bare_receiver();
         for round in 0..10 {
             let s = TcpStream::connect(addr).unwrap();
-            let mut frame = Vec::new();
-            let body = {
-                let m = msg("churn", b"x");
-                let f = WireFrame::new();
-                let b = f.body(&m).to_vec();
-                frame.extend_from_slice(&WireFrame::prefixed_header(&m, b.len()));
-                b
-            };
-            frame.extend_from_slice(&body);
-            (&s).write_all(&frame).unwrap();
+            (&s).write_all(&framed(&msg("churn", b"x"))).unwrap();
             drop(s); // disconnect immediately after sending
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             loop {
@@ -680,9 +847,7 @@ mod tests {
     /// traffic from healthy connections must keep flowing.
     #[test]
     fn corrupt_frame_evicts_connection_and_scan_recovers() {
-        let mut rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
-        rx.listener.set_nonblocking(true).unwrap();
-        let addr = rx.listener.local_addr().unwrap();
+        let (mut rx, addr) = bare_receiver();
 
         // A malicious/broken peer: length prefix far beyond MAX_FRAME.
         let bad = TcpStream::connect(addr).unwrap();
@@ -718,13 +883,7 @@ mod tests {
     /// stream so the peer stays connected.
     fn m_send(addr: SocketAddr, handler: &str) -> TcpStream {
         let s = TcpStream::connect(addr).unwrap();
-        let m = msg(handler, b"");
-        let f = WireFrame::new();
-        let body = f.body(&m).to_vec();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&WireFrame::prefixed_header(&m, body.len()));
-        frame.extend_from_slice(&body);
-        (&s).write_all(&frame).unwrap();
+        (&s).write_all(&framed(&msg(handler, b""))).unwrap();
         s
     }
 
@@ -787,35 +946,390 @@ mod tests {
         assert!(obj.set_param("sockbuf", "1024").is_err());
     }
 
-    /// `send_parts(head, tail)` must hit the wire byte-identical to a
-    /// plain send of the concatenated payload: the receiver cannot tell
-    /// the gathered fast path from the fallback.
+    /// `send` and `send_parts(head, tail)` must hit the wire byte-identical
+    /// to the reference encoding of the (concatenated) payload, whether the
+    /// lead fits the writer's stack buffer or not: a raw socket reads what
+    /// the one gathered writer wrote.
     #[test]
     fn send_parts_matches_plain_send_on_the_wire() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let desc = CommDescriptor::new(
+            MethodId::TCP,
+            listener.local_addr().unwrap().to_string().into_bytes(),
+        );
+        let obj = TcpModule::new().connect(&info(2), &desc).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut written = |expect: &[u8]| {
+            let mut got = vec![0u8; expect.len()];
+            peer.read_exact(&mut got).unwrap();
+            got
+        };
+        let head = [7u8; 20];
+        let tail = Bytes::from(vec![9u8; 4096]);
+        let whole = Bytes::from([&head[..], &tail[..]].concat());
+        // Handler names around and past the 128-byte lead buffer: 120
+        // bytes overflow it with the chunk head and fit without, 300
+        // overflow it either way (and used to recurse between `send_parts`
+        // and its fallback once `send` shared the writer).
+        for hlen in [7, 120, 300] {
+            let h = "h".repeat(hlen);
+            let plain = Rsr::new(ContextId(1), EndpointId(2), &h, whole.clone());
+            let reference = framed(&plain);
+            obj.send(&plain, &WireFrame::new()).unwrap();
+            assert!(
+                written(&reference) == reference,
+                "send, {hlen}-byte handler"
+            );
+            let chunk = Rsr::new(ContextId(1), EndpointId(2), &h, Bytes::new());
+            obj.send_parts(&chunk, &head, &tail).unwrap();
+            assert!(
+                written(&reference) == reference,
+                "send_parts, {hlen}-byte handler"
+            );
+        }
+        // Empty pieces are skipped, not written as zero-length slices.
+        let empty = Rsr::new(ContextId(1), EndpointId(2), "", Bytes::new());
+        let reference = framed(&empty);
+        obj.send(&empty, &WireFrame::new()).unwrap();
+        obj.send_parts(&empty, &[], &Bytes::new()).unwrap();
+        assert_eq!(written(&reference), reference);
+        assert_eq!(written(&reference), reference);
+    }
+
+    /// A frame the receiver would reject (or whose length fields could not
+    /// carry it) is refused before a byte of it is written.
+    #[test]
+    fn oversized_rsr_is_refused_and_the_connection_stays_usable() {
         let m = TcpModule::new();
         let (desc, mut rx) = m.open(&info(1)).unwrap();
         let obj = m.connect(&info(2), &desc).unwrap();
+        let too_big = Rsr::new(
+            ContextId(1),
+            EndpointId(2),
+            "big",
+            Bytes::from(vec![0u8; MAX_FRAME]),
+        );
+        assert!(obj.send(&too_big, &WireFrame::new()).is_err());
+        assert!(obj
+            .send_parts(&msg("big", b""), &[1], &too_big.payload)
+            .is_err());
+        let long = "h".repeat(usize::from(u16::MAX) + 1);
+        assert!(obj.send(&msg(&long, b""), &WireFrame::new()).is_err());
+        // Nothing of them reached the stream: the next frame decodes.
+        obj.send(&msg("after", b"ok"), &WireFrame::new()).unwrap();
+        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        assert_eq!(got.handler, "after");
+    }
+
+    /// What the gathered writer produces decodes on the real receive path,
+    /// long lead included.
+    #[test]
+    fn long_handler_roundtrips_through_both_send_entry_points() {
+        let m = TcpModule::new();
+        let (desc, mut rx) = m.open(&info(1)).unwrap();
+        let obj = m.connect(&info(2), &desc).unwrap();
+        let long = "h".repeat(300);
         let head = [7u8; 20];
         let tail = Bytes::from(vec![9u8; 4096]);
-        let chunk = Rsr::new(ContextId(1), EndpointId(2), "#stripe", Bytes::new());
-        obj.send_parts(&chunk, &head, &tail).unwrap();
-        let got = rx
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("gathered chunk arrives");
-        assert_eq!(got.handler, "#stripe");
-        assert_eq!(got.payload.len(), head.len() + tail.len());
-        assert_eq!(&got.payload[..head.len()], &head[..]);
-        assert_eq!(&got.payload[head.len()..], &tail[..]);
-        // Oversized handler names take the fallback path, same wire shape.
-        let long = "h".repeat(120);
         let chunk = Rsr::new(ContextId(1), EndpointId(2), &long, Bytes::new());
         obj.send_parts(&chunk, &head, &tail).unwrap();
-        let got = rx
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("fallback chunk arrives");
+        obj.send(&msg(&long, b"plain"), &WireFrame::new()).unwrap();
+        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(got.handler, long);
-        assert_eq!(got.payload.len(), head.len() + tail.len());
+        assert_eq!(&got.payload[..head.len()], &head[..]);
+        assert_eq!(&got.payload[head.len()..], &tail[..]);
+        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        assert_eq!(got.handler, long);
+        assert_eq!(&got.payload[..], b"plain");
+    }
+
+    // -- framing matrix: a raw socket as the peer, so writes split anywhere --
+
+    /// An RSR whose frame (header + body, what the prefix announces) is
+    /// exactly `frame_len` bytes, with contents that depend on `tag`.
+    fn sized(frame_len: usize, tag: u8) -> Rsr {
+        let overhead = msg("m", b"").wire_len();
+        let payload: Vec<u8> = (0..frame_len - overhead)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(tag))
+            .collect();
+        let m = msg("m", &payload);
+        assert_eq!(m.wire_len(), frame_len);
+        m
+    }
+
+    /// The mixed sequence: small, the three lengths around the window
+    /// boundary, two large ones, then small again.
+    fn mixed_sequence() -> Vec<Rsr> {
+        [
+            37,
+            85,
+            MAX_WINDOWED - 1,
+            MAX_WINDOWED,
+            MAX_WINDOWED + 1,
+            100 * 1024,
+            1 << 20,
+            37,
+            85,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| sized(len, i as u8))
+        .collect()
+    }
+
+    /// Scans until a scan finds nothing more to read, collecting what was
+    /// delivered.
+    fn drain(rx: &mut TcpReceiver, got: &mut Vec<Rsr>) {
+        while rx.scan().unwrap() {}
+        got.extend(rx.pending.drain(..));
+    }
+
+    /// Writes `pieces` to the peer socket one `write` each, letting the
+    /// receiver read what a write delivered before the next one, then
+    /// keeps scanning until `done` holds (loopback delivery is prompt but
+    /// not synchronous with `write` returning).
+    fn feed(
+        rx: &mut TcpReceiver,
+        peer: &TcpStream,
+        pieces: &[&[u8]],
+        done: impl Fn(&TcpReceiver, &[Rsr]) -> bool,
+    ) -> Vec<Rsr> {
+        let mut got = Vec::new();
+        for piece in pieces {
+            if piece.len() <= WINDOW {
+                (&*peer).write_all(piece).unwrap();
+            } else {
+                // More than the socket buffers hold: the write needs the
+                // receiver reading beside it.
+                std::thread::scope(|sc| {
+                    let w = sc.spawn(|| (&*peer).write_all(piece).unwrap());
+                    while !w.is_finished() {
+                        drain(rx, &mut got);
+                    }
+                });
+            }
+            drain(rx, &mut got);
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done(rx, &got) {
+            assert!(std::time::Instant::now() < deadline, "stream not consumed");
+            drain(rx, &mut got);
+        }
+        got
+    }
+
+    /// Bytes of the large frame connection 0 is inside of, if it is.
+    fn large_filled(rx: &TcpReceiver) -> Option<usize> {
+        Some(rx.conns.first()?.large.as_ref()?.filled)
+    }
+
+    /// Splits `stream` at the (sorted) offsets `cuts`.
+    fn split_at<'a>(stream: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut pieces = Vec::new();
+        let mut from = 0;
+        for &cut in cuts.iter().chain([&stream.len()]) {
+            pieces.push(&stream[from..cut]);
+            from = cut;
+        }
+        pieces
+    }
+
+    fn assert_same(got: &[Rsr], want: &[Rsr], how: &str) {
+        assert_eq!(got.len(), want.len(), "{how}: frame count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.handler, w.handler, "{how}: frame {i} handler");
+            assert_eq!((g.dest, g.endpoint, g.ttl), (w.dest, w.endpoint, w.ttl));
+            assert!(g.payload == w.payload, "{how}: frame {i} payload");
+        }
+    }
+
+    #[test]
+    fn framing_matrix_delivers_the_same_frames_however_the_stream_is_split() {
+        let want = mixed_sequence();
+        let frames: Vec<Vec<u8>> = want.iter().map(framed).collect();
+        let stream = frames.concat();
+        // Offset of each frame's prefix in the stream.
+        let starts: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                let start = *at;
+                *at += f.len();
+                Some(start)
+            })
+            .collect();
+        let (mut rx, addr) = bare_receiver();
+        let peer = TcpStream::connect(addr).unwrap();
+        peer.set_nodelay(true).unwrap();
+        let mut run = |how: &str, cuts: &[usize]| {
+            let pieces = split_at(&stream, cuts);
+            let got = feed(&mut rx, &peer, &pieces, |_, got| got.len() >= want.len());
+            assert_same(&got, &want, how);
+        };
+
+        // (a) The whole sequence in one write.
+        run("one write", &[]);
+
+        // (b) One byte at a time — except the interior of the 1 MiB
+        // frame, which goes in odd-sized writes so the test stays fast;
+        // its first and last 64 bytes are single bytes like the rest.
+        let mib = starts[6]..starts[7];
+        let cuts: Vec<usize> = (1..stream.len())
+            .filter(|&at| {
+                let interior = at > mib.start + 64 && at < mib.end - 64;
+                !interior || (at - mib.start) % 4099 == 0
+            })
+            .collect();
+        run("byte by byte", &cuts);
+
+        // (c) Every frame's prefix split after its 1st, 2nd, 3rd byte.
+        for k in 1..PREFIX_LEN {
+            let cuts: Vec<usize> = starts.iter().map(|s| s + k).collect();
+            run(&format!("prefix split at {k}"), &cuts);
+        }
+
+        // (d) A large frame's last byte and the next small frame in the
+        // same write (for both large frames).
+        run(
+            "last byte rides with the next frame",
+            &[starts[6] - 1, starts[7] - 1],
+        );
+
+        // The connection survived all of it.
+        assert_eq!(rx.conn_count(), 1);
+    }
+
+    #[test]
+    fn peer_closing_mid_large_frame_delivers_nothing_and_is_evicted() {
+        let (mut rx, addr) = bare_receiver();
+        let frame = framed(&sized(1 << 20, 0));
+        let peer = TcpStream::connect(addr).unwrap();
+        let sent = 300 * 1024;
+        let got = feed(&mut rx, &peer, &[&frame[..sent]], |rx, _| {
+            large_filled(rx) == Some(sent - PREFIX_LEN)
+        });
+        assert!(got.is_empty());
+        assert_eq!(rx.conn_count(), 1, "inside the frame, still connected");
+        drop(peer);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rx.conn_count() > 0 {
+            assert!(std::time::Instant::now() < deadline, "never evicted");
+            assert!(rx.poll().unwrap().is_none(), "half a frame was delivered");
+        }
+        assert!(rx.pending.is_empty());
+    }
+
+    /// A corrupt prefix *behind* complete frames: those frames are still
+    /// delivered, the error is reported once, the connection dropped.
+    #[test]
+    fn corrupt_prefix_behind_complete_frames_delivers_them_first() {
+        let (mut rx, addr) = bare_receiver();
+        // Small enough that one read sees the frames and the bad prefix
+        // together: the framer must deliver the former before it rejects.
+        let want = [sized(37, 1), sized(85, 2), sized(300, 3)];
+        let mut stream: Vec<u8> = want.iter().flat_map(framed).collect();
+        stream.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        stream.extend_from_slice(b"never a frame");
+        let peer = TcpStream::connect(addr).unwrap();
+        (&peer).write_all(&stream).unwrap();
+        let (mut got, mut errors) = (Vec::new(), 0);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while errors == 0 || got.len() < want.len() {
+            assert!(std::time::Instant::now() < deadline, "{errors} errors");
+            match rx.poll() {
+                Ok(Some(m)) => got.push(m),
+                Ok(None) => {}
+                Err(_) => errors += 1,
+            }
+        }
+        assert_same(&got, &want, "ahead of the corrupt prefix");
+        assert_eq!(rx.conn_count(), 0, "corrupt connection was not dropped");
+        for _ in 0..10 {
+            assert!(matches!(rx.poll(), Ok(None)), "error surfaced twice");
+        }
+        assert_eq!(errors, 1);
+        drop(peer);
+    }
+
+    /// A length prefix alone commits no memory: 200 MiB claimed, 1 KiB
+    /// sent, and the receiver holds about `LARGE_AHEAD`, not the claim.
+    #[test]
+    fn stalled_peer_with_a_huge_prefix_commits_little_storage() {
+        let (mut rx, addr) = bare_receiver();
+        let baseline = rx.committed_storage();
+        let peer = TcpStream::connect(addr).unwrap();
+        let mut lie = (200u32 << 20).to_le_bytes().to_vec();
+        lie.extend_from_slice(&[0xAB; 1024]);
+        let got = feed(&mut rx, &peer, &[&lie], |rx, _| {
+            large_filled(rx) == Some(1024)
+        });
+        assert!(got.is_empty());
+        assert_eq!(rx.conn_count(), 1, "a plausible prefix is not an error");
+        let held = rx.committed_storage() - baseline;
+        assert!(
+            held <= (2 << 20) + WINDOW,
+            "a 4-byte claim committed {held} bytes"
+        );
+        // The peer gives up: evicted, nothing delivered, storage released.
+        drop(peer);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rx.conn_count() > 0 {
+            assert!(std::time::Instant::now() < deadline, "never evicted");
+            assert!(rx.poll().unwrap().is_none());
+        }
+        assert_eq!(rx.committed_storage(), baseline);
+    }
+
+    /// Storage follows arrival: exact once the end is near, geometric (and
+    /// never past the frame) before that.
+    #[test]
+    fn large_frame_storage_grows_with_arrival() {
+        let mib = 1 << 20;
+        // The benchmark's shape: a 1 MiB frame is sized once, exactly.
+        assert_eq!(LargeFrame::storage_for(mib + 29, WINDOW - 4), mib + 29);
+        // A far-off end: one `LARGE_AHEAD` past what arrived, then doubling.
+        let len = 200 * mib;
+        let mut held = LargeFrame::storage_for(len, 1024);
+        assert_eq!(held, 1024 + LARGE_AHEAD);
+        let mut steps = 1;
+        while held < len {
+            let grown = LargeFrame::storage_for(len, held);
+            assert!(grown > held && grown <= len && grown <= 2 * held + LARGE_AHEAD);
+            held = grown;
+            steps += 1;
+        }
+        assert!(steps <= 10, "{steps} reallocations for one frame");
+    }
+
+    /// The copies are really gone: a large payload is delivered in the
+    /// storage the socket was read into, and that storage is what the next
+    /// large frame is read into once the payload has been dropped.
+    #[test]
+    fn large_frame_storage_is_delivered_uncopied_and_recycled() {
+        let m = TcpModule::new();
+        let (desc, mut rx) = m.open(&info(1)).unwrap();
+        let obj = m.connect(&info(2), &desc).unwrap();
+        let mut roundtrip = |tag: u8| {
+            let sent = sized((1 << 20) + 21, tag);
+            std::thread::scope(|sc| {
+                sc.spawn(|| obj.send(&sent, &WireFrame::new()).unwrap());
+                let got = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                let got = got.expect("1 MiB frame");
+                assert_eq!(got.payload.len(), 1 << 20);
+                assert!(got.payload == sent.payload, "payload {tag} verifies");
+                got.payload
+            })
+        };
+        let first = roundtrip(1);
+        let first_at = first.as_ptr();
+        drop(first);
+        // Dropped before the second arrived: same storage, so nothing was
+        // copied out of it on delivery.
+        let second = roundtrip(2);
+        assert_eq!(second.as_ptr(), first_at, "storage was not recycled");
+        // Still held when the third arrives: distinct storage, both intact.
+        let third = roundtrip(3);
+        assert_ne!(third.as_ptr(), second.as_ptr());
+        assert!(second == sized((1 << 20) + 21, 2).payload);
+        assert!(third == sized((1 << 20) + 21, 3).payload);
     }
 }

@@ -75,8 +75,9 @@ pub const RULES: &[Rule] = &[
         description: "no per-message allocation (to_vec/encode/Vec::new) in functions \
                       reachable from Context::rsr, PollEngine::poll_once, the \
                       ready-list drain, the shard worker loop, the socket reactor \
-                      loop, the striped bulk path, or the bulk rendezvous path \
-                      (rsr_bulk / bulk_pull_service)",
+                      loop, the striped bulk path, the bulk rendezvous path \
+                      (rsr_bulk / bulk_pull_service), or the TCP framing functions \
+                      and vectored writer",
         run: rule_hot_path_alloc,
     },
     Rule {
@@ -728,6 +729,18 @@ fn rule_hot_path_alloc(ws: &Workspace) -> Vec<Diagnostic> {
         }
         reach.entry(name).or_insert(path);
     }
+    // The TCP data path's own halves (ROADMAP 1b's guard): the framing
+    // functions `TcpReceiver::scan` runs per connection — `read_frames`
+    // reads the socket, `cut_frames` cuts the window into frames — and
+    // `send_gathered`, the one vectored writer behind `send` and
+    // `send_parts`. They sit behind trait objects and the reactor shell,
+    // so rooting them keeps the "no user-space copy of a payload" path
+    // checked even if the name links from `poll_once` / `rsr` ever break.
+    for root in ["read_frames", "cut_frames", "send_gathered"] {
+        for (name, path) in graph.reachable_from(root) {
+            reach.entry(name).or_insert(path);
+        }
+    }
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for def in &graph.fns {
@@ -1363,6 +1376,28 @@ mod tests {
             .as_deref()
             .unwrap_or("")
             .contains("striped_send -> chunk"));
+    }
+
+    #[test]
+    fn hot_path_alloc_covers_the_tcp_framing_and_writer_roots() {
+        // Each root on its own: no fixture calls another root.
+        for (root, callee) in [
+            ("read_frames", "grow"),
+            ("cut_frames", "batch"),
+            ("send_gathered", "lead"),
+        ] {
+            let src = format!(
+                "fn {root}() {{\n    {callee}();\n}}\nfn {callee}() {{\n    let v = frame.to_vec();\n}}\n"
+            );
+            let ws = ws_one("t.rs", &src, false, true, true);
+            let diags = rule_hot_path_alloc(&ws);
+            assert_eq!(diags.len(), 1, "{root}: {diags:?}");
+            assert!(diags[0]
+                .help
+                .as_deref()
+                .unwrap_or("")
+                .contains(&format!("{root} -> {callee}")));
+        }
     }
 
     #[test]

@@ -7,19 +7,28 @@
 //! reintroduces a per-RSR allocation fails loudly instead of quietly
 //! regressing latency.
 //!
-//! This file must stay a single-test binary: the counter is process-wide,
-//! and a sibling test allocating concurrently would break the budget.
+//! The second test pins the same thing for the real-socket path: a TCP
+//! RSR costs a fixed, small number of allocator calls on the receive side
+//! (the per-batch copy small frames are cut from; nothing at all for a
+//! 1 MiB frame, whose storage is recycled) and none on the send side.
+//!
+//! The counter is process-wide, so the tests in this file take `SERIAL`
+//! for their whole body: a sibling allocating concurrently would break
+//! the budget.
 
 use bytes::Bytes;
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::Fabric;
 use nexus_rt::descriptor::MethodId;
-use nexus_transports::register_queue_modules;
+use nexus_transports::{register_defaults, register_queue_modules};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test for its whole body (see the module doc).
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -57,6 +66,7 @@ const BUDGET: u64 = 100;
 
 #[test]
 fn local_queue_round_trip_stays_within_the_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let fabric = Fabric::new();
     register_queue_modules(&fabric);
     let ctx = fabric.create_context().unwrap();
@@ -87,4 +97,78 @@ fn local_queue_round_trip_stays_within_the_allocation_budget() {
          (budget {BUDGET}); a per-RSR allocation crept back in"
     );
     fabric.shutdown();
+}
+
+/// Steady-state allocator calls per TCP message, send and receive sides
+/// together, over a real loopback socket with the receiving context
+/// driven by its own thread (the benchmark's `wire_stream_*` shape).
+fn tcp_allocs_per_message(len: usize, warm: u64, iters: u64) -> f64 {
+    let fabric = Fabric::new();
+    register_defaults(&fabric);
+    let a = fabric.create_context().unwrap();
+    let b = fabric.create_context().unwrap();
+    let received = Arc::new(AtomicU64::new(0));
+    let r = Arc::clone(&received);
+    b.register_handler("pin", move |args| {
+        assert_eq!(args.buffer.as_slice().first(), Some(&0x5a));
+        r.fetch_add(1, Ordering::Release);
+    });
+    let sp = b.startpoint_to(b.create_endpoint()).unwrap();
+    sp.set_method(MethodId::TCP);
+    let stop = Arc::new(AtomicBool::new(false));
+    let driver = {
+        let (b, stop) = (Arc::clone(&b), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                b.progress().unwrap();
+            }
+        })
+    };
+
+    let payload = Bytes::from(vec![0x5a_u8; len]);
+    let mut sent = 0;
+    let mut pump = |n: u64| {
+        for _ in 0..n {
+            a.rsr(&sp, "pin", Buffer::from_bytes(payload.clone()))
+                .unwrap();
+            sent += 1;
+            while received.load(Ordering::Acquire) < sent {
+                std::hint::spin_loop();
+            }
+        }
+    };
+    pump(warm); // connect, accept, arm, pools, the large frame's storage
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    pump(iters);
+    let spent = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    stop.store(true, Ordering::Relaxed);
+    driver.join().unwrap();
+    assert_eq!(
+        a.trace().snapshot_method(MethodId::TCP).sends,
+        warm + iters,
+        "the messages really went over TCP"
+    );
+    fabric.shutdown();
+    spent as f64 / iters as f64
+}
+
+#[test]
+fn tcp_round_trip_stays_within_the_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // 64 B, one message per read: the batch copy it is cut from (storage
+    // + refcount block = 2 calls), which is what the decode copy cost
+    // before the window; nothing on the send side.
+    let small = tcp_allocs_per_message(64, 200, 1_000);
+    assert!(
+        small <= 2.1,
+        "a 64 B TCP message costs {small} allocator calls (was 2.0)"
+    );
+    // 1 MiB: no frame body on the send side, and the receive storage is
+    // the previous frame's. The parent paid 4 here: body and decode copy,
+    // two calls each.
+    let large = tcp_allocs_per_message(1 << 20, 20, 100);
+    assert!(
+        large <= 0.5,
+        "a 1 MiB TCP message costs {large} allocator calls (should be 0)"
+    );
 }

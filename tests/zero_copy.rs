@@ -165,6 +165,47 @@ fn multicast_over_eight_links_encodes_the_body_exactly_once() {
     fabric.shutdown();
 }
 
+/// TCP never asks for the shared body at all: its vectored write gathers
+/// the payload from the message's own storage, so building the body would
+/// be a copy of the payload with nine bytes in front. (The wire-sim
+/// transport above stands for the methods that do still encode: once.)
+#[test]
+fn tcp_rsr_does_not_encode_a_frame_body() {
+    let _serial = ENCODE_COUNTER_SERIAL.lock();
+    let fabric = Fabric::new();
+    nexus_transports::register_defaults(&fabric);
+    let a = fabric.create_context().unwrap();
+    let b = fabric.create_context().unwrap();
+    let received = Arc::new(AtomicU64::new(0));
+    let r = Arc::clone(&received);
+    b.register_handler("gathered", move |args| {
+        assert_eq!(args.buffer.len(), 1 << 20);
+        assert!(args.buffer.as_slice().iter().all(|&x| x == 0x5a));
+        r.fetch_add(1, Ordering::Relaxed);
+    });
+    let sp = b.startpoint_to(b.create_endpoint()).unwrap();
+    sp.set_method(MethodId::TCP);
+    let payload = Bytes::from(vec![0x5a_u8; 1 << 20]);
+
+    let before = body_encode_count();
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            a.rsr(&sp, "gathered", Buffer::from_bytes(payload.clone()))
+                .unwrap()
+        });
+        while received.load(Ordering::Relaxed) < 1 {
+            b.progress().unwrap();
+        }
+    });
+    assert_eq!(
+        body_encode_count() - before,
+        0,
+        "a TCP send must gather the payload, not encode a body around it"
+    );
+    assert_eq!(a.trace().snapshot_method(MethodId::TCP).sends, 1);
+    fabric.shutdown();
+}
+
 #[test]
 fn failover_retries_reuse_the_already_encoded_frame() {
     let _serial = ENCODE_COUNTER_SERIAL.lock();
