@@ -21,19 +21,33 @@
 //!
 //! * a visit reads the sockets **once**; if that produced anything the
 //!   source is **hot**: it does not re-arm, it rings its own doorbell,
-//!   and the next pass reads the sockets in place while the fds stay
-//!   disarmed (senders wake nobody, the reactor thread sleeps);
-//! * the first visit that comes back empty-handed re-arms every fd with
-//!   `EPOLL_CTL_MOD` (`ADD` for fds the kernel has not seen — freshly
-//!   accepted connections) and the source is **cold** again: it costs
-//!   no probes until the kernel reports the next arrival.
+//!   and the next pass reads the connections in place while their fds
+//!   stay disarmed (senders wake nobody, the reactor thread sleeps). A
+//!   delivering hot visit is one `read`;
+//! * the first visit of a hot source that comes back empty-handed puts
+//!   it to **rest**: it still keeps itself on the ready list, but for
+//!   [`REST`] — one cold round — its visits make no syscall at all;
+//! * the first visit after the rest reads once more: bytes make the
+//!   source hot again, nothing re-arms every fd with `EPOLL_CTL_MOD`
+//!   (`ADD` for fds the kernel has not seen — freshly accepted
+//!   connections) and the source is **cold**: it costs no probes until
+//!   the kernel reports the next arrival.
+//!
+//! What a hot source does not read — TCP's listener — must stay armed in
+//! the kernel, and its one-shot entry is spent by the event that
+//! announces a peer. So [`FdSource::scan`] is told whether the reactor
+//! fired since the last scan (only then does TCP `accept`), and a scan
+//! that was told so and leaves the source hot re-arms the listening fds
+//! ([`FdSource::fill_listen_fds`]) right away: a new peer announces
+//! itself however long the hot period lasts.
 //!
 //! No wake-up can be missed: a one-shot, level-triggered `MOD`
-//! re-evaluates readiness, so bytes that raced in between the empty read
+//! re-evaluates readiness, so bytes that raced in between the last read
 //! and the re-arm fire the event at once (`cargo run -p xtask -- model`,
-//! check `rearm-dpor`, enumerates that window). There is no userspace
-//! mirror of the interest set to go stale: the kernel drops a closed fd's
-//! entry itself, and a new owner of the same fd *number* adds it.
+//! check `rearm-dpor`, enumerates that window, the rest and the listener).
+//! There is no userspace mirror of the interest set to go stale: the
+//! kernel drops a closed fd's entry itself, and a new owner of the same
+//! fd *number* adds it.
 //!
 //! A **periodic** registration (the `rudp` sender pump) is the one other
 //! shape: level-triggered without one-shot, its callback drains the
@@ -321,9 +335,11 @@ fn reactor_loop(reactor: &Reactor) {
 /// needs the two halves apart.
 pub trait FdSource: CommReceiver {
     /// Reads every socket once without blocking and queues what decodes.
-    /// Returns whether anything came off a socket (bytes, a connection),
-    /// a whole message or not.
-    fn scan(&mut self) -> Result<bool>;
+    /// `fired` says the reactor reported one of the fds since the last
+    /// scan: only then can an fd the source does not read on every scan
+    /// (TCP's listener) have anything. Returns whether anything came off
+    /// a socket (bytes, a connection), a whole message or not.
+    fn scan(&mut self, fired: bool) -> Result<bool>;
 
     /// The next message queued by an earlier scan.
     fn pop(&mut self) -> Option<Rsr>;
@@ -332,6 +348,11 @@ pub trait FdSource: CommReceiver {
     /// a message": listener plus accepted connections for TCP, the one
     /// socket for UDP-based transports. Called at each re-arm.
     fn fill_fds(&self, out: &mut Vec<RawFd>);
+
+    /// Appends the fds among those that a scan asks only when told
+    /// `fired` (TCP's listener). A source that stays hot re-arms them
+    /// after each such scan, because its later scans will not ask.
+    fn fill_listen_fds(&self, _out: &mut Vec<RawFd>) {}
 }
 
 /// What the reactor callback and the draining thread share.
@@ -341,9 +362,10 @@ struct Bell {
     /// installs one at arm time, a shard worker pool another at adoption)
     /// while the reactor keeps one stable callback.
     signal: RwLock<Option<ReadySignal>>,
-    /// Set by the callback before it rings, consumed by the visit that
-    /// reads the sockets: a cold source visited for any other reason
-    /// (the engine priming a fresh doorbell) has nothing to read.
+    /// Set by the callback before it rings, consumed by the next visit:
+    /// a cold source visited for any other reason (the engine priming a
+    /// fresh doorbell) has nothing to read, and a hot one has nothing to
+    /// accept.
     fired: AtomicBool,
     /// Callback invocations (what the steady state must not need).
     #[cfg(test)]
@@ -358,16 +380,44 @@ impl Bell {
     }
 }
 
+/// How long a hot source rests after its first empty read before the
+/// read that decides between hot and cold. Bounded by one cold round
+/// (arrival → reactor → doorbell → visit, `mix.bg_delivery_p50_us`
+/// ≈ 16 µs on the 2-vCPU host this was measured on): an arrival during
+/// the rest is then delivered no later than the cold path would have
+/// delivered it. A request/reply exchange never gets here (its visits
+/// all find bytes); a streaming receiver does at every lull, and then
+/// touches the socket twice per rest instead of twice per message —
+/// which its *sender* pays for, since each `read` made on another CPU
+/// makes the sender's `writev` dearer. Swept on `wire_stream_small`
+/// `op_p50_us` (parent 1 110 µs): no rest 1 488, 5 µs 899, 10 µs 799,
+/// 15 µs 752 (EXPERIMENTS.md "One read per hot pass"); 10 µs keeps a
+/// third of a cold round in hand for hosts whose cold round is shorter
+/// than this one's. Not a parameter.
+const REST: Duration = Duration::from_micros(10);
+
+/// Where a source stands between the kernel and the draining thread.
+#[derive(Clone, Copy, PartialEq)]
+enum Heat {
+    /// Every fd is armed in the kernel; a visit reads only if `fired`.
+    Cold,
+    /// The fds that produced bytes are disarmed and read in place: the
+    /// source keeps itself on the ready list and every visit reads.
+    Hot,
+    /// A hot source whose last read found nothing: still on the ready
+    /// list, but visits make no syscall before `until` (or `fired`).
+    Resting { until: Instant },
+}
+
 /// Wraps an [`FdSource`] receiver so the global reactor provides its
 /// readiness: no pump thread, no syscall on the engine's poll path while
-/// the source is cold, about one read per message while it is hot.
+/// the source is cold or resting, one read per delivering visit while it
+/// is hot.
 pub struct ReactorReceiver<R: FdSource> {
     inner: R,
     bell: Arc<Bell>,
     reg: Option<RegistrationId>,
-    /// The fds are disarmed and this source keeps itself on the ready
-    /// list; cleared by the first visit that reads nothing.
-    hot: bool,
+    heat: Heat,
     /// The current visit already read the sockets; once its queue is
     /// delivered the visit is over.
     scanned: bool,
@@ -383,15 +433,15 @@ impl<R: FdSource> ReactorReceiver<R> {
             inner,
             bell: Arc::default(),
             reg: None,
-            hot: false,
+            heat: Heat::Cold,
             scanned: false,
             fds: Vec::new(),
         }
     }
 
-    /// Ends a visit that came back empty-handed (or failed): hands every
-    /// fd back to the kernel. Data that raced in after the read fires at
-    /// once — the re-arm is level-triggered.
+    /// Hands every fd back to the kernel: the source is cold. Data that
+    /// raced in after the read fires at once — the re-arm is
+    /// level-triggered.
     fn rearm(&mut self, id: RegistrationId) {
         let Some(reactor) = Reactor::global() else {
             return;
@@ -400,10 +450,25 @@ impl<R: FdSource> ReactorReceiver<R> {
         self.bell.fired.store(false, Ordering::Release);
         self.fds.clear();
         self.inner.fill_fds(&mut self.fds);
-        self.hot = !reactor.resume(id, &self.fds);
-        if self.hot {
+        self.heat = if reactor.resume(id, &self.fds) {
+            Heat::Cold
+        } else {
             // The kernel refused an fd: keep reading in place instead.
             self.bell.ring();
+            Heat::Hot
+        };
+    }
+
+    /// After a scan the reactor announced has left the source hot: the
+    /// announcement may have been a listening fd's, whose one-shot entry
+    /// is then spent, and hot scans will not look at it again. Hands those
+    /// fds back now; a peer that queued up since the scan fires at once.
+    fn rearm_listeners(&mut self, id: RegistrationId) {
+        self.fds.clear();
+        self.inner.fill_listen_fds(&mut self.fds);
+        if let Some(reactor) = Reactor::global() {
+            // Refused: the re-arm that ends the hot period asks again.
+            reactor.resume(id, &self.fds);
         }
     }
 
@@ -434,11 +499,29 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
                 self.bell.ring();
                 return Ok(None);
             }
-            if !self.hot && !self.bell.fired.swap(false, Ordering::Acquire) {
-                return Ok(None);
+            let fired = self.bell.fired.swap(false, Ordering::Acquire);
+            match self.heat {
+                Heat::Cold if !fired => return Ok(None),
+                Heat::Resting { until } if !fired && Instant::now() < until => {
+                    self.bell.ring();
+                    return Ok(None);
+                }
+                _ => {}
             }
-            match self.inner.scan() {
-                Ok(true) => (self.hot, self.scanned) = (true, true),
+            match self.inner.scan(fired) {
+                Ok(true) => {
+                    (self.heat, self.scanned) = (Heat::Hot, true);
+                    if fired {
+                        self.rearm_listeners(id);
+                    }
+                }
+                Ok(false) if self.heat == Heat::Hot && !fired => {
+                    self.heat = Heat::Resting {
+                        until: Instant::now() + REST,
+                    };
+                    self.bell.ring();
+                    return Ok(None);
+                }
                 Ok(false) => {
                     self.rearm(id);
                     return Ok(None);
@@ -465,7 +548,7 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
         };
         // Under a replacement doorbell (worker-pool adoption) nothing
         // else changes: the new owner primes it, and that visit finds
-        // the source hot, fired, or armed in the kernel.
+        // the source hot, resting, fired, or armed in the kernel.
         *self.bell.signal.write() = Some(signal);
         if self.reg.is_none() {
             self.fds.clear();
@@ -508,6 +591,7 @@ mod tests {
     use nexus_rt::module::{CommModule, CommObject};
     use nexus_rt::poll::{PollEngine, SegQueue};
     use nexus_rt::rsr::WireFrame;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicU32;
 
@@ -581,11 +665,30 @@ mod tests {
             got
         }
 
-        /// Visits until an empty-handed visit has re-armed the source.
-        fn cool(&mut self) {
-            while self.rx.hot {
-                self.visit().expect("a hot source keeps its doorbell rung");
+        /// Visits until `done` holds of the source; returns what the
+        /// visits delivered. A hot or resting source keeps its own
+        /// doorbell rung, so only a cold one has to wait for a ring.
+        fn drive_until(&mut self, done: impl Fn(&ReactorReceiver<R>) -> bool) -> Vec<Rsr> {
+            let deadline = Instant::now() + PATIENCE;
+            let mut got = Vec::new();
+            while !done(&self.rx) {
+                assert!(Instant::now() < deadline, "state never reached");
+                match self.visit() {
+                    Some(batch) => got.extend(batch),
+                    None => std::thread::yield_now(),
+                }
             }
+            got
+        }
+
+        /// Visits until the source has re-armed.
+        fn cool(&mut self) -> Vec<Rsr> {
+            self.drive_until(|rx| rx.heat == Heat::Cold)
+        }
+
+        /// Visits until an empty-handed visit has put the source to rest.
+        fn rest(&mut self) -> Vec<Rsr> {
+            self.drive_until(|rx| matches!(rx.heat, Heat::Resting { .. }))
         }
 
         fn callbacks(&self) -> u32 {
@@ -767,14 +870,128 @@ mod tests {
         armed.cool();
         assert_eq!(armed.rx.inner.conn_count(), 1);
         drop(obj);
-        let deadline = Instant::now() + PATIENCE;
-        while armed.rx.inner.conn_count() > 0 {
-            assert!(Instant::now() < deadline, "EOF never surfaced");
-            if armed.visit().is_none() {
-                std::thread::yield_now();
+        armed.drive_until(|rx| rx.inner.conn_count() == 0);
+        assert!(
+            armed.rx.heat == Heat::Cold,
+            "an EOF is not bytes: the visit re-armed"
+        );
+    }
+
+    /// The listener's entry is spent by the event that announces a peer,
+    /// and hot scans do not ask the listener: a peer that connects during
+    /// a hot period — the one its predecessor's event started included —
+    /// must still be announced, accepted and read.
+    #[test]
+    fn peers_connecting_while_another_connection_is_hot_are_accepted() {
+        let (mut armed, first) = tcp_pair();
+        let addr = armed.rx.inner.local_addr();
+        send(&first, "keep-hot");
+        armed.collect(1);
+        let mut peers = Vec::new();
+        for late in ["second", "third"] {
+            let peer = connect(&TcpModule::new(), addr);
+            send(&peer, late);
+            peers.push(peer);
+            let deadline = Instant::now() + PATIENCE;
+            let mut seen = false;
+            while !seen {
+                assert!(Instant::now() < deadline, "{late} peer never delivered");
+                // Bytes for the first connection precede every visit: the
+                // source has no occasion to go cold and re-arm everything.
+                send(&first, "keep-hot");
+                let got = armed.visit().expect("hot or resting: doorbell rung");
+                seen = got.iter().any(|m| m.handler == late);
+                assert!(armed.rx.heat != Heat::Cold, "the hot period ended");
             }
         }
-        assert!(!armed.rx.hot, "an EOF is not bytes: the visit re-armed");
+        assert_eq!(armed.rx.inner.conn_count(), 3);
+    }
+
+    /// Per-visit syscalls of the hot path, counted at the socket calls: a
+    /// delivering hot visit is one `read` (no `accept`, no `EAGAIN`), and
+    /// a resting visit does not touch a socket at all.
+    #[test]
+    fn hot_visit_is_one_read_and_resting_visit_is_no_syscall() {
+        let (mut armed, obj) = tcp_pair();
+        send(&obj, "f");
+        armed.collect(1);
+        let mut hot_deliveries = 0;
+        for _ in 0..64 {
+            send(&obj, "f");
+            let mut delivered = 0;
+            while delivered == 0 {
+                let hot = armed.rx.heat == Heat::Hot;
+                let (reads, accepts) = armed.rx.inner.syscalls();
+                delivered = armed.visit().expect("doorbell rung").len();
+                if hot && delivered > 0 {
+                    let now = armed.rx.inner.syscalls();
+                    assert_eq!(now, (reads + 1, accepts), "(reads, accepts)");
+                    hot_deliveries += 1;
+                }
+            }
+            assert_eq!(delivered, 1);
+        }
+        // Loopback delivers inside `send`; a visit that beat the bytes
+        // anyway started a rest and is not a hot delivery.
+        assert!(hot_deliveries >= 32, "{hot_deliveries} of 64 were hot");
+
+        armed.rest();
+        // Held open, so that what is observed is a resting visit however
+        // slowly this thread runs.
+        armed.rx.heat = Heat::Resting {
+            until: Instant::now() + PATIENCE,
+        };
+        let before = (armed.rx.inner.syscalls(), armed.callbacks());
+        for _ in 0..100 {
+            assert_eq!(armed.visit().expect("resting: doorbell rung").len(), 0);
+        }
+        assert_eq!((armed.rx.inner.syscalls(), armed.callbacks()), before);
+    }
+
+    /// A frame whose halves arrive in two writes with visits in between is
+    /// delivered once: across the short read that ends the first visit
+    /// (the source stays hot and comes back), and across a rest.
+    #[test]
+    fn split_frame_is_delivered_once_across_a_short_read_and_a_rest() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_nodelay(true).unwrap();
+        let mut armed = Armed::new(TcpReceiver::new(listener));
+        let write = |bytes: &[u8]| (&peer).write_all(bytes).unwrap();
+        let frame = crate::tcp::framed(&msg("split"));
+        let (head, tail) = frame.split_at(frame.len() / 2);
+
+        // Across a rest: the half is read (hot, nothing to deliver), the
+        // next read finds nothing (resting), the other half lands during
+        // the rest and is found by the read that ends it.
+        write(head);
+        assert!(armed.rest().is_empty(), "half a frame was delivered");
+        write(tail);
+        assert_eq!(armed.collect(1)[0].handler, "split");
+
+        // Across the short-read stop alone: the source is hot, each half
+        // is one visit's one read.
+        write(head);
+        let got = armed.drive_until(|rx| rx.inner.buffered() == head.len());
+        assert!(got.is_empty(), "half a frame was delivered");
+        write(tail);
+        assert_eq!(armed.collect(1)[0].handler, "split");
+        assert!(armed.cool().is_empty(), "a frame was delivered twice");
+    }
+
+    #[test]
+    fn peer_close_while_resting_evicts_the_connection_and_ends_cold() {
+        let (mut armed, obj) = tcp_pair();
+        send(&obj, "only");
+        armed.collect(1);
+        armed.rest();
+        assert_eq!(armed.rx.inner.conn_count(), 1);
+        drop(obj);
+        // Resting visits do not read: the EOF is found by the read that
+        // ends the rest, or announced by the re-armed fd after it.
+        armed.drive_until(|rx| rx.inner.conn_count() == 0);
+        assert!(armed.cool().is_empty());
     }
 
     /// A burst that is queued before the first visit costs one reactor

@@ -258,7 +258,7 @@ impl RudpReceiver {
 
 #[cfg(have_epoll)]
 impl crate::reactor::FdSource for RudpReceiver {
-    fn scan(&mut self) -> Result<bool> {
+    fn scan(&mut self, _fired: bool) -> Result<bool> {
         self.drain_socket()
     }
 

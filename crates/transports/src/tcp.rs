@@ -6,8 +6,11 @@
 //! accepted connection once — is the moral equivalent of the `select`
 //! loop whose >100 µs cost motivates `skip_poll` in §3.3, so the receiver
 //! avoids it: armed into the readiness tier it is scanned only after the
-//! kernel reported an arrival and for as long as scans keep finding bytes
-//! (see [`crate::reactor`]); only an unarmed receiver scans on each poll.
+//! kernel reported an arrival and for as long as scans keep finding bytes,
+//! accepts only in a scan the kernel's report preceded, and stops reading
+//! a connection at the first read that did not fill its window — one
+//! `read` per delivering scan (see [`crate::reactor`]); only an unarmed
+//! receiver accepts and scans on each poll.
 //! Frames are length-prefixed RSR encodings.
 //!
 //! # Who touches a payload byte
@@ -219,6 +222,9 @@ struct ConnState {
     /// Whole view of the storage the last large frame was delivered in;
     /// taken back for the next one if every other view has dropped.
     spare: Option<Bytes>,
+    /// `read` calls made on the stream.
+    #[cfg(test)]
+    reads: u32,
 }
 
 impl ConnState {
@@ -229,18 +235,28 @@ impl ConnState {
             tail: 0,
             large: None,
             spare: None,
+            #[cfg(test)]
+            reads: 0,
         }
     }
 
-    /// Reads whatever is available without blocking, queueing every frame
+    /// Reads what is available without blocking, queueing every frame
     /// that completes; returns false when the peer has closed the
     /// connection. Sets `progress` if any bytes arrived. Bytes go from the
     /// kernel into the window or, inside a large frame, into that frame's
-    /// own storage in reads that stop at its last byte. A completed large
-    /// frame ends the visit: it is delivered, and its storage can come
-    /// back, before the next one is sized.
+    /// own storage in reads that stop at its last byte. A read that leaves
+    /// room in the window took all there was and ends the visit without
+    /// asking for `EAGAIN`: whoever visits decides from `progress` whether
+    /// to come back, and the kernel re-reports what is still unread when
+    /// the fd is re-armed. A completed large frame ends the visit too: it
+    /// is delivered, and its storage can come back, before the next one is
+    /// sized.
     fn read_frames(&mut self, out: &mut VecDeque<Rsr>, progress: &mut bool) -> Result<bool> {
         loop {
+            #[cfg(test)]
+            {
+                self.reads += 1;
+            }
             let read = match &mut self.large {
                 Some(f) => {
                     if f.filled == f.buf.len() {
@@ -260,8 +276,12 @@ impl ConnState {
             };
             *progress = true;
             let Some(f) = &mut self.large else {
+                let short = n < self.window.len() - self.tail;
                 self.tail += n;
                 self.cut_frames(out)?;
+                if short {
+                    return Ok(true);
+                }
                 continue;
             };
             f.filled += n;
@@ -344,6 +364,9 @@ pub struct TcpReceiver {
     listener: TcpListener,
     conns: Vec<ConnState>,
     pending: VecDeque<Rsr>,
+    /// `accept` calls made on the listener.
+    #[cfg(test)]
+    accepts: u32,
 }
 
 impl TcpReceiver {
@@ -352,25 +375,39 @@ impl TcpReceiver {
             listener,
             conns: Vec::new(),
             pending: VecDeque::new(),
+            #[cfg(test)]
+            accepts: 0,
         }
     }
 
-    /// Accepts queued connections and reads every connection once,
-    /// queueing complete frames. Returns whether anything came off a
-    /// socket: a connection, or bytes (of a whole frame or not).
-    fn scan(&mut self) -> Result<bool> {
-        let mut progress = false;
+    /// Accepts every connection queued on the listener; returns whether
+    /// there was one.
+    fn accept_queued(&mut self) -> Result<bool> {
+        let mut accepted = false;
         loop {
+            #[cfg(test)]
+            {
+                self.accepts += 1;
+            }
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    progress = true;
+                    accepted = true;
                     stream.set_nonblocking(true)?;
                     self.conns.push(ConnState::new(stream));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(accepted),
                 Err(e) => return Err(e.into()),
             }
         }
+    }
+
+    /// Accepts queued connections if `listener_fired` — an armed
+    /// receiver's listener announces a new peer through the reactor, so
+    /// asking it on every scan only buys `EAGAIN` — and reads every
+    /// connection once, queueing complete frames. Returns whether anything
+    /// came off a socket: a connection, or bytes (of a whole frame or not).
+    fn scan(&mut self, listener_fired: bool) -> Result<bool> {
+        let mut progress = listener_fired && self.accept_queued()?;
         // Read from every connection; evict dead ones. A connection is
         // dead on EOF, on a hard read error, *or* on a framing/decode
         // error (the stream offset is unrecoverable once a frame is
@@ -409,6 +446,25 @@ impl TcpReceiver {
         self.conns.len()
     }
 
+    /// The address peers dial.
+    #[cfg(test)]
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr().expect("bound listener")
+    }
+
+    /// Bytes received on the first connection and not yet cut into frames.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
+        self.conns.first().map_or(0, |c| c.tail)
+    }
+
+    /// `(read, accept)` calls made so far by this receiver and its live
+    /// connections.
+    #[cfg(test)]
+    pub(crate) fn syscalls(&self) -> (u32, u32) {
+        (self.conns.iter().map(|c| c.reads).sum(), self.accepts)
+    }
+
     /// Bytes of receive storage committed across all connections.
     #[cfg(test)]
     fn committed_storage(&self) -> usize {
@@ -418,8 +474,8 @@ impl TcpReceiver {
 
 #[cfg(have_epoll)]
 impl crate::reactor::FdSource for TcpReceiver {
-    fn scan(&mut self) -> Result<bool> {
-        TcpReceiver::scan(self)
+    fn scan(&mut self, fired: bool) -> Result<bool> {
+        TcpReceiver::scan(self, fired)
     }
 
     fn pop(&mut self) -> Option<Rsr> {
@@ -433,6 +489,11 @@ impl crate::reactor::FdSource for TcpReceiver {
             out.push(c.stream.as_raw_fd());
         }
     }
+
+    fn fill_listen_fds(&self, out: &mut Vec<std::os::fd::RawFd>) {
+        use std::os::fd::AsRawFd;
+        out.push(self.listener.as_raw_fd());
+    }
 }
 
 impl CommReceiver for TcpReceiver {
@@ -440,7 +501,8 @@ impl CommReceiver for TcpReceiver {
         if let Some(m) = self.pending.pop_front() {
             return Ok(Some(m));
         }
-        self.scan()?;
+        // Unarmed, nobody announces a new peer: ask the listener each time.
+        self.scan(true)?;
         Ok(self.pending.pop_front())
     }
 
@@ -679,6 +741,18 @@ impl CommModule for TcpModule {
     }
 }
 
+/// The reference wire image of `m`: length prefix, header, and the
+/// encode-once body — built the way the method no longer does, so the
+/// gathered writer is checked against an independent encoder.
+#[cfg(test)]
+pub(crate) fn framed(m: &Rsr) -> Vec<u8> {
+    let f = WireFrame::new();
+    let body = f.body(m);
+    let mut frame = WireFrame::prefixed_header(m, body.len()).to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,22 +777,11 @@ mod tests {
         )
     }
 
-    /// The reference wire image of `m`: length prefix, header, and the
-    /// encode-once body — built the way the method no longer does, so the
-    /// gathered writer is checked against an independent encoder.
-    fn framed(m: &Rsr) -> Vec<u8> {
-        let f = WireFrame::new();
-        let body = f.body(m);
-        let mut frame = WireFrame::prefixed_header(m, body.len()).to_vec();
-        frame.extend_from_slice(body);
-        frame
-    }
-
     /// A bare receiver (no reactor shell) and the address peers dial.
     fn bare_receiver() -> (TcpReceiver, SocketAddr) {
         let rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
         rx.listener.set_nonblocking(true).unwrap();
-        let addr = rx.listener.local_addr().unwrap();
+        let addr = rx.local_addr();
         (rx, addr)
     }
 
@@ -885,6 +948,21 @@ mod tests {
         let s = TcpStream::connect(addr).unwrap();
         (&s).write_all(&framed(&msg(handler, b""))).unwrap();
         s
+    }
+
+    /// The reactor announces a new peer, so a scan that was not told of
+    /// an announcement leaves the listener alone — and a connection it has
+    /// not accepted unread.
+    #[test]
+    fn only_an_announced_scan_asks_the_listener() {
+        let (mut rx, addr) = bare_receiver();
+        let _peer = m_send(addr, "hello");
+        for _ in 0..3 {
+            assert!(!rx.scan(false).unwrap());
+        }
+        assert_eq!((rx.conn_count(), rx.syscalls()), (0, (0, 0)));
+        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got.expect("accepted by an announced scan").handler, "hello");
     }
 
     #[test]
@@ -1080,7 +1158,7 @@ mod tests {
     /// Scans until a scan finds nothing more to read, collecting what was
     /// delivered.
     fn drain(rx: &mut TcpReceiver, got: &mut Vec<Rsr>) {
-        while rx.scan().unwrap() {}
+        while rx.scan(true).unwrap() {}
         got.extend(rx.pending.drain(..));
     }
 

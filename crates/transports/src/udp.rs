@@ -102,7 +102,7 @@ impl UdpReceiver {
 
 #[cfg(have_epoll)]
 impl crate::reactor::FdSource for UdpReceiver {
-    fn scan(&mut self) -> Result<bool> {
+    fn scan(&mut self, _fired: bool) -> Result<bool> {
         UdpReceiver::scan(self)
     }
 

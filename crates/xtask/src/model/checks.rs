@@ -108,7 +108,7 @@ pub const CHECKS: &[Check] = &[
     },
     Check {
         name: "rearm-dpor",
-        description: "socket hot/cold hand-off: a re-arm after an empty read misses no arrival",
+        description: "socket hot/resting/cold hand-off: no re-arm misses an arrival or a peer",
         kind: Kind::Systematic,
         run: rearm_dpor,
     },
@@ -665,12 +665,16 @@ fn doorbell_dpor(cx: &CheckCtx) -> Result<u64, String> {
     systematic(cx, &footprints, &init, &step, &check)
 }
 
-/// The socket transports' hot/cold hand-off (`transports::reactor`) as
-/// the micro-op program in [`super::programs`]: kernel arrivals raise an
-/// event iff the one-shot fd is armed, the reactor turns events into
-/// rings, and the drainer's visit is split enter / read / re-arm so
-/// arrivals land in every gap — above all between the empty read and the
-/// level-triggered `MOD`.
+/// The socket transports' hot / resting / cold hand-off
+/// (`transports::reactor`) as the micro-op program in [`super::programs`]:
+/// kernel arrivals — bytes on the connection, a peer at the listener —
+/// raise an event iff that one-shot fd is armed, the reactor turns events
+/// into rings, and the drainer's visit is split enter / read / re-arm,
+/// where the read asks the listener only if `fired` was observed and the
+/// re-arm is the listener's (after an announced read) or everything's
+/// (after the read that ends a rest found nothing). Arrivals land in
+/// every gap — above all between an empty read and the level-triggered
+/// `MOD`.
 fn rearm_dpor(cx: &CheckCtx) -> Result<u64, String> {
     match &cx.schedule {
         Some(s) => super::programs::replay_rearm(false, s).map(|()| 1),

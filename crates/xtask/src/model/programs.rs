@@ -21,10 +21,13 @@
 //!   flag *after* draining loses a ring that lands in between (the
 //!   producer saw `true`, queued no token, and the message strands).
 //!   The fix clears before draining, so a mid-drain ring re-queues.
-//! * **rearm** — the socket transports' hot/cold hand-off
-//!   (`transports::reactor`): the draining thread re-arms a one-shot fd
-//!   after a read that found nothing, and bytes can land between the two.
-//!   Not a historical bug but the variant the design rules out: a re-arm
+//! * **rearm** — the socket transports' hot / resting / cold hand-off
+//!   (`transports::reactor`): the draining thread reads a connection in
+//!   place while it is hot, rests after the first empty read, and re-arms
+//!   its one-shot fds after the read that ends the rest found nothing;
+//!   the listener is asked only in a visit the reactor announced and is
+//!   re-armed right after it. Bytes and peers can land in every gap. Not
+//!   a historical bug but the variant the design rules out: a re-arm
 //!   that only watches for *new* edges strands them; the level-triggered
 //!   `EPOLL_CTL_MOD` the code issues re-evaluates readiness and fires.
 
@@ -314,59 +317,96 @@ pub fn replay_doorbell(broken: bool, schedule: &[usize]) -> Result<(), String> {
 enum Visit {
     #[default]
     Idle,
-    /// Token popped, flag cleared, the sockets are to be read.
-    Read,
-    /// The read found nothing: the fd is to be handed back to the kernel.
+    /// Token popped, flag cleared, the connection is to be read — and the
+    /// listener asked, if the reactor fired since the last read.
+    Read { fired: bool },
+    /// The announced read left the source hot: the listener's entry may
+    /// be spent, and is to be handed back to the kernel.
+    RearmListener,
+    /// The read found nothing and no rest is due: every fd is to be
+    /// handed back to the kernel.
     Rearm,
 }
 
-struct RearmState {
-    /// Kernel: unread bytes in the socket.
-    socket: u64,
-    /// Kernel: the fd's one-shot interest is armed.
+/// The drainer's picture of the source (`reactor::Heat`).
+#[derive(Default, PartialEq)]
+enum Heat {
+    #[default]
+    Cold,
+    /// Reading the connection in place, its fd disarmed.
+    Hot,
+    /// The last read found nothing; the next one decides. Visits inside
+    /// the rest touch nothing and are not modeled: the rest is over
+    /// whenever the scheduler runs the next visit.
+    Resting,
+}
+
+/// One one-shot fd as the kernel sees it.
+#[derive(Default)]
+struct Fd {
+    /// Unread bytes (connection) or unaccepted peers (listener).
+    pending: u64,
     armed: bool,
-    /// Kernel: an event is queued for the reactor thread.
+}
+
+impl Fd {
+    /// Raises the fd's event iff it is armed, which disarms it.
+    fn raise_if_armed(&mut self, event: &mut bool) {
+        if self.armed {
+            self.armed = false;
+            *event = true;
+        }
+    }
+
+    /// `EPOLL_CTL_MOD`: level-triggered, so readiness is re-evaluated —
+    /// unless `broken`, which only watches for new edges.
+    fn rearm(&mut self, event: &mut bool, broken: bool) {
+        self.armed = true;
+        if !broken && self.pending > 0 {
+            self.raise_if_armed(event);
+        }
+    }
+}
+
+#[derive(Default)]
+struct RearmState {
+    conn: Fd,
+    listener: Fd,
+    /// Kernel: an event of this source is queued for the reactor thread
+    /// (both fds carry the same registration id).
     event: bool,
-    /// Set by the reactor callback, consumed by the visit that reads.
+    /// Set by the reactor callback, consumed by the next visit.
     fired: bool,
     /// The doorbell latch (flag set, token queued).
     rung: bool,
-    /// Drainer: reading in place, fd disarmed.
-    hot: bool,
+    heat: Heat,
     visit: Visit,
     sent: u64,
     received: u64,
 }
 
 impl RearmState {
-    /// A cold, armed source with nothing in flight.
+    /// A cold source with both fds armed and nothing in flight.
     fn new() -> Self {
-        RearmState {
-            socket: 0,
-            armed: true,
-            event: false,
-            fired: false,
-            rung: false,
-            hot: false,
-            visit: Visit::Idle,
-            sent: 0,
-            received: 0,
-        }
+        let mut st = RearmState::default();
+        st.conn.armed = true;
+        st.listener.armed = true;
+        st
     }
 
-    /// Kernel: bytes arrive; an event is raised iff the fd is armed, and
-    /// raising it disarms the fd (one-shot).
+    /// Kernel: bytes arrive on the connection.
     fn arrive(&mut self) {
-        self.socket += 1;
+        self.conn.pending += 1;
         self.sent += 1;
-        self.raise_if_armed();
+        self.conn.raise_if_armed(&mut self.event);
     }
 
-    fn raise_if_armed(&mut self) {
-        if self.armed {
-            self.armed = false;
-            self.event = true;
-        }
+    /// Kernel: a peer connects (and is counted like a message: it has to
+    /// be accepted for its bytes ever to be read).
+    fn connect(&mut self) {
+        self.listener.pending += 1;
+        self.sent += 1;
+        self.listener.raise_if_armed(&mut self.event);
     }
 
     /// Reactor thread: turn a queued event into flag + doorbell ring.
@@ -384,48 +424,75 @@ impl RearmState {
             0 => {
                 // Pop the token and clear the flag; a cold source reads
                 // only if the reactor said something fired.
-                let rung = std::mem::take(&mut self.rung);
-                if rung && (self.hot || std::mem::take(&mut self.fired)) {
-                    self.visit = Visit::Read;
+                if std::mem::take(&mut self.rung) {
+                    let fired = std::mem::take(&mut self.fired);
+                    if fired || self.heat != Heat::Cold {
+                        self.visit = Visit::Read { fired };
+                    }
                 }
             }
-            1 if self.visit == Visit::Read => {
-                let n = std::mem::take(&mut self.socket);
+            1 => {
+                let Visit::Read { fired } = self.visit else {
+                    return;
+                };
+                let mut n = std::mem::take(&mut self.conn.pending);
+                if fired {
+                    n += std::mem::take(&mut self.listener.pending);
+                }
                 self.received += n;
-                if n > 0 {
-                    // Read something: stay hot, ring our own doorbell.
-                    self.hot = true;
+                self.visit = if n > 0 {
+                    // Read something: hot, ring our own doorbell.
+                    self.heat = Heat::Hot;
                     self.rung = true;
-                    self.visit = Visit::Idle;
+                    if fired {
+                        Visit::RearmListener
+                    } else {
+                        Visit::Idle
+                    }
+                } else if self.heat == Heat::Hot && !fired {
+                    // First empty read: rest, still on the ready list.
+                    self.heat = Heat::Resting;
+                    self.rung = true;
+                    Visit::Idle
                 } else {
-                    self.visit = Visit::Rearm;
-                }
+                    Visit::Rearm
+                };
             }
-            2 if self.visit == Visit::Rearm => {
-                self.fired = false;
-                self.hot = false;
-                self.armed = true;
-                if !broken && self.socket > 0 {
-                    // Level-triggered MOD: readiness is re-evaluated.
-                    self.raise_if_armed();
+            _ => {
+                match self.visit {
+                    Visit::RearmListener => self.listener.rearm(&mut self.event, broken),
+                    Visit::Rearm => {
+                        self.fired = false;
+                        self.heat = Heat::Cold;
+                        self.conn.rearm(&mut self.event, broken);
+                        self.listener.rearm(&mut self.event, broken);
+                    }
+                    _ => return,
                 }
                 self.visit = Visit::Idle;
             }
-            _ => {}
         }
     }
 }
 
 fn rearm_footprints() -> Vec<Vec<u64>> {
-    // Kernel: two arrivals. Reactor: two dispatches. Drainer: three
-    // visits of three micro-ops each.
-    vec![vec![SHARED; 2], vec![SHARED; 2], vec![SHARED; 9]]
+    // Kernel: two arrivals on the connection; one peer at the listener.
+    // Reactor: two dispatches. Drainer: three visits of three micro-ops
+    // each — enough for announced read, empty read (rest), deciding read
+    // and re-arm to be scheduled apart.
+    vec![
+        vec![SHARED; 2],
+        vec![SHARED; 1],
+        vec![SHARED; 2],
+        vec![SHARED; 9],
+    ]
 }
 
 fn rearm_step(broken: bool) -> impl Fn(&mut RearmState, usize, usize) {
     move |st, t, op| match t {
         0 => st.arrive(),
-        1 => st.dispatch(),
+        1 => st.connect(),
+        2 => st.dispatch(),
         _ => st.drain(op % 3, broken),
     }
 }
@@ -434,7 +501,7 @@ fn rearm_check(broken: bool) -> impl Fn(&mut RearmState) -> Result<(), String> {
     move |st| {
         // Quiescence: no sender is left, so let the reactor and the
         // drainer run until neither has anything to do. Whatever is then
-        // still in the socket has nobody left to announce it.
+        // still in a socket has nobody left to announce it.
         for stage in 1..3 {
             st.drain(stage, broken);
         }
@@ -447,24 +514,30 @@ fn rearm_check(broken: bool) -> impl Fn(&mut RearmState) -> Result<(), String> {
         if st.received == st.sent {
             Ok(())
         } else {
+            let describe = |fd: &Fd| {
+                format!(
+                    "{} stranded, {}",
+                    fd.pending,
+                    if fd.armed {
+                        "armed but never re-evaluated"
+                    } else {
+                        "disarmed with no visit pending"
+                    }
+                )
+            };
             Err(format!(
-                "missed wakeup: read {} of {} arrivals ({} stranded in a socket \
-                 that is {})",
+                "missed wakeup: read {} of {} arrivals (connection: {}; listener: {})",
                 st.received,
                 st.sent,
-                st.socket,
-                if st.armed {
-                    "armed but was never re-evaluated"
-                } else {
-                    "disarmed with no visit pending"
-                }
+                describe(&st.conn),
+                describe(&st.listener),
             ))
         }
     }
 }
 
-/// Explores the hot/cold re-arm hand-off; `broken` re-arms without
-/// re-evaluating readiness.
+/// Explores the hot / resting / cold re-arm hand-off; `broken` re-arms
+/// without re-evaluating readiness.
 pub fn explore_rearm(broken: bool) -> Result<Explored, Violation> {
     dpor::explore(
         &rearm_footprints(),

@@ -89,7 +89,7 @@ const PINNED: &[(&str, &str)] = &[
     ("seq-ring", "0110"),
     ("ewma-first", "001101"),
     ("doorbell", "010111"),
-    ("rearm", "0112222202222"),
+    ("rearm", "00233133333233"),
 ];
 
 fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation> {

@@ -5,7 +5,7 @@ use nexus::rt::prelude::*;
 use nexus::transports::{register_defaults, register_queue_modules};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn drive_until(ctxs: &[&Arc<Context>], pred: impl Fn() -> bool, secs: u64) -> bool {
     let deadline = std::time::Instant::now() + Duration::from_secs(secs);
@@ -148,23 +148,30 @@ fn skip_poll_still_delivers_and_counts_fewer_polls() {
     a.rsr(&sp, "x", Buffer::new()).unwrap();
     assert!(drive_until(&[&b], || got.load(Ordering::Relaxed) == 1, 10));
     // The delivering visit left TCP hot (read in place, fds disarmed);
-    // the next visit finds nothing, re-arms, and the source is idle.
-    let _ = b.progress();
-    let mpl_before = b.trace().snapshot_method(MethodId::MPL).polls;
-    let tcp_before = b.trace().snapshot_method(MethodId::TCP).polls;
-    for _ in 0..500 {
-        let _ = b.progress();
+    // empty visits then rest, re-arm, and the source is idle. How many
+    // passes that takes is the transport's business: drive stretches of
+    // 500 until one shows no TCP probe.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mpl_before = b.trace().snapshot_method(MethodId::MPL).polls;
+        let tcp_before = b.trace().snapshot_method(MethodId::TCP).polls;
+        for _ in 0..500 {
+            let _ = b.progress();
+        }
+        let mpl_polls = b.trace().snapshot_method(MethodId::MPL).polls - mpl_before;
+        let tcp_polls = b.trace().snapshot_method(MethodId::TCP).polls - tcp_before;
+        assert!(
+            mpl_polls <= 500 / 50 + 2,
+            "skip_poll=50 must throttle the polled tier: {mpl_polls} probes in 500 passes"
+        );
+        if tcp_polls == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "an idle armed source must not be probed at all: {tcp_polls} probes in 500 passes"
+        );
     }
-    let mpl_polls = b.trace().snapshot_method(MethodId::MPL).polls - mpl_before;
-    let tcp_polls = b.trace().snapshot_method(MethodId::TCP).polls - tcp_before;
-    assert!(
-        mpl_polls <= 500 / 50 + 2,
-        "skip_poll=50 must throttle the polled tier: {mpl_polls} probes in 500 passes"
-    );
-    assert_eq!(
-        tcp_polls, 0,
-        "an idle armed source must not be probed at all"
-    );
     fabric.shutdown();
 }
 
