@@ -20,7 +20,7 @@ use crate::endpoint::{Attached, EndpointId, EndpointRef, EndpointState};
 use crate::error::{NexusError, Result};
 use crate::fxhash::FxBuildHasher;
 use crate::handler::{HandlerArgs, HandlerRegistry};
-use crate::module::{CommObject, CommReceiver, ModuleRegistry};
+use crate::module::{CommObject, CommReceiver, ModuleRegistry, Pace, Staged};
 use crate::poll::{BlockingPoller, PollEngine, PollOutcome};
 use crate::pool;
 use crate::rsr::{HandlerName, Rsr, WireFrame};
@@ -238,7 +238,9 @@ impl Fabric {
             reselect: RwLock::new(None),
             trace,
             shutdown: AtomicBool::new(false),
-            passes: AtomicU64::new(0),
+            rounds: AtomicU64::new(0),
+            flush_list: Mutex::new(Vec::new()),
+            flush_pending: AtomicBool::new(false),
             workers: Mutex::new(None),
             extensions: Mutex::new(HashMap::new()),
         });
@@ -282,6 +284,14 @@ impl Fabric {
     }
 }
 
+/// A connection a context promised to flush, with the link identity its
+/// failover bookkeeping needs.
+struct Listed {
+    target: ContextId,
+    method: MethodId,
+    obj: Arc<dyn CommObject>,
+}
+
 /// An address space participating in multimethod communication.
 pub struct Context {
     info: ContextInfo,
@@ -300,9 +310,20 @@ pub struct Context {
     reselect: RwLock<Option<ReselectConfig>>,
     trace: Arc<Trace>,
     shutdown: AtomicBool,
-    /// Progress passes completed; every 64th pass runs the deadline/idle
-    /// sweep over bulk pulls, stripe assemblies, and gather rounds.
-    passes: AtomicU64,
+    /// Dispatch rounds begun: progress passes and worker token services.
+    /// A link that has not seen a new round since its last send may stage
+    /// (see [`Context::send_with_failover`]); every 64th progress pass
+    /// runs the deadline/idle sweep over bulk pulls, stripe assemblies,
+    /// and gather rounds.
+    rounds: AtomicU64,
+    /// Connections holding frames this context staged, each listed once
+    /// per owner claim (a `Staged::NeedsOwner` answer); flushed by the
+    /// next dispatch round. A container lock: an entry is popped before
+    /// its connection is flushed, so no guard spans a write.
+    flush_list: Mutex<Vec<Listed>>,
+    /// Set after a push onto `flush_list`, cleared by the flusher that
+    /// drains it — a pass with nothing listed pays one load.
+    flush_pending: AtomicBool,
     /// Sharded worker pool servicing this context's readiness tier when
     /// [`Context::start_workers`] is active; `None` means the single
     /// progress thread (or inline `progress` calls) does everything.
@@ -528,6 +549,7 @@ impl Context {
         let obj = self.connect_cached(link.target.context, method, table)?;
         let sel = Arc::new(SelectedMethod {
             method,
+            stages: obj.pace().is_some(),
             obj,
             ltrace: self.trace.link(link.target.context, method),
         });
@@ -566,6 +588,9 @@ impl Context {
             .get(method)
             .ok_or(NexusError::MethodNotApplicable { method, target })?;
         let obj = module.connect(&self.info, desc)?;
+        if let Some(pace) = obj.pace() {
+            pace.attach(self.trace.method(method));
+        }
         self.comm_cache
             .lock()
             .insert((target, method), Arc::clone(&obj));
@@ -583,6 +608,13 @@ impl Context {
     /// the startpoint, transfers `payload` to the endpoint's context and
     /// invokes `handler` there (asynchronously; this call returns once the
     /// data is handed to each link's communication method).
+    ///
+    /// `Ok` means *accepted by the connection*. A method that stages (TCP)
+    /// may hold the frame in the connection's staging buffer until this
+    /// context's next dispatch round, the next write on the connection, or
+    /// at most about 2 ms — the same promise as bytes already in a kernel
+    /// send buffer: a connection that then fails loses them, and the
+    /// failure is reported as a failover by whoever flushed it.
     pub fn rsr(&self, sp: &Startpoint, handler: &str, payload: Buffer) -> Result<()> {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err(NexusError::ShutDown);
@@ -703,6 +735,25 @@ impl Context {
     /// application took responsibility. Each failed method is excluded
     /// from re-selection and its cached connection is evicted; the chosen
     /// replacement sticks for subsequent sends.
+    ///
+    /// On a method that can stage ([`CommObject::pace`]) the send asks for
+    /// staging only when all three parts of the stage rule hold:
+    ///
+    /// * (a) no dispatch round of this context has begun since the link's
+    ///   previous send — so a reply sent from a handler, and the next
+    ///   request after a reply was awaited, always write through:
+    ///   request/reply never waits for a flush;
+    /// * (b) the send began sooner after the previous one on the
+    ///   connection ended than the connection's last write took — the
+    ///   sender outruns the wire, judged from the two clock readings this
+    ///   path takes anyway; an open-loop sender slower than one write
+    ///   always writes through;
+    /// * (c) the frame fits the connection's staging buffer — checked by
+    ///   the connection, which owns the buffer.
+    ///
+    /// A `NeedsOwner` answer lists the connection for this context's next
+    /// dispatch round ([`Context::flush_listed`]). A method that cannot
+    /// stage costs one branch here.
     fn send_with_failover(&self, link: &Link, msg: &Rsr, frame: &WireFrame) -> Result<()> {
         let wire = msg.wire_len();
         // One pinned read serves the send loop, selection, and the
@@ -717,47 +768,146 @@ impl Context {
             } else {
                 self.reselect_excluding(link, &failed)?
             };
+            let pace = if sel.stages { sel.obj.pace() } else { None };
+            if pace.is_some_and(Pace::failed) {
+                // A flush already failed this connection over and counted
+                // it; re-select as that failover would have.
+                link.invalidate();
+                if !pinned {
+                    failed.push(sel.method);
+                }
+                continue;
+            }
             let start = Instant::now();
             link.send_begin();
-            let sent = sel.obj.send(msg, frame);
+            let sent = match pace {
+                None => sel.obj.send(msg, frame).map(|()| Staged::Written),
+                Some(pace) => {
+                    let round = self.rounds.load(Ordering::Relaxed);
+                    let quiet = link.last_round.load(Ordering::Relaxed) == round;
+                    if !quiet {
+                        link.last_round.store(round, Ordering::Relaxed);
+                    }
+                    sel.obj
+                        .send_or_stage(msg, frame, quiet && pace.outruns(start))
+                }
+            };
             link.send_end();
             match sent {
-                Ok(()) => {
+                Ok(staged) => {
                     // Steady-state recording: atomics only, through the
                     // handle cached on the link's selection.
-                    self.note_send(&sel.ltrace, link.target.context, sel.method, wire, start);
+                    let end =
+                        self.note_send(&sel.ltrace, link.target.context, sel.method, wire, start);
+                    if let Some(pace) = pace {
+                        pace.sent(start, end, staged == Staged::Written);
+                        if staged == Staged::NeedsOwner {
+                            self.list_for_flush(link.target.context, sel.method, &sel.obj);
+                        }
+                    }
                     if !pinned {
                         self.consider_reselect(link, sel.method);
                     }
                     return Ok(());
                 }
                 Err(e) => {
-                    let method = sel.method;
                     sel.obj.close();
                     link.invalidate();
-                    self.comm_cache
-                        .lock()
-                        .remove(&(link.target.context, method));
-                    self.trace
-                        .method(method)
-                        .failovers
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.trace.record_event(TraceEventKind::Failover {
-                        target: link.target.context,
-                        from: method,
-                    });
+                    self.fail_over_connection(link.target.context, sel.method, &sel.obj);
                     if pinned {
                         return Err(e);
                     }
-                    failed.push(method);
+                    failed.push(sel.method);
                 }
             }
         }
     }
 
+    /// The failover bookkeeping for a connection that errored on a send or
+    /// a flush: evicted from the connection cache (if it is still the
+    /// cached one), counted, and recorded as a `Failover` event. A flush
+    /// does not `close` it — that may block, and a flush can run on a
+    /// worker — the broken socket is released with its last reference.
+    fn fail_over_connection(&self, target: ContextId, method: MethodId, obj: &Arc<dyn CommObject>) {
+        {
+            let mut cache = self.comm_cache.lock();
+            if cache
+                .get(&(target, method))
+                .is_some_and(|cached| Arc::ptr_eq(cached, obj))
+            {
+                cache.remove(&(target, method));
+            }
+        }
+        self.trace
+            .method(method)
+            .failovers
+            .fetch_add(1, Ordering::Relaxed);
+        self.trace.record_event(TraceEventKind::Failover {
+            target,
+            from: method,
+        });
+    }
+
+    /// Takes the owner's claim on a connection that staged a frame: it is
+    /// flushed by this context's next dispatch round.
+    fn list_for_flush(&self, target: ContextId, method: MethodId, obj: &Arc<dyn CommObject>) {
+        self.flush_list.lock().push(Listed {
+            target,
+            method,
+            obj: Arc::clone(obj),
+        });
+        // Release pairs with the flusher's Acquire swap: a flusher that
+        // sees the flag set also sees the entry.
+        self.flush_pending.store(true, Ordering::Release);
+    }
+
+    /// Flushes every connection this context has listed — at the start of
+    /// each progress pass and after its dispatch loop, and after each
+    /// worker token service (shutdown closes them instead, which writes
+    /// what they hold). Each entry is popped under the list lock and
+    /// flushed with no guard held. A failed flush is a failover of that
+    /// connection; the first error is returned, to the pass that flushed.
+    /// With nothing listed — every pass of a context that never staged —
+    /// this is one inlined load.
+    #[inline]
+    pub(crate) fn flush_listed(&self) -> Result<()> {
+        if !self.flush_pending.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.flush_owned()
+    }
+
+    #[cold]
+    fn flush_owned(&self) -> Result<()> {
+        if !self.flush_pending.swap(false, Ordering::Acquire) {
+            return Ok(());
+        }
+        let mut first_err = None;
+        loop {
+            let next = self.flush_list.lock().pop();
+            let Some(listed) = next else {
+                break;
+            };
+            if let Err(e) = listed.obj.flush() {
+                if let Some(pace) = listed.obj.pace() {
+                    pace.fail();
+                }
+                self.fail_over_connection(listed.target, listed.method, &listed.obj);
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Begins a dispatch round (a worker token service; progress passes
+    /// count their own).
+    pub(crate) fn begin_round(&self) {
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one completed transport send, begun at `start`, on its
     /// `(link, method)` record and in the event ring; the event timestamp
-    /// reuses the end-of-send clock reading.
+    /// reuses the end-of-send clock reading, which is returned.
     fn note_send(
         &self,
         ltrace: &LinkMethodTrace,
@@ -765,7 +915,7 @@ impl Context {
         method: MethodId,
         wire: usize,
         start: Instant,
-    ) {
+    ) -> Instant {
         let end = Instant::now();
         let cost_ns = end.duration_since(start).as_nanos() as u64;
         ltrace.send_latency_ns.record(cost_ns);
@@ -779,6 +929,7 @@ impl Context {
                 wire_bytes: wire as u64,
             },
         );
+        end
     }
 
     /// Cost-driven live re-selection (§6's proposed adaptive method
@@ -968,6 +1119,9 @@ impl Context {
             return Err(NexusError::ShutDown);
         }
         out.clear();
+        let round = self.rounds.fetch_add(1, Ordering::Relaxed);
+        // A new round: what was staged since the last one leaves first.
+        let mut first_err = self.flush_listed().err();
         // Drain blocking pollers first: their thread already paid the
         // wait. The atomic count keeps the (typical) no-poller case free
         // of the lock round trip.
@@ -1002,7 +1156,6 @@ impl Context {
         // lose the race for the return value are still observable: they go
         // into the event ring as `PollError` events, so a pass where two
         // sources fail at once does not hide the second failure.
-        let mut first_err: Option<NexusError> = None;
         for (method, e) in out.errors.drain(..) {
             if first_err.is_none() {
                 first_err = Some(e);
@@ -1022,11 +1175,17 @@ impl Context {
                 first_err.get_or_insert(e);
             }
         }
+        // What the handlers staged leaves before the pass returns.
+        if let Err(e) = self.flush_listed() {
+            first_err.get_or_insert(e);
+        }
         // Periodic housekeeping rides the progress loop: every 64th pass
         // evicts idle chunk transfers and expires bulk deadlines, so a
         // dead sender costs a bounded amount of memory and a bounded
         // wait — never a hang.
-        self.sweep_deadlines();
+        if round & 63 == 0 {
+            self.sweep_deadlines();
+        }
         match first_err {
             Some(e) => Err(e),
             None => Ok(n),
@@ -1506,9 +1665,6 @@ impl Context {
     /// past their deadline, surfacing each as a trace event. Touches
     /// only subsystems this context has actually used.
     fn sweep_deadlines(&self) {
-        if self.passes.fetch_add(1, Ordering::Relaxed) & 63 != 0 {
-            return;
-        }
         if let Some(st) = self.try_extension::<StripeState>() {
             let idle = st.idle_timeout();
             for ev in st.stripes.sweep_idle(idle) {
@@ -1590,6 +1746,7 @@ impl Context {
                 method: MethodId::STRIPE,
                 obj,
                 ltrace: self.trace.link(link.target.context, MethodId::STRIPE),
+                stages: false,
             });
             let prev = {
                 let mut chosen = link.chosen.lock();
@@ -1920,10 +2077,14 @@ impl Context {
         }
         self.blocking.lock().clear(); // Drop impl stops the threads.
         self.blocking_count.store(0, Ordering::Release);
+        // Every listed connection is also cached, unless it failed over
+        // and lost what it held: closing the cache writes what is staged,
+        // so the owner claims are simply released.
         let cache = std::mem::take(&mut *self.comm_cache.lock());
         for obj in cache.values() {
             obj.close();
         }
+        self.flush_list.lock().clear();
     }
 }
 

@@ -23,11 +23,13 @@ use crate::descriptor::{CommDescriptor, MethodId};
 use crate::error::{NexusError, Result};
 use crate::poll::ReadySignal;
 use crate::rsr::{Rsr, WireFrame};
+use crate::trace::MethodTrace;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The receive side of a method within one context.
 ///
@@ -111,8 +113,121 @@ pub trait CommObject: Send + Sync {
         false
     }
 
+    /// The stage rule's record of this connection, if it can stage frames
+    /// (see [`CommObject::send_or_stage`]). The default, `None`, keeps the
+    /// transport writing through, and the sending context then keeps no
+    /// stage bookkeeping for it at all.
+    fn pace(&self) -> Option<&Pace> {
+        None
+    }
+
+    /// Sends `rsr`, or — when `may_stage` and the frame fits — appends it
+    /// to the connection's staging buffer for a later write. Frames stay
+    /// in issue order: every write on the connection puts what is staged
+    /// in front of its own bytes. A [`Staged::NeedsOwner`] answer obliges
+    /// the caller to [`CommObject::flush`] the connection later (the
+    /// context lists it for its next dispatch round). The default writes
+    /// through.
+    fn send_or_stage(&self, rsr: &Rsr, frame: &WireFrame, _may_stage: bool) -> Result<Staged> {
+        self.send(rsr, frame).map(|()| Staged::Written)
+    }
+
+    /// Writes whatever is staged, and releases the owner's claim taken by
+    /// a [`Staged::NeedsOwner`] answer. The default has nothing staged.
+    fn flush(&self) -> Result<()> {
+        Ok(())
+    }
+
     /// Releases the connection.
     fn close(&self) {}
+}
+
+/// What [`CommObject::send_or_stage`] did with one RSR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Staged {
+    /// Written to the connection, behind whatever was staged before it.
+    Written,
+    /// Appended to the staging buffer; an owner already holds the
+    /// connection for flushing.
+    Staged,
+    /// Appended to the staging buffer, and no owner holds the connection:
+    /// the caller must flush it later.
+    NeedsOwner,
+}
+
+/// Clock origin for [`Pace`]'s instants, which live in atomics.
+fn stamp(at: Instant) -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    at.saturating_duration_since(epoch).as_nanos() as u64
+}
+
+/// The stage rule's record of one connection that can stage: when the
+/// last send on it ended, what its last write cost, whether a flush of it
+/// failed, and which method record counts the writes that carried staged
+/// frames. The sending context reads and updates it around each send with
+/// the two clock readings its send path takes anyway; the connection
+/// refreshes the write cost itself on every write it times (flushes), so a
+/// rule fed by one slow write cannot latch.
+#[derive(Debug, Default)]
+pub struct Pace {
+    /// End of the last send, in ns on [`stamp`]'s clock.
+    last_end_ns: AtomicU64,
+    /// What the last write on the connection took, in ns.
+    write_ns: AtomicU64,
+    /// A flush of the connection failed: it has been failed over.
+    failed: AtomicBool,
+    /// Where [`Pace::carried`] counts, once the owning context attached it.
+    counts: OnceLock<Arc<MethodTrace>>,
+}
+
+impl Pace {
+    /// Whether a send beginning at `start` began sooner after the previous
+    /// send ended than the last write took: the sender outruns the wire.
+    pub fn outruns(&self, start: Instant) -> bool {
+        let gap = stamp(start).saturating_sub(self.last_end_ns.load(Ordering::Relaxed));
+        gap < self.write_ns.load(Ordering::Relaxed)
+    }
+
+    /// Records a send that ran from `start` to `end`; `wrote` says it
+    /// reached the socket, so its cost is the connection's latest write.
+    pub fn sent(&self, start: Instant, end: Instant, wrote: bool) {
+        self.last_end_ns.store(stamp(end), Ordering::Relaxed);
+        if wrote {
+            let cost = end.saturating_duration_since(start);
+            self.wrote(cost);
+        }
+    }
+
+    /// Records the cost of a write the connection timed itself.
+    pub fn wrote(&self, cost: Duration) {
+        self.write_ns
+            .store(cost.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Counts one write that carried `frames` staged frames.
+    pub fn carried(&self, frames: u32) {
+        if let Some(t) = self.counts.get() {
+            t.flushes.fetch_add(1, Ordering::Relaxed);
+            t.flushed_frames
+                .fetch_add(u64::from(frames), Ordering::Relaxed);
+        }
+    }
+
+    /// Points [`Pace::carried`] at the owning context's method record.
+    pub fn attach(&self, counts: Arc<MethodTrace>) {
+        let _ = self.counts.set(counts);
+    }
+
+    /// Marks the connection failed over after a flush error.
+    pub fn fail(&self) {
+        self.failed.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether a flush of the connection failed.
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
 }
 
 /// Default [`CommObject::send_parts`]: builds the combined payload from

@@ -458,7 +458,9 @@ fn shard_worker_loop(shared: &Arc<PoolShared>, shard: usize) {
 
 /// Services one rung token: the engine's own [`ready_visit`] (clear, then
 /// drain under the batch bound, re-ring when cut short), with inline
-/// handler dispatch on this worker thread as the per-message sink.
+/// handler dispatch on this worker thread as the per-message sink. The
+/// service is one dispatch round of the owning context: what its handlers
+/// staged is flushed once the slot is released.
 fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
     let slot = {
         let slots = shared.slots.read();
@@ -467,32 +469,39 @@ fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
             None => return,
         }
     };
-    let mut guard = slot.lock();
-    let src = &mut *guard;
-    let home = shared.shard_of(token);
-    let counters = &shared.counters[home];
-    counters.wakeups.fetch_add(1, Ordering::Relaxed);
-    if home != shard {
-        counters.steals.fetch_add(1, Ordering::Relaxed);
-    }
-    let Some(ctx) = src.ctx.upgrade() else {
-        // The owning context is gone: skip the service *without*
-        // clearing the flag. The latched flag stops future pushes, so
-        // the orphaned source goes quiet until the pool closes it.
-        return;
+    let ctx = {
+        let mut guard = slot.lock();
+        let src = &mut *guard;
+        let home = shared.shard_of(token);
+        let counters = &shared.counters[home];
+        counters.wakeups.fetch_add(1, Ordering::Relaxed);
+        if home != shard {
+            counters.steals.fetch_add(1, Ordering::Relaxed);
+        }
+        let Some(ctx) = src.ctx.upgrade() else {
+            // The owning context is gone: skip the service *without*
+            // clearing the flag. The latched flag stops future pushes, so
+            // the orphaned source goes quiet until the pool closes it.
+            return;
+        };
+        ctx.begin_round();
+        let method = src.method;
+        // Dispatch on this worker thread — the whole point of the pool.
+        // The handler runs under the slot lock, which only ever
+        // serializes services of this one source.
+        let (drained, err) = ready_visit(&mut *src.receiver, &src.signal, &src.rec, |msg| {
+            ctx.deliver_sharded(method, msg)
+        });
+        if err.is_some() {
+            ctx.note_poll_error(method);
+        }
+        counters.messages.fetch_add(drained, Ordering::Relaxed);
+        ctx.note_ready_wakeup(method, drained);
+        ctx
     };
-    let method = src.method;
-    // Dispatch on this worker thread — the whole point of the pool. The
-    // handler runs under the slot lock, which only ever serializes
-    // services of this one source.
-    let (drained, err) = ready_visit(&mut *src.receiver, &src.signal, &src.rec, |msg| {
-        ctx.deliver_sharded(method, msg)
-    });
-    if err.is_some() {
-        ctx.note_poll_error(method);
-    }
-    counters.messages.fetch_add(drained, Ordering::Relaxed);
-    ctx.note_ready_wakeup(method, drained);
+    // No pass returns this error: the failover it caused is recorded as
+    // a `Failover` event.
+    let _ = ctx.flush_listed();
 }
 
 #[cfg(test)]

@@ -53,6 +53,9 @@ pub(crate) struct SelectedMethod {
     pub(crate) obj: Arc<dyn CommObject>,
     /// The selecting context's trace for `(target, method)`.
     pub(crate) ltrace: Arc<LinkMethodTrace>,
+    /// Whether `obj` can stage (`CommObject::pace` is `Some`), asked
+    /// once here so a send on a method that cannot pays one branch.
+    pub(crate) stages: bool,
 }
 
 /// Cost-driven re-selection scratch for one link: the sampling countdown
@@ -86,6 +89,10 @@ pub struct Link {
     /// Sends currently in flight on the link's selected object; migration
     /// drains this to zero before retiring the old object.
     pub(crate) inflight: AtomicU64,
+    /// The sending context's dispatch round at this link's last send on a
+    /// method that can stage (`u64::MAX`: none yet) — part (a) of the
+    /// stage rule in `Context::send_with_failover`.
+    pub(crate) last_round: AtomicU64,
     /// Pack without the descriptor table (receiver reconstructs it).
     pub(crate) lightweight: bool,
     /// Payloads strictly larger than this go out as a bulk handle the
@@ -103,6 +110,7 @@ impl Link {
             chosen: Mutex::new(None),
             reselect: Mutex::new(ReselectState::default()),
             inflight: AtomicU64::new(0),
+            last_round: AtomicU64::new(u64::MAX),
             lightweight,
             rendezvous_cutoff: AtomicUsize::new(usize::MAX),
         }
@@ -158,6 +166,7 @@ impl Clone for Link {
             chosen: Mutex::new(None),
             reselect: Mutex::new(ReselectState::default()),
             inflight: AtomicU64::new(0),
+            last_round: AtomicU64::new(u64::MAX),
             lightweight: self.lightweight,
             rendezvous_cutoff: AtomicUsize::new(self.rendezvous_cutoff.load(Ordering::Relaxed)),
         }

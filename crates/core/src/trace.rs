@@ -567,6 +567,11 @@ pub struct MethodTrace {
     pub poll_errors: AtomicU64,
     /// Readiness-tier doorbell visits serviced for this method.
     pub ready_wakeups: AtomicU64,
+    /// Writes on this method's connections that carried staged frames
+    /// (counted once per write, never per message).
+    pub flushes: AtomicU64,
+    /// Staged frames those writes carried.
+    pub flushed_frames: AtomicU64,
 }
 
 /// The enquiry view of one method within one context (plain integers).
@@ -592,6 +597,11 @@ pub struct MethodSnapshot {
     pub poll_errors: u64,
     /// Readiness-tier doorbell visits serviced for this method.
     pub ready_wakeups: u64,
+    /// Writes that carried staged frames; `flushed_frames / flushes` is
+    /// frames per combined write.
+    pub flushes: u64,
+    /// Staged frames those writes carried.
+    pub flushed_frames: u64,
 }
 
 /// The observability registry for one context.
@@ -702,6 +712,8 @@ impl Trace {
             snap.failovers = t.failovers.load(Ordering::Relaxed);
             snap.poll_errors = t.poll_errors.load(Ordering::Relaxed);
             snap.ready_wakeups = t.ready_wakeups.load(Ordering::Relaxed);
+            snap.flushes = t.flushes.load(Ordering::Relaxed);
+            snap.flushed_frames = t.flushed_frames.load(Ordering::Relaxed);
         }
         snap
     }
@@ -784,24 +796,37 @@ impl Trace {
         }
 
         let methods = self.method_entries();
-        let _ = writeln!(out, "receive path, per method:");
+        let _ = writeln!(
+            out,
+            "receive path and combined writes, per method (flushes: writes that carried staged frames):"
+        );
         if methods.is_empty() {
             let _ = writeln!(out, "  (no probes recorded)");
         } else {
             let _ = writeln!(
                 out,
-                "  {:<8} {:>14} {:>14} {:>8} {:>10}",
-                "method", "poll-ewma-ns", "poll-samples", "recvs", "p50-bytes"
+                "  {:<8} {:>14} {:>14} {:>8} {:>10} {:>8} {:>12}",
+                "method",
+                "poll-ewma-ns",
+                "poll-samples",
+                "recvs",
+                "p50-bytes",
+                "flushes",
+                "frames/flush"
             );
             for (method, t) in methods {
+                let flushes = t.flushes.load(Ordering::Relaxed);
+                let frames = t.flushed_frames.load(Ordering::Relaxed);
                 let _ = writeln!(
                     out,
-                    "  {:<8} {:>14.0} {:>14} {:>8} {:>10}",
+                    "  {:<8} {:>14.0} {:>14} {:>8} {:>10} {:>8} {:>12.1}",
                     method.to_string(),
                     t.poll_cost_ns.value().unwrap_or(0.0),
                     t.poll_cost_ns.samples(),
                     t.recv_bytes.count(),
                     t.recv_bytes.p50().unwrap_or(0),
+                    flushes,
+                    frames as f64 / flushes.max(1) as f64,
                 );
             }
         }

@@ -237,6 +237,17 @@ impl Reactor {
     /// Registers a periodic source: `cb` runs whenever `fd` is readable
     /// (it must drain the socket itself) and every `period`.
     pub fn watch_periodic(&self, fd: RawFd, period: Duration, cb: Callback) -> RegistrationId {
+        let id = self.every(period, cb);
+        // If the kernel refuses the fd the ticks alone still drive the
+        // callback, one period late at worst.
+        let _ = self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, id.0);
+        id
+    }
+
+    /// Registers a timer: `cb` runs every `period` until the registration
+    /// is removed (TCP's staging backstop starts one while some connection
+    /// holds staged bytes, and removes it from its own tick).
+    pub fn every(&self, period: Duration, cb: Callback) -> RegistrationId {
         let id = {
             let mut t = self.table.lock();
             let id = t.insert(cb);
@@ -247,9 +258,6 @@ impl Reactor {
             });
             id
         };
-        // If the kernel refuses the fd the ticks alone still drive the
-        // callback, one period late at worst.
-        let _ = self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, id);
         // The reactor may be blocked with a longer timeout than the new
         // tick. A full (or failed) wake socket is fine: the reactor
         // recomputes its timeout at least every IDLE_TIMEOUT_MS anyway.

@@ -23,6 +23,8 @@
 //! stack and the payload is gathered by the kernel from the caller's
 //! [`Bytes`]. The encode-once shared body ([`WireFrame::body`]) is never
 //! built here — it would be a copy of the payload with nine bytes in front.
+//! The one exception is a staged frame (below), whose lead and payload are
+//! copied once into the staging buffer so a burst leaves in one write.
 //!
 //! *Receive.* Each connection owns one 16 KiB read window, and the length
 //! prefix of the frame at its front picks the route. A frame that fits the
@@ -40,25 +42,64 @@
 //! sized from it, and storage is committed as bytes arrive (at most
 //! `LARGE_AHEAD` past them), never from the claim alone.
 //!
+//! # Send: staging, and who flushes
+//!
+//! Each `writev` on a socket the peer is reading on another CPU costs
+//! about twice what it costs on an unread one, so a burst of small RSRs
+//! paid that once per message. A connection can therefore *stage*: the
+//! context's stage rule (`Context::send_with_failover`: no dispatch round
+//! since the link's last send, the sender outrunning the last write, the
+//! frame fitting) asks [`CommObject::send_or_stage`] to append the frame
+//! to a staging buffer of one receive window (`STAGE`, allocated at the
+//! first stage, never grown) instead of writing it. The one writer puts
+//! whatever is staged in front of every write — `send`, `send_parts`,
+//! a flush — so frames stay in issue order per connection. Staged bytes
+//! are written by the first of:
+//!
+//! * a frame that no longer fits: it leaves with them, in one `writev`;
+//! * any write on the connection;
+//! * the owner's flush: the context that got the `NeedsOwner` answer
+//!   flushes at the start of its next progress pass, after its dispatch
+//!   loop, and after each worker token service. The owner claim
+//!   (`listed`) is released under the writer lock *before* the write, so
+//!   a frame staged after that write takes a new claim (the `stage-flush`
+//!   model check refutes releasing it after);
+//! * `close` (and with it context shutdown);
+//! * the backstop on the reactor thread: every `BACKSTOP` while some
+//!   connection holds staged bytes, it writes frames that have waited a
+//!   full tick, only if it gets the writer lock with `try_lock`, and
+//!   without blocking — so a staged frame reaches the wire within two
+//!   ticks even if no thread enters its context again.
+//!
+//! Every write refreshes the cost the rule compares against, and a write
+//! error is the connection's failure: the sender's failover path for a
+//! send, the owner's (counted as a failover of the connection) for a
+//! flush. A staged frame's `Ok` meant "accepted by the connection", as for
+//! bytes in a kernel send buffer.
+//!
 //! Parameters (per §2.1's requirement that methods expose their low-level
 //! knobs): `nodelay` (`true`/`false`, applied to every new connection),
 //! `connect_timeout_ms`, and the socket-buffer sizes `sndbuf`/`rcvbuf`
 //! (bytes; 0 keeps the kernel default) — default buffers throttle striped
 //! bulk transfers long before the link saturates.
 
+#[cfg(have_epoll)]
+use crate::reactor::{Reactor, RegistrationId};
 use bytes::{Bytes, BytesMut};
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver, Pace, Staged};
 use nexus_rt::rsr::{Rsr, WireFrame, HEADER_LEN, PREFIX_LEN};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+#[cfg(have_epoll)]
+use std::sync::OnceLock;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 /// TCP communication module.
 pub struct TcpModule {
@@ -179,6 +220,24 @@ const MAX_WINDOWED: usize = WINDOW - PREFIX_LEN;
 /// may be sized. A length prefix is a claim, not data: storage follows
 /// arrival, so a peer commits receiver memory only by sending bytes.
 const LARGE_AHEAD: usize = 1 << 20;
+
+/// Most bytes a connection stages: one receive window, so a combined
+/// write is what one of the peer's reads takes. Measured on
+/// `wire_stream_small` (256 × 64 B per op, 2-vCPU host): the burst leaves
+/// in ≈ 3 writes that the receiver takes in ≈ 11 reads instead of 256
+/// writes and ≈ 137 reads, and the sender's `ctx.send.self_us` fell
+/// 3.62 → 0.34 µs (EXPERIMENTS.md "Writer-side combining").
+const STAGE: usize = WINDOW;
+
+/// The backstop's tick, and the least a staged frame has waited when it
+/// writes it: staged frames reach the wire within two ticks. Measured
+/// beside the variant that wrote on every tick under a blocking lock:
+/// the reactor thread taking the writer every 1 ms on a 2-vCPU host
+/// (lock-holder preemption) put `wire_stream_small`'s p99 at 1.6–3.1 ms
+/// and its worst 100 ms segments at half rate; writing only frames a
+/// full tick old, and only if `try_lock` wins, keeps its p99 at
+/// ≈ 0.3 ms (EXPERIMENTS.md "Writer-side combining").
+const BACKSTOP: Duration = Duration::from_millis(1);
 
 /// The frame length announced at the front of `bytes`, once all four
 /// prefix bytes are there.
@@ -520,9 +579,59 @@ impl CommReceiver for TcpReceiver {
     }
 }
 
-/// Sender side: one connected stream, writes serialized under a lock.
+/// Sender side: one connected stream behind one writer, which stages the
+/// small frames a fast sender issues and puts them in front of its next
+/// write (module doc, § Send).
 pub struct TcpObject {
-    stream: Mutex<TcpStream>,
+    /// The writer: socket and staging buffer under one lock.
+    stream: Mutex<Outbox>,
+    /// The stage rule's record of this connection.
+    pace: Pace,
+    /// Backstop tick count when the oldest staged frame was staged; 0
+    /// while the backstop has nothing to watch here. Read by the backstop
+    /// without the writer lock.
+    staged_at: AtomicU64,
+    /// Whether the backstop holds this connection (it has staged before).
+    enlisted: AtomicBool,
+    /// This connection, as the backstop holds it.
+    me: Weak<TcpObject>,
+}
+
+/// What the writer lock guards.
+struct Outbox {
+    socket: TcpStream,
+    /// Staged frames back to back: room for `STAGE` bytes is allocated at
+    /// the first stage, and the buffer never grows past it.
+    staged: Vec<u8>,
+    /// Frames in `staged` (one the backstop has partly written included).
+    frames: u32,
+    /// An owner holds the connection: a context got `NeedsOwner` and has
+    /// not flushed it since. Released by that flush, under this lock,
+    /// before its write.
+    listed: bool,
+    #[cfg(test)]
+    census: Census,
+    /// Sleep before each blocking write (a test-injected slow write).
+    #[cfg(test)]
+    stall: Duration,
+    /// The backstop leaves this connection alone, so a test knows which
+    /// writer wrote.
+    #[cfg(test)]
+    backstop_off: bool,
+}
+
+/// Frames and writes one connection's writer has seen.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Census {
+    /// Frames handed to the writer.
+    pub(crate) sends: u32,
+    /// Of those, frames staged.
+    pub(crate) staged: u32,
+    /// Writes that reached the socket, whoever made them.
+    pub(crate) writes: u32,
+    /// Of those, the backstop's.
+    pub(crate) backstop: u32,
 }
 
 /// Writes `bufs` back to back as one gathered stream, restarting the
@@ -541,14 +650,116 @@ fn write_all_vectored(s: &mut TcpStream, mut bufs: &mut [IoSlice<'_>]) -> Result
     Ok(())
 }
 
+/// Appends one frame — its lead parts, then the payload — to the staging
+/// buffer, which is allocated here at the first stage and never grows: the
+/// caller checked that the frame fits what is left of `STAGE`.
+fn stage_frame(out: &mut Outbox, lead: [&[u8]; 5], tail: &[u8]) {
+    if out.staged.capacity() == 0 {
+        out.staged.reserve_exact(STAGE);
+    }
+    for part in lead {
+        out.staged.extend_from_slice(part);
+    }
+    out.staged.extend_from_slice(tail);
+    out.frames += 1;
+    #[cfg(test)]
+    {
+        out.census.staged += 1;
+    }
+}
+
+/// One `send(2)` that never blocks (`MSG_DONTWAIT`): how much of `bytes`
+/// the kernel took. The backstop writes this way, so a peer that stopped
+/// reading cannot stall the reactor thread.
+#[cfg(have_epoll)]
+fn send_nowait(socket: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    use std::os::fd::{AsRawFd, RawFd};
+    const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_NOSIGNAL: i32 = 0x4000;
+    extern "C" {
+        #[link_name = "send"]
+        fn sys_send(fd: RawFd, buf: *const std::ffi::c_void, len: usize, flags: i32) -> isize;
+    }
+    loop {
+        // SAFETY: the fd comes from a live `TcpStream` borrowed for the
+        // whole call, and the pointer/length describe the borrowed slice,
+        // which the kernel only reads during the call.
+        let n = unsafe {
+            sys_send(
+                socket.as_raw_fd(),
+                bytes.as_ptr().cast(),
+                bytes.len(),
+                MSG_DONTWAIT | MSG_NOSIGNAL,
+            )
+        };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let e = std::io::Error::last_os_error();
+        if e.kind() != ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// Whether connections in this process can stage: only where the backstop
+/// runs, so that no staged frame depends on its context being entered
+/// again.
+fn can_stage() -> bool {
+    #[cfg(have_epoll)]
+    return Backstop::get().is_some();
+    #[cfg(not(have_epoll))]
+    false
+}
+
+/// The backstop's tick count, which dates a connection's oldest frame.
+fn backstop_now() -> u64 {
+    #[cfg(have_epoll)]
+    if let Some(b) = Backstop::get() {
+        return b.ticks.load(Ordering::Relaxed);
+    }
+    1
+}
+
 impl TcpObject {
-    /// The one writer behind `send` and `send_parts`: frames `rsr` with
-    /// the payload `head ++ tail` and writes it in a single vectored
-    /// write. Everything in front of `tail` — `prefix | header | hlen |
-    /// handler | plen | head`, the lead — is assembled on the stack;
-    /// `tail` is gathered by the kernel from where the caller keeps it, so
-    /// no body is ever built around it and the payload is never copied here.
-    fn send_gathered(&self, rsr: &Rsr, head: &[u8], tail: &[u8]) -> Result<()> {
+    fn new(socket: TcpStream) -> Arc<TcpObject> {
+        Arc::new_cyclic(|me| TcpObject {
+            stream: Mutex::new(Outbox {
+                socket,
+                staged: Vec::new(),
+                frames: 0,
+                listed: false,
+                #[cfg(test)]
+                census: Census::default(),
+                #[cfg(test)]
+                stall: Duration::ZERO,
+                #[cfg(test)]
+                backstop_off: false,
+            }),
+            pace: Pace::default(),
+            staged_at: AtomicU64::new(0),
+            enlisted: AtomicBool::new(false),
+            me: me.clone(),
+        })
+    }
+
+    /// The one writer behind `send`, `send_parts` and `send_or_stage`:
+    /// frames `rsr` with the payload `head ++ tail` and either stages it
+    /// (`may_stage`, and it fits what is left of the staging buffer) or
+    /// writes it in a single vectored write behind whatever is staged.
+    /// Everything in front of `tail` — `prefix | header | hlen | handler |
+    /// plen | head`, the lead — is assembled on the stack; `tail` is
+    /// gathered by the kernel from where the caller keeps it, so a written
+    /// frame's payload is never copied here. Also returns whether the
+    /// staging buffer went from empty to not: the caller then arms the
+    /// backstop, with the writer lock released.
+    fn send_gathered(
+        &self,
+        rsr: &Rsr,
+        head: &[u8],
+        tail: &[u8],
+        may_stage: bool,
+    ) -> Result<(Staged, bool)> {
         const STACK: usize = 128;
         let handler = rsr.handler.as_bytes();
         let plen = head.len() + tail.len();
@@ -563,21 +774,158 @@ impl TcpObject {
         let hlen = (handler.len() as u16).to_le_bytes();
         let plen = (plen as u32).to_le_bytes();
         let lead = [&fixed[..], &hlen, handler, &plen, head];
-        if lead.iter().map(|part| part.len()).sum::<usize>() <= STACK {
+        let lead_len: usize = lead.iter().map(|part| part.len()).sum();
+        let mut out = self.stream.lock();
+        #[cfg(test)]
+        {
+            out.census.sends += 1;
+        }
+        if may_stage && lead_len + tail.len() <= STAGE - out.staged.len() {
+            let first = out.staged.is_empty();
+            stage_frame(&mut out, lead, tail);
+            if first {
+                // SeqCst: read by the backstop's stop re-check (`tick`).
+                self.staged_at.store(backstop_now(), Ordering::SeqCst);
+            }
+            let staged = if std::mem::replace(&mut out.listed, true) {
+                Staged::Staged
+            } else {
+                Staged::NeedsOwner
+            };
+            return Ok((staged, first));
+        }
+        #[cfg(test)]
+        {
+            std::thread::sleep(out.stall);
+        }
+        let Outbox { socket, staged, .. } = &mut *out;
+        let written = if lead_len <= STACK {
             let mut buf = [0u8; STACK];
             let mut o = 0;
             for part in lead {
                 buf[o..o + part.len()].copy_from_slice(part);
                 o += part.len();
             }
-            let mut iov = [IoSlice::new(&buf[..o]), IoSlice::new(tail)];
-            write_all_vectored(&mut self.stream.lock(), &mut iov)
+            let mut iov = [
+                IoSlice::new(staged),
+                IoSlice::new(&buf[..o]),
+                IoSlice::new(tail),
+            ];
+            write_all_vectored(socket, &mut iov)
         } else {
             // A lead past the stack buffer (handler names are u16-length):
             // gather its parts where they lie rather than copy anything.
             let [fixed, hlen, handler, plen, head] = lead.map(IoSlice::new);
-            let mut iov = [fixed, hlen, handler, plen, head, IoSlice::new(tail)];
-            write_all_vectored(&mut self.stream.lock(), &mut iov)
+            let mut iov = [
+                IoSlice::new(staged),
+                fixed,
+                hlen,
+                handler,
+                plen,
+                head,
+                IoSlice::new(tail),
+            ];
+            write_all_vectored(socket, &mut iov)
+        };
+        self.settle(&mut out, written)?;
+        Ok((Staged::Written, false))
+    }
+
+    /// After a write that carried everything staged (and whatever rode
+    /// behind it): counts the staged frames it carried, and empties the
+    /// buffer whether the write succeeded or not — after a write error the
+    /// stream is unusable, and so are its staged bytes.
+    fn settle(&self, out: &mut Outbox, written: Result<()>) -> Result<()> {
+        #[cfg(test)]
+        {
+            out.census.writes += 1;
+        }
+        if out.frames > 0 {
+            if written.is_ok() {
+                self.pace.carried(out.frames);
+            }
+            out.staged.clear();
+            out.frames = 0;
+            self.staged_at.store(0, Ordering::SeqCst);
+        }
+        written
+    }
+
+    /// Writes what is staged, blocking as a write-through send would, and
+    /// times the write: every flush refreshes the stage rule's write cost.
+    fn write_staged(&self, out: &mut Outbox) -> Result<()> {
+        if out.staged.is_empty() {
+            return Ok(());
+        }
+        let began = Instant::now();
+        #[cfg(test)]
+        {
+            std::thread::sleep(out.stall);
+        }
+        let Outbox { socket, staged, .. } = &mut *out;
+        let written = write_all_vectored(socket, &mut [IoSlice::new(staged)]);
+        self.pace.wrote(began.elapsed());
+        self.settle(out, written)
+    }
+
+    /// The backstop's visit: writes what is staged, without blocking, if
+    /// the oldest frame has waited a full tick (`now` is at least two past
+    /// its tick count) and the writer is free. Returns whether frames
+    /// remain for a later tick.
+    #[cfg(have_epoll)]
+    fn backstop_visit(&self, now: u64) -> bool {
+        let at = self.staged_at.load(Ordering::SeqCst);
+        if at == 0 {
+            return false;
+        }
+        if now < at + 2 {
+            return true;
+        }
+        let Some(mut out) = self.stream.try_lock() else {
+            return true;
+        };
+        #[cfg(test)]
+        if out.backstop_off {
+            return true;
+        }
+        let began = Instant::now();
+        match send_nowait(&out.socket, &out.staged) {
+            Ok(n) if n == out.staged.len() => {
+                self.pace.wrote(began.elapsed());
+                #[cfg(test)]
+                {
+                    out.census.backstop += 1;
+                }
+                let _ = self.settle(&mut out, Ok(()));
+                false
+            }
+            // Part of it: the rest leaves at the next tick or write.
+            Ok(n) => {
+                let left = out.staged.len() - n;
+                out.staged.copy_within(n.., 0);
+                out.staged.truncate(left);
+                true
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => true,
+            // The stream is broken. The next write on it — the owner's
+            // flush, a send, `close` — reports that; the backstop stops
+            // watching.
+            Err(_) => {
+                self.staged_at.store(0, Ordering::SeqCst);
+                false
+            }
+        }
+    }
+}
+
+/// A connection dropped without `close` still hands the kernel what it
+/// staged, as far as the socket takes it without blocking.
+#[cfg(have_epoll)]
+impl Drop for TcpObject {
+    fn drop(&mut self) {
+        let out = self.stream.get_mut();
+        if !out.staged.is_empty() {
+            let _ = send_nowait(&out.socket, &out.staged);
         }
     }
 }
@@ -592,13 +940,40 @@ impl CommObject for TcpObject {
         // message's own storage. The shared encode-once body is not
         // touched: building it would copy the payload only to put
         // `hlen | handler | plen` in front, and the lead carries those.
-        self.send_gathered(rsr, &[], &rsr.payload)
+        self.send_gathered(rsr, &[], &rsr.payload, false)
+            .map(|_| ())
     }
 
     fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &Bytes) -> Result<()> {
         // Stripe chunks: the small chunk head rides in the lead, the tail
         // is a slice of the original body — no combined payload is built.
-        self.send_gathered(rsr, head, tail)
+        self.send_gathered(rsr, head, tail, false).map(|_| ())
+    }
+
+    fn pace(&self) -> Option<&Pace> {
+        can_stage().then_some(&self.pace)
+    }
+
+    fn send_or_stage(&self, rsr: &Rsr, _frame: &WireFrame, may_stage: bool) -> Result<Staged> {
+        let (staged, first) =
+            self.send_gathered(rsr, &[], &rsr.payload, may_stage && can_stage())?;
+        #[cfg(have_epoll)]
+        if first {
+            if let Some(backstop) = Backstop::get() {
+                backstop.arm(self);
+            }
+        }
+        #[cfg(not(have_epoll))]
+        let _ = first;
+        Ok(staged)
+    }
+
+    fn flush(&self) -> Result<()> {
+        let mut out = self.stream.lock();
+        // Released before the write and under the writer lock: a frame
+        // staged once this flush has written it takes a claim of its own.
+        out.listed = false;
+        self.write_staged(&mut out)
     }
 
     fn set_param(&self, key: &str, value: &str) -> Result<()> {
@@ -608,16 +983,16 @@ impl CommObject for TcpObject {
                     key: key.to_owned(),
                     reason: format!("not a bool: {value:?}"),
                 })?;
-                self.stream.lock().set_nodelay(v)?;
+                self.stream.lock().socket.set_nodelay(v)?;
                 Ok(())
             }
             "sndbuf" => set_socket_buffer(
-                &self.stream.lock(),
+                &self.stream.lock().socket,
                 SockBuf::Send,
                 parse_bufsize(key, value)?,
             ),
             "rcvbuf" => set_socket_buffer(
-                &self.stream.lock(),
+                &self.stream.lock().socket,
                 SockBuf::Recv,
                 parse_bufsize(key, value)?,
             ),
@@ -629,7 +1004,145 @@ impl CommObject for TcpObject {
     }
 
     fn close(&self) {
-        let _ = self.stream.lock().shutdown(std::net::Shutdown::Both);
+        let mut out = self.stream.lock();
+        let _ = self.write_staged(&mut out);
+        let _ = out.socket.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// The backstop (module doc, § Send): while some connection holds staged
+/// bytes, a timer on the existing reactor thread visits every connection
+/// that has staged and writes the frames that have waited a full tick.
+#[cfg(have_epoll)]
+struct Backstop {
+    reactor: &'static Arc<Reactor>,
+    /// The timer callback, built once.
+    tick: Arc<dyn Fn() + Send + Sync>,
+    /// Connections that have staged; a dropped one is forgotten at the
+    /// next tick.
+    conns: Mutex<Vec<Weak<TcpObject>>>,
+    /// Ticks so far, from 1: a frame staged at count `t` has waited a full
+    /// tick by tick `t + 2`.
+    ticks: AtomicU64,
+    /// Whether the timer runs, or is about to.
+    ticking: AtomicBool,
+    /// The running timer; held by whoever starts or stops it.
+    timer: Mutex<Option<RegistrationId>>,
+}
+
+#[cfg(have_epoll)]
+impl Backstop {
+    /// The process's backstop; `None` without a reactor, and then nothing
+    /// stages.
+    fn get() -> Option<&'static Backstop> {
+        static BACKSTOP: OnceLock<Option<Backstop>> = OnceLock::new();
+        BACKSTOP
+            .get_or_init(|| {
+                Reactor::global().map(|reactor| Backstop {
+                    reactor,
+                    tick: Arc::new(|| {
+                        if let Some(backstop) = Backstop::get() {
+                            backstop.tick();
+                        }
+                    }),
+                    conns: Mutex::new(Vec::new()),
+                    ticks: AtomicU64::new(1),
+                    ticking: AtomicBool::new(false),
+                    timer: Mutex::new(None),
+                })
+            })
+            .as_ref()
+    }
+
+    /// `conn`'s staging buffer went from empty to not: make sure the
+    /// backstop holds it and is ticking.
+    fn arm(&self, conn: &TcpObject) {
+        if !conn.enlisted.swap(true, Ordering::Relaxed) {
+            self.conns.lock().push(conn.me.clone());
+        }
+        // SeqCst, after the stager's SeqCst `staged_at` store: see `tick`.
+        if !self.ticking.swap(true, Ordering::SeqCst) {
+            let mut timer = self.timer.lock();
+            *timer = Some(self.reactor.every(BACKSTOP, Arc::clone(&self.tick)));
+        }
+    }
+
+    /// One tick: visit every connection, and stop the timer once none
+    /// holds staged bytes.
+    fn tick(&self) {
+        let now = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.visit(now) {
+            return;
+        }
+        let mut timer = self.timer.lock();
+        // Stop — unless a connection staged since the visit. This store,
+        // the re-check and the stager's `staged_at` store and `ticking`
+        // swap are all SeqCst: either the re-check sees the new frame and
+        // the tick keeps its timer (or leaves the start to the stager,
+        // whose swap came first), or the stager's swap follows this store,
+        // reads `false` and starts a timer of its own.
+        self.ticking.store(false, Ordering::SeqCst);
+        if self.watching() && !self.ticking.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(id) = timer.take() {
+            self.reactor.deregister(id, &[]);
+        }
+    }
+
+    /// Visits every connection that has staged; returns whether any still
+    /// holds frames for a later tick.
+    fn visit(&self, now: u64) -> bool {
+        let mut pending = false;
+        self.conns.lock().retain(|conn| match conn.upgrade() {
+            Some(conn) => {
+                pending |= conn.backstop_visit(now);
+                true
+            }
+            None => false,
+        });
+        pending
+    }
+
+    /// Whether any connection holds staged frames the backstop watches.
+    fn watching(&self) -> bool {
+        self.conns.lock().iter().any(|conn| {
+            conn.upgrade()
+                .is_some_and(|conn| conn.staged_at.load(Ordering::SeqCst) != 0)
+        })
+    }
+}
+
+/// Test access to the writer.
+#[cfg(test)]
+impl TcpObject {
+    pub(crate) fn census(&self) -> Census {
+        self.stream.lock().census
+    }
+
+    /// Makes every blocking write sleep `stall` first (zero: no stall).
+    pub(crate) fn set_stall(&self, stall: Duration) {
+        self.stream.lock().stall = stall;
+    }
+
+    /// Keeps the backstop off this connection (or lets it back on).
+    pub(crate) fn set_backstop_off(&self, off: bool) {
+        self.stream.lock().backstop_off = off;
+    }
+
+    /// Address and capacity of the staging buffer.
+    pub(crate) fn staging(&self) -> (usize, usize) {
+        let out = self.stream.lock();
+        (out.staged.as_ptr() as usize, out.staged.capacity())
+    }
+
+    /// Shuts the socket's sending half, so the next write fails.
+    pub(crate) fn break_stream(&self) {
+        let _ = self
+            .stream
+            .lock()
+            .socket
+            .shutdown(std::net::Shutdown::Write);
     }
 }
 
@@ -673,21 +1186,7 @@ impl CommModule for TcpModule {
     }
 
     fn connect(&self, _local: &ContextInfo, desc: &CommDescriptor) -> Result<Arc<dyn CommObject>> {
-        let addr: SocketAddr = crate::util::parse_socket_addr(&desc.data)?;
-        let timeout = Duration::from_millis(self.connect_timeout_ms.load(Ordering::Relaxed));
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(self.nodelay.load(Ordering::Relaxed))?;
-        let sndbuf = self.sndbuf.load(Ordering::Relaxed);
-        if sndbuf > 0 {
-            set_socket_buffer(&stream, SockBuf::Send, sndbuf as usize)?;
-        }
-        let rcvbuf = self.rcvbuf.load(Ordering::Relaxed);
-        if rcvbuf > 0 {
-            set_socket_buffer(&stream, SockBuf::Recv, rcvbuf as usize)?;
-        }
-        Ok(Arc::new(TcpObject {
-            stream: Mutex::new(stream),
-        }))
+        Ok(self.dial(desc)?)
     }
 
     fn poll_cost_ns(&self) -> u64 {
@@ -738,6 +1237,25 @@ impl CommModule for TcpModule {
                 reason: "tcp supports nodelay, connect_timeout_ms, sndbuf, rcvbuf".to_owned(),
             }),
         }
+    }
+}
+
+impl TcpModule {
+    /// `connect`, keeping the connection's type.
+    fn dial(&self, desc: &CommDescriptor) -> Result<Arc<TcpObject>> {
+        let addr: SocketAddr = crate::util::parse_socket_addr(&desc.data)?;
+        let timeout = Duration::from_millis(self.connect_timeout_ms.load(Ordering::Relaxed));
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(self.nodelay.load(Ordering::Relaxed))?;
+        let sndbuf = self.sndbuf.load(Ordering::Relaxed);
+        if sndbuf > 0 {
+            set_socket_buffer(&stream, SockBuf::Send, sndbuf as usize)?;
+        }
+        let rcvbuf = self.rcvbuf.load(Ordering::Relaxed);
+        if rcvbuf > 0 {
+            set_socket_buffer(&stream, SockBuf::Recv, rcvbuf as usize)?;
+        }
+        Ok(TcpObject::new(stream))
     }
 }
 
@@ -1409,5 +1927,497 @@ mod tests {
         assert_ne!(third.as_ptr(), second.as_ptr());
         assert!(second == sized((1 << 20) + 21, 2).payload);
         assert!(third == sized((1 << 20) + 21, 3).payload);
+    }
+
+    // -- staging: the writer's census behind real contexts ------------------
+    //
+    // Where the stage rule must be made to hold regardless of scheduling,
+    // a test stalls every blocking write by tens of milliseconds: a sender
+    // then outruns its last write unless it is descheduled for longer than
+    // that. Deadlines are "before T", never "A before B".
+
+    use nexus_rt::buffer::Buffer;
+    use nexus_rt::context::{Context, ContextOpts, Fabric, ForwardVia};
+    use nexus_rt::trace::TraceEventKind;
+    use std::sync::atomic::AtomicU32;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+    const STALL: Duration = Duration::from_millis(20);
+
+    /// The TCP module, keeping every connection it makes so that a test
+    /// can read the writer behind a context.
+    #[derive(Default)]
+    struct Kept {
+        tcp: TcpModule,
+        conns: Mutex<Vec<Arc<TcpObject>>>,
+    }
+
+    impl Kept {
+        fn conn(&self, i: usize) -> Arc<TcpObject> {
+            Arc::clone(&self.conns.lock()[i])
+        }
+    }
+
+    impl CommModule for Kept {
+        fn method(&self) -> MethodId {
+            MethodId::TCP
+        }
+        fn name(&self) -> &'static str {
+            "tcp"
+        }
+        fn cost_rank(&self) -> u32 {
+            self.tcp.cost_rank()
+        }
+        fn open(&self, ctx: &ContextInfo) -> Result<(CommDescriptor, Box<dyn CommReceiver>)> {
+            self.tcp.open(ctx)
+        }
+        fn applicable(&self, local: &ContextInfo, desc: &CommDescriptor) -> bool {
+            self.tcp.applicable(local, desc)
+        }
+        fn connect(
+            &self,
+            _local: &ContextInfo,
+            desc: &CommDescriptor,
+        ) -> Result<Arc<dyn CommObject>> {
+            let conn = self.tcp.dial(desc)?;
+            self.conns.lock().push(Arc::clone(&conn));
+            Ok(conn)
+        }
+        fn poll_cost_ns(&self) -> u64 {
+            self.tcp.poll_cost_ns()
+        }
+        fn supports_blocking(&self) -> bool {
+            true
+        }
+        fn supports_readiness(&self) -> bool {
+            true
+        }
+    }
+
+    /// A fabric whose TCP module keeps its connections, plus `extra`.
+    fn kept_fabric(extra: Option<Arc<dyn CommModule>>) -> (Fabric, Arc<Kept>) {
+        let fabric = Fabric::new();
+        let kept = Arc::new(Kept::default());
+        fabric
+            .registry()
+            .register(Arc::clone(&kept) as Arc<dyn CommModule>);
+        if let Some(m) = extra {
+            fabric.registry().register(m);
+        }
+        (fabric, kept)
+    }
+
+    /// Registers handler `name` on `ctx`, recording each message's number
+    /// in arrival order.
+    fn recorder(ctx: &Context, name: &str) -> Arc<Mutex<Vec<u32>>> {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = Arc::clone(&got);
+        ctx.register_handler(name, move |args| {
+            let b = args.buffer;
+            g.lock().push(b.get_u32().unwrap());
+        });
+        got
+    }
+
+    /// A `len`-byte payload that starts with `i`.
+    fn numbered(i: u32, len: usize) -> Buffer {
+        let mut b = Buffer::new();
+        b.put_u32(i);
+        b.put_raw(&vec![0x5a; len - 4]);
+        b
+    }
+
+    fn drive(ctx: &Context, done: impl FnMut() -> bool) {
+        assert!(ctx.progress_until(done, PATIENCE), "not delivered in time");
+    }
+
+    /// Contexts `a` and `b` over TCP, `b` recording `seq`, and `a`'s
+    /// connection to `b`.
+    struct Pair {
+        fabric: Fabric,
+        a: Arc<Context>,
+        b: Arc<Context>,
+        to_b: nexus_rt::startpoint::Startpoint,
+        got: Arc<Mutex<Vec<u32>>>,
+        conn: Arc<TcpObject>,
+    }
+
+    /// A [`Pair`] with message 0 delivered: the connection exists and has
+    /// written once.
+    fn connected_pair(extra: Option<Arc<dyn CommModule>>) -> Pair {
+        let (fabric, kept) = kept_fabric(extra);
+        let a = fabric.create_context().unwrap();
+        let b = fabric.create_context().unwrap();
+        let got = recorder(&b, "seq");
+        let to_b = b.startpoint_to(b.create_endpoint()).unwrap();
+        a.rsr(&to_b, "seq", numbered(0, 64)).unwrap();
+        drive(&b, || got.lock().len() == 1);
+        assert_eq!(to_b.current_methods()[0].1, Some(MethodId::TCP));
+        let conn = kept.conn(0);
+        Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        }
+    }
+
+    /// Request/reply never stages: each send follows a dispatch round of
+    /// its context, so each is its own write — even after one slow write,
+    /// which a rule judging by timing alone would latch on (every request
+    /// after it begins sooner than that write took).
+    #[test]
+    fn request_reply_stages_nothing() {
+        const ROUNDS: u32 = 1_000;
+        let (fabric, kept) = kept_fabric(None);
+        let a = fabric.create_context().unwrap();
+        let b = fabric.create_context().unwrap();
+        let to_a = Arc::new(a.startpoint_to(a.create_endpoint()).unwrap());
+        let to_b = b.startpoint_to(b.create_endpoint()).unwrap();
+        b.register_handler("ping", move |args| {
+            args.context.rsr(&to_a, "pong", Buffer::new()).unwrap();
+        });
+        let pongs = Arc::new(AtomicU32::new(0));
+        let p = Arc::clone(&pongs);
+        a.register_handler("pong", move |_| {
+            p.fetch_add(1, Ordering::Relaxed);
+        });
+        for i in 1..=ROUNDS {
+            let slow = (i == ROUNDS / 2).then(|| kept.conn(0));
+            if let Some(conn) = &slow {
+                conn.set_stall(STALL);
+            }
+            a.rsr(&to_b, "ping", Buffer::new()).unwrap();
+            if let Some(conn) = slow {
+                conn.set_stall(Duration::ZERO);
+            }
+            let deadline = Instant::now() + PATIENCE;
+            while pongs.load(Ordering::Relaxed) < i {
+                b.progress().unwrap();
+                a.progress().unwrap();
+                assert!(Instant::now() < deadline, "round trip {i} stalled");
+            }
+        }
+        let conns = kept.conns.lock().clone();
+        assert_eq!(conns.len(), 2, "one connection each way");
+        for conn in conns {
+            let census = conn.census();
+            assert_eq!(census.sends, ROUNDS, "{census:?}");
+            assert_eq!(census.staged, 0, "{census:?}");
+            assert_eq!(census.writes, census.sends, "{census:?}");
+        }
+        for ctx in [&a, &b] {
+            let snap = ctx.trace().snapshot_method(MethodId::TCP);
+            assert_eq!((snap.flushes, snap.flushed_frames), (0, 0));
+        }
+        fabric.shutdown();
+    }
+
+    /// 256 × 64 B from a context that does not run in between, then one
+    /// progress pass: complete, in order, in at most three writes — the
+    /// burst's first, the one a full buffer forces, the pass's flush. The
+    /// backstop is kept off, so every write is the sender's own, and the
+    /// staging buffer is allocated once and never moves.
+    #[test]
+    fn a_burst_and_one_pass_leave_in_at_most_three_writes() {
+        const BURST: u32 = 256;
+        let Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        } = connected_pair(None);
+        got.lock().clear();
+        conn.set_stall(STALL);
+        conn.set_backstop_off(true);
+        let mut staging = None;
+        for burst in 0..2 {
+            let before = conn.census();
+            for i in 0..BURST {
+                a.rsr(&to_b, "seq", numbered(burst * BURST + i, 64))
+                    .unwrap();
+            }
+            a.progress().unwrap();
+            let census = conn.census();
+            let writes = census.writes - before.writes;
+            assert!(writes <= 3, "{BURST} frames took {writes} writes");
+            assert!(census.staged - before.staged >= BURST - 3, "{census:?}");
+            drive(&b, || got.lock().len() == ((burst + 1) * BURST) as usize);
+            let want: Vec<u32> = (0..(burst + 1) * BURST).collect();
+            assert!(*got.lock() == want, "out of issue order");
+            let now = conn.staging();
+            assert!(now.1 >= STAGE && now.1 < 2 * STAGE, "{now:?}");
+            assert_eq!(*staging.get_or_insert(now), now, "the staging buffer moved");
+        }
+        let snap = a.trace().snapshot_method(MethodId::TCP);
+        assert!(snap.flushes >= 2, "{snap:?}");
+        assert!(snap.flushed_frames >= 2 * u64::from(BURST - 3), "{snap:?}");
+        fabric.shutdown();
+    }
+
+    /// Whatever writes next carries the staged frames in front of its own:
+    /// a stripe chunk (`send_parts`) and a plain `send` both arrive after
+    /// everything staged before them.
+    #[test]
+    fn staged_frames_go_out_ahead_of_the_next_write() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let desc = CommDescriptor::new(
+            MethodId::TCP,
+            listener.local_addr().unwrap().to_string().into_bytes(),
+        );
+        let obj = TcpModule::new().dial(&desc).unwrap();
+        obj.set_backstop_off(true);
+        let (mut peer, _) = listener.accept().unwrap();
+        let stage = |h: &str| {
+            obj.send_or_stage(&msg(h, b"staged"), &WireFrame::new(), true)
+                .unwrap()
+        };
+        assert_eq!(stage("s1"), Staged::NeedsOwner);
+        assert_eq!(stage("s2"), Staged::Staged);
+        let head = [7u8; 20];
+        let tail = Bytes::from(vec![9u8; 100]);
+        obj.send_parts(&msg("chunk", b""), &head, &tail).unwrap();
+        // Nobody flushed, so the claim is still held.
+        assert_eq!(stage("s3"), Staged::Staged);
+        obj.send(&msg("plain", b"p"), &WireFrame::new()).unwrap();
+        let chunk = msg("chunk", &[&head[..], &tail[..]].concat());
+        let want = [
+            framed(&msg("s1", b"staged")),
+            framed(&msg("s2", b"staged")),
+            framed(&chunk),
+            framed(&msg("s3", b"staged")),
+            framed(&msg("plain", b"p")),
+        ]
+        .concat();
+        let mut got = vec![0u8; want.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert!(got == want, "frames out of issue order");
+        let census = obj.census();
+        assert_eq!((census.sends, census.staged, census.writes), (5, 3, 2));
+    }
+
+    /// A forwarding node: frames one of its handlers staged go out ahead
+    /// of a message it forwards later in the same dispatch round — the
+    /// forward is a write on the same connection.
+    #[test]
+    fn a_forward_writes_behind_frames_staged_in_the_same_round() {
+        let udp: Arc<dyn CommModule> = Arc::new(crate::udp::UdpModule::new());
+        let (fabric, kept) = kept_fabric(Some(udp));
+        let f = fabric.create_context().unwrap();
+        let d = fabric
+            .create_context_with(ContextOpts {
+                methods: Some(vec![MethodId::TCP]),
+                forward_via: Some(ForwardVia {
+                    method: MethodId::UDP,
+                    forwarder: f.id(),
+                }),
+                ..Default::default()
+            })
+            .unwrap();
+        let s = fabric
+            .create_context_with(ContextOpts {
+                methods: Some(vec![MethodId::UDP]),
+                ..Default::default()
+            })
+            .unwrap();
+        let got = recorder(&d, "seq");
+        let d_ep = d.create_endpoint();
+        let f_to_d = Arc::new(d.startpoint_to(d_ep).unwrap());
+        let s_to_d = d.startpoint_to(d_ep).unwrap();
+        s_to_d.set_method(MethodId::UDP);
+        let s_to_f = f.startpoint_to(f.create_endpoint()).unwrap();
+        s_to_f.set_method(MethodId::UDP);
+        {
+            let f_to_d = Arc::clone(&f_to_d);
+            f.register_handler("burst", move |args| {
+                for i in 1..=3 {
+                    args.context.rsr(&f_to_d, "seq", numbered(i, 8)).unwrap();
+                }
+            });
+        }
+        f.rsr(&f_to_d, "seq", numbered(0, 8)).unwrap();
+        drive(&d, || got.lock().len() == 1);
+        let conn = kept.conn(0);
+        conn.set_stall(STALL);
+        conn.set_backstop_off(true);
+        // Both datagrams are in F's socket before F runs, so one round
+        // dispatches them, in order.
+        s.rsr(&s_to_f, "burst", Buffer::new()).unwrap();
+        s.rsr(&s_to_d, "seq", numbered(4, 8)).unwrap();
+        let before = conn.census();
+        drive(&f, || conn.census().sends - before.sends == 4);
+        let census = conn.census();
+        assert_eq!(census.staged - before.staged, 2, "{census:?}");
+        assert_eq!(census.writes - before.writes, 2, "{census:?}");
+        drive(&d, || got.lock().len() == 5);
+        assert_eq!(*got.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            f.trace().snapshot_method(MethodId::UDP).forwards,
+            1,
+            "the last message was forwarded"
+        );
+        fabric.shutdown();
+    }
+
+    /// A context that bursts and never runs again: the backstop writes
+    /// what it staged.
+    #[test]
+    fn the_backstop_writes_what_a_context_that_never_runs_again_staged() {
+        let Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        } = connected_pair(None);
+        conn.set_stall(STALL);
+        for i in 1..=10 {
+            a.rsr(&to_b, "seq", numbered(i, 64)).unwrap();
+        }
+        assert!(conn.census().staged >= 1, "{:?}", conn.census());
+        drive(&b, || got.lock().len() == 11);
+        assert_eq!(*got.lock(), (0..=10).collect::<Vec<u32>>());
+        assert!(conn.census().backstop >= 1, "{:?}", conn.census());
+        assert!(a.trace().snapshot_method(MethodId::TCP).flushes >= 1);
+        fabric.shutdown();
+    }
+
+    /// `close`, and the shutdown of the context that staged, write what is
+    /// staged before the socket goes.
+    #[test]
+    fn close_and_shutdown_write_what_is_staged() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let desc = CommDescriptor::new(
+            MethodId::TCP,
+            listener.local_addr().unwrap().to_string().into_bytes(),
+        );
+        let obj = TcpModule::new().dial(&desc).unwrap();
+        obj.set_backstop_off(true);
+        let (mut peer, _) = listener.accept().unwrap();
+        let frames: Vec<Rsr> = (0..3).map(|i| msg(&format!("c{i}"), b"x")).collect();
+        for m in &frames {
+            obj.send_or_stage(m, &WireFrame::new(), true).unwrap();
+        }
+        assert_eq!(obj.census().writes, 0);
+        obj.close();
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        assert!(got == frames.iter().flat_map(framed).collect::<Vec<u8>>());
+
+        let Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        } = connected_pair(None);
+        conn.set_stall(STALL);
+        conn.set_backstop_off(true);
+        for i in 1..=5 {
+            a.rsr(&to_b, "seq", numbered(i, 64)).unwrap();
+        }
+        assert_eq!(conn.census().staged, 4, "{:?}", conn.census());
+        a.shutdown();
+        drive(&b, || got.lock().len() == 6);
+        assert_eq!(*got.lock(), (0..=5).collect::<Vec<u32>>());
+        assert_eq!(conn.census().backstop, 0);
+        fabric.shutdown();
+    }
+
+    /// An open-loop sender whose period is longer than a write never
+    /// stages. After one slow write it may stage the next send, and is
+    /// back to writing through by the send after that.
+    #[test]
+    fn an_open_loop_sender_writes_through_and_recovers_from_a_slow_write() {
+        const PERIOD: Duration = Duration::from_millis(20);
+        let Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        } = connected_pair(None);
+        let mut i = 0;
+        let mut send = || {
+            let due = Instant::now() + PERIOD;
+            while Instant::now() < due {
+                let _ = b.progress();
+            }
+            i += 1;
+            a.rsr(&to_b, "seq", numbered(i, 64)).unwrap();
+        };
+        for _ in 0..10 {
+            send();
+        }
+        assert_eq!(conn.census().staged, 0, "{:?}", conn.census());
+        conn.set_stall(3 * PERIOD);
+        send();
+        conn.set_stall(Duration::ZERO);
+        send();
+        let staged = conn.census().staged;
+        assert!(staged <= 1, "{:?}", conn.census());
+        if staged == 1 {
+            // The backstop writes it before T, and that write is what the
+            // next send is judged against.
+            let deadline = Instant::now() + PATIENCE;
+            while conn.census().backstop == 0 {
+                assert!(Instant::now() < deadline, "{:?}", conn.census());
+                let _ = b.progress();
+            }
+        }
+        for _ in 0..5 {
+            send();
+        }
+        assert_eq!(conn.census().staged, staged, "{:?}", conn.census());
+        drive(&b, || got.lock().len() == 18);
+        assert_eq!(*got.lock(), (0..18).collect::<Vec<u32>>());
+        fabric.shutdown();
+    }
+
+    /// A flush that fails is a failover of the connection: counted once,
+    /// recorded, evicted, reported by the pass that flushed — and the next
+    /// RSR re-selects.
+    #[test]
+    fn a_failed_flush_is_a_failover_of_the_connection() {
+        let udp: Arc<dyn CommModule> = Arc::new(crate::udp::UdpModule::new());
+        let Pair {
+            fabric,
+            a,
+            b,
+            to_b,
+            got,
+            conn,
+        } = connected_pair(Some(udp));
+        conn.set_stall(STALL);
+        conn.set_backstop_off(true);
+        for i in 1..=4 {
+            a.rsr(&to_b, "seq", numbered(i, 64)).unwrap();
+        }
+        assert_eq!(conn.census().staged, 3, "{:?}", conn.census());
+        let cached = a.cached_connections();
+        conn.break_stream();
+        assert!(a.progress().is_err(), "the pass that flushed reports it");
+        assert_eq!(a.trace().snapshot_method(MethodId::TCP).failovers, 1);
+        assert!(a.trace().events().iter().any(|e| matches!(
+            e.kind,
+            TraceEventKind::Failover { target, from: MethodId::TCP } if target == b.id()
+        )));
+        assert_eq!(a.cached_connections(), cached - 1, "evicted");
+        a.rsr(&to_b, "seq", numbered(5, 64)).unwrap();
+        assert_eq!(to_b.current_methods()[0].1, Some(MethodId::UDP));
+        assert_eq!(
+            a.trace().snapshot_method(MethodId::TCP).failovers,
+            1,
+            "counted once"
+        );
+        drive(&b, || got.lock().contains(&5));
+        fabric.shutdown();
     }
 }

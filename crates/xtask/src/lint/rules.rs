@@ -736,7 +736,21 @@ fn rule_hot_path_alloc(ws: &Workspace) -> Vec<Diagnostic> {
     // `send_parts`. They sit behind trait objects and the reactor shell,
     // so rooting them keeps the "no user-space copy of a payload" path
     // checked even if the name links from `poll_once` / `rsr` ever break.
-    for root in ["read_frames", "cut_frames", "send_gathered"] {
+    // The writer's staging halves ride along: `stage_frame` copies a frame
+    // into the connection's fixed staging buffer, and the flushes that
+    // empty it — the owner context's `flush_listed`, TCP's `write_staged`
+    // and the backstop's `backstop_visit` — run once per burst on the
+    // sender, the worker and the reactor thread. (`flush` itself is a
+    // stoplisted name, so these names are what links.)
+    for root in [
+        "read_frames",
+        "cut_frames",
+        "send_gathered",
+        "stage_frame",
+        "flush_listed",
+        "write_staged",
+        "backstop_visit",
+    ] {
         for (name, path) in graph.reachable_from(root) {
             reach.entry(name).or_insert(path);
         }
@@ -1380,11 +1394,16 @@ mod tests {
 
     #[test]
     fn hot_path_alloc_covers_the_tcp_framing_and_writer_roots() {
-        // Each root on its own: no fixture calls another root.
+        // Each root on its own — the staging and flush roots included: no
+        // fixture calls another root.
         for (root, callee) in [
             ("read_frames", "grow"),
             ("cut_frames", "batch"),
             ("send_gathered", "lead"),
+            ("stage_frame", "append"),
+            ("flush_listed", "drain_owned"),
+            ("write_staged", "gather"),
+            ("backstop_visit", "retry"),
         ] {
             let src = format!(
                 "fn {root}() {{\n    {callee}();\n}}\nfn {callee}() {{\n    let v = frame.to_vec();\n}}\n"

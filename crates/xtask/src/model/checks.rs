@@ -118,6 +118,13 @@ pub const CHECKS: &[Check] = &[
         kind: Kind::Systematic,
         run: shard_handoff,
     },
+    Check {
+        name: "stage-flush",
+        description:
+            "TCP write staging: a quiescent staged frame is always claimed and listed for a flush",
+        kind: Kind::Systematic,
+        run: stage_flush,
+    },
 ];
 
 /// Drives a systematic spec: full exploration by default, single-schedule
@@ -679,6 +686,22 @@ fn rearm_dpor(cx: &CheckCtx) -> Result<u64, String> {
     match &cx.schedule {
         Some(s) => super::programs::replay_rearm(false, s).map(|()| 1),
         None => super::programs::explore_rearm(false)
+            .map(|stats| stats.schedules)
+            .map_err(|v| v.to_string()),
+    }
+}
+
+/// TCP write staging (`transports::tcp`, `Context::flush_listed`) as the
+/// micro-op program in [`super::programs`]: a stager appends under the
+/// writer lock and lists the connection after it when it took the owner
+/// claim, a dispatch round pops an entry and flushes (releasing the claim
+/// under the writer lock, before its write), and the backstop writes what
+/// was already staged at its previous tick. At quiescence every staged
+/// frame must be claimed and listed.
+fn stage_flush(cx: &CheckCtx) -> Result<u64, String> {
+    match &cx.schedule {
+        Some(s) => super::programs::replay_stage_flush(false, s).map(|()| 1),
+        None => super::programs::explore_stage_flush(false)
             .map(|stats| stats.schedules)
             .map_err(|v| v.to_string()),
     }

@@ -30,6 +30,15 @@
 //!   a historical bug but the variant the design rules out: a re-arm
 //!   that only watches for *new* edges strands them; the level-triggered
 //!   `EPOLL_CTL_MOD` the code issues re-evaluates readiness and fires.
+//! * **stage-flush** — TCP write staging (`transports::tcp`,
+//!   `Context::flush_listed`): a stager appends a frame under the writer
+//!   lock and, if it took the owner claim (`listed`), puts the connection
+//!   on its context's flush list once the lock is released; a dispatch
+//!   round pops the entry and flushes; the backstop writes frames that
+//!   were already staged at its previous tick. The flush must release the
+//!   claim under the writer lock, before its write: released after it, a
+//!   frame staged in between finds the claim still held, lists nothing,
+//!   and is stranded once the claim goes.
 
 use super::dpor::{self, Explored, Violation};
 
@@ -558,6 +567,152 @@ pub fn replay_rearm(broken: bool, schedule: &[usize]) -> Result<(), String> {
     )
 }
 
+// ---------------------------------------------------------------------------
+// stage-flush
+// ---------------------------------------------------------------------------
+
+/// One connection's staging buffer and owner claim, and its owner
+/// context's flush list.
+#[derive(Default)]
+struct StageState {
+    /// Frames in the staging buffer.
+    staged: u64,
+    /// The owner claim: a context listed the connection and has not
+    /// flushed it since.
+    listed: bool,
+    /// Entries on the owner context's flush list.
+    owners: u64,
+    /// Stager: the frame it just staged took the claim.
+    needs_owner: bool,
+    /// Flusher: holds a popped entry.
+    holding: bool,
+    /// Backstop: frames were staged at its first tick, so they are a full
+    /// tick old at its second.
+    aged: bool,
+    sent: u64,
+}
+
+impl StageState {
+    /// Stager, under the writer lock: append a frame; the first frame
+    /// since the claim was released takes it.
+    fn stage(&mut self) {
+        self.staged += 1;
+        self.sent += 1;
+        self.needs_owner = !std::mem::replace(&mut self.listed, true);
+    }
+
+    /// Stager, the writer lock released: list the connection with its
+    /// context if this frame took the claim.
+    fn list(&mut self) {
+        if std::mem::take(&mut self.needs_owner) {
+            self.owners += 1;
+        }
+    }
+
+    /// Flusher, under the list lock: pop an entry.
+    fn pop(&mut self) {
+        if self.owners > 0 {
+            self.owners -= 1;
+            self.holding = true;
+        }
+    }
+
+    /// Any writer: everything staged reaches the socket.
+    fn write(&mut self) {
+        self.staged = 0;
+    }
+}
+
+/// Ops per dispatch round of the flusher: pop, then the flush — one op
+/// under the writer lock (release the claim, write), or, broken, the
+/// write and then, after the lock, the release.
+fn stage_round(broken: bool) -> usize {
+    if broken {
+        3
+    } else {
+        2
+    }
+}
+
+fn stage_footprints(broken: bool) -> Vec<Vec<u64>> {
+    // Stager: two frames, stage + list each. Flusher: two dispatch
+    // rounds. Backstop: two ticks.
+    vec![
+        vec![SHARED; 4],
+        vec![SHARED; 2 * stage_round(broken)],
+        vec![SHARED; 2],
+    ]
+}
+
+fn stage_step(broken: bool) -> impl Fn(&mut StageState, usize, usize) {
+    move |st, t, op| match t {
+        0 if op % 2 == 0 => st.stage(),
+        0 => st.list(),
+        1 => match op % stage_round(broken) {
+            0 => st.pop(),
+            1 if st.holding => {
+                if !broken {
+                    st.listed = false;
+                    st.holding = false;
+                }
+                st.write();
+            }
+            2 if st.holding => {
+                st.listed = false;
+                st.holding = false;
+            }
+            _ => {}
+        },
+        // The backstop's `try_lock` finds the writer free between ops; a
+        // tick that loses it is a tick that finds nothing aged.
+        _ if op == 0 => st.aged = st.staged > 0,
+        _ => {
+            if st.aged {
+                st.write();
+            }
+        }
+    }
+}
+
+fn stage_check(st: &mut StageState) -> Result<(), String> {
+    // Quiescence: nothing stages again. What is still staged must be
+    // claimed and on a flush list, whose next round writes it.
+    if st.staged == 0 || (st.listed && st.owners > 0) {
+        Ok(())
+    } else {
+        Err(format!(
+            "stranded: {} of {} staged frames unwritten, claim {}, {} flush-list \
+             entries — no dispatch round will write them",
+            st.staged,
+            st.sent,
+            if st.listed { "held" } else { "released" },
+            st.owners
+        ))
+    }
+}
+
+/// Explores the staging owner protocol; `broken` releases the claim after
+/// the flush's write instead of before it under the writer lock.
+pub fn explore_stage_flush(broken: bool) -> Result<Explored, Violation> {
+    dpor::explore(
+        &stage_footprints(broken),
+        &StageState::default,
+        &stage_step(broken),
+        &stage_check,
+    )
+}
+
+/// Replays one schedule of the staging owner protocol.
+pub fn replay_stage_flush(broken: bool, schedule: &[usize]) -> Result<(), String> {
+    dpor::replay(
+        &stage_footprints(broken),
+        &StageState::default,
+        &stage_step(broken),
+        &stage_check,
+        schedule,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,6 +724,7 @@ mod tests {
             ("ewma-first", explore_ewma_first(false)),
             ("doorbell", explore_doorbell(false)),
             ("rearm", explore_rearm(false)),
+            ("stage-flush", explore_stage_flush(false)),
         ] {
             let stats = got.unwrap_or_else(|v| panic!("{name} fixed variant failed: {v}"));
             assert!(stats.schedules > 0, "{name} explored nothing");
@@ -582,6 +738,7 @@ mod tests {
             ("ewma-first", explore_ewma_first(true)),
             ("doorbell", explore_doorbell(true)),
             ("rearm", explore_rearm(true)),
+            ("stage-flush", explore_stage_flush(true)),
         ] {
             let v = got.expect_err(name);
             // The reported schedule must reproduce the violation when
@@ -590,7 +747,8 @@ mod tests {
                 "seq-ring" => replay_seq_ring(true, &v.schedule),
                 "ewma-first" => replay_ewma_first(true, &v.schedule),
                 "doorbell" => replay_doorbell(true, &v.schedule),
-                _ => replay_rearm(true, &v.schedule),
+                "rearm" => replay_rearm(true, &v.schedule),
+                _ => replay_stage_flush(true, &v.schedule),
             };
             replayed.expect_err(name);
         }

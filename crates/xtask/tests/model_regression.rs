@@ -77,8 +77,12 @@ fn doorbell_seed_from_master_3_stays_fixed() {
 //
 // The op-level models in `xtask::model::programs` encode the three
 // historical races above at the micro-op granularity where each bug
-// lived, plus the one protocol variant a current design rules out (a
-// socket re-arm that does not re-evaluate readiness). Unlike the seeds, these pins are *deterministic*: the sleep-set
+// lived, plus the protocol variants current designs rule out (a socket
+// re-arm that does not re-evaluate readiness; a TCP staging flush that
+// releases its owner claim after the write instead of before it under
+// the writer lock — `001120011112`: a frame staged between the write and
+// the release lists nothing and strands). Unlike the seeds, these pins
+// are *deterministic*: the sleep-set
 // explorer re-finds each race by enumeration on every run — no lucky
 // seed — and the exact violating interleaving is pinned as a schedule
 // digit string. The fixed counterparts (micro-ops fused, as the
@@ -90,6 +94,7 @@ const PINNED: &[(&str, &str)] = &[
     ("ewma-first", "001101"),
     ("doorbell", "010111"),
     ("rearm", "00233133333233"),
+    ("stage-flush", "001120011112"),
 ];
 
 fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation> {
@@ -98,6 +103,7 @@ fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation>
         "ewma-first" => programs::explore_ewma_first(broken),
         "doorbell" => programs::explore_doorbell(broken),
         "rearm" => programs::explore_rearm(broken),
+        "stage-flush" => programs::explore_stage_flush(broken),
         other => panic!("unknown model {other}"),
     }
 }
@@ -108,6 +114,7 @@ fn replay_schedule(model: &str, broken: bool, schedule: &[usize]) -> Result<(), 
         "ewma-first" => programs::replay_ewma_first(broken, schedule),
         "doorbell" => programs::replay_doorbell(broken, schedule),
         "rearm" => programs::replay_rearm(broken, schedule),
+        "stage-flush" => programs::replay_stage_flush(broken, schedule),
         other => panic!("unknown model {other}"),
     }
 }

@@ -194,6 +194,74 @@ fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
     fabric.shutdown();
 }
 
+/// The enquiry answers "how many frames per write" for each method: a
+/// request/reply exchange combines nothing (every send follows a dispatch
+/// round of its context, so it writes through), and a burst from a sender
+/// that does not run in between leaves in a few combined writes, counted
+/// once per write — not per message.
+#[test]
+fn combined_writes_are_counted_per_write_not_per_message() {
+    const ROUND_TRIPS: u64 = 200;
+    const BURST: u64 = 256;
+    let fabric = Fabric::new();
+    fabric.registry().register(Arc::new(TcpModule::new()));
+    let a = fabric.create_context().unwrap();
+    let b = fabric.create_context().unwrap();
+    let to_a = Arc::new(a.startpoint_to(a.create_endpoint()).unwrap());
+    let to_b = b.startpoint_to(b.create_endpoint()).unwrap();
+    b.register_handler("ping", move |args| {
+        args.context.rsr(&to_a, "pong", Buffer::new()).unwrap();
+    });
+    let pongs = Arc::new(AtomicU64::new(0));
+    let bursts = Arc::new(AtomicU64::new(0));
+    {
+        let p = Arc::clone(&pongs);
+        a.register_handler("pong", move |_| {
+            p.fetch_add(1, Ordering::Relaxed);
+        });
+        let m = Arc::clone(&bursts);
+        b.register_handler("m", move |_| {
+            m.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    for i in 1..=ROUND_TRIPS {
+        a.rsr(&to_b, "ping", Buffer::new()).unwrap();
+        while pongs.load(Ordering::Relaxed) < i {
+            b.progress().unwrap();
+            a.progress().unwrap();
+            assert!(std::time::Instant::now() < deadline, "ping-pong stalled");
+        }
+    }
+    for ctx in [&a, &b] {
+        let snap = ctx.trace().snapshot_method(MethodId::TCP);
+        assert_eq!((snap.flushes, snap.flushed_frames), (0, 0), "{snap:?}");
+    }
+
+    // Back to back, each send begins long before the last write took:
+    // everything after the burst's first send stages until the buffer is
+    // full or the pass flushes it.
+    for _ in 0..BURST {
+        let mut buf = Buffer::new();
+        buf.put_raw(&[7u8; 64]);
+        a.rsr(&to_b, "m", buf).unwrap();
+    }
+    a.progress().unwrap();
+    while bursts.load(Ordering::Relaxed) < BURST {
+        b.progress().unwrap();
+        assert!(std::time::Instant::now() < deadline, "burst not delivered");
+    }
+    let snap = a.trace().snapshot_method(MethodId::TCP);
+    assert!(snap.flushes >= 1, "no combined write: {snap:?}");
+    assert!(
+        snap.flushed_frames > snap.flushes && snap.flushed_frames < BURST,
+        "frames per combined write: {snap:?}"
+    );
+    let report = a.trace().render();
+    assert!(report.contains("flushes") && report.contains("frames/flush"));
+    fabric.shutdown();
+}
+
 /// The four ways a message can reach a context's handlers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Route {
