@@ -236,6 +236,7 @@ impl Fabric {
             comm_cache: Mutex::new(HashMap::new()),
             policy: RwLock::new(Arc::new(FirstApplicable)),
             reselect: RwLock::new(None),
+            reselect_on: AtomicBool::new(false),
             trace,
             shutdown: AtomicBool::new(false),
             rounds: AtomicU64::new(0),
@@ -308,6 +309,11 @@ pub struct Context {
     comm_cache: Mutex<HashMap<(ContextId, MethodId), Arc<dyn CommObject>>>,
     policy: RwLock<Arc<dyn SelectionPolicy>>,
     reselect: RwLock<Option<ReselectConfig>>,
+    /// `reselect.is_some()`, written under its write lock, so a send on a
+    /// context that never configured re-selection costs one load. Relaxed:
+    /// it publishes nothing (the config is read under the lock), and a
+    /// stale value at most misses one send's count.
+    reselect_on: AtomicBool,
     trace: Arc<Trace>,
     shutdown: AtomicBool,
     /// Dispatch rounds begun: progress passes and worker token services.
@@ -475,7 +481,9 @@ impl Context {
     /// migrates its communication object in place. `None` disables the
     /// mechanism (the default).
     pub fn set_reselection(&self, cfg: Option<ReselectConfig>) {
-        *self.reselect.write() = cfg;
+        let mut g = self.reselect.write();
+        self.reselect_on.store(cfg.is_some(), Ordering::Relaxed);
+        *g = cfg;
     }
 
     /// Current re-selection configuration (enquiry).
@@ -797,8 +805,7 @@ impl Context {
                 Ok(staged) => {
                     // Steady-state recording: atomics only, through the
                     // handle cached on the link's selection.
-                    let end =
-                        self.note_send(&sel.ltrace, link.target.context, sel.method, wire, start);
+                    let end = Self::note_send(&sel.ltrace, wire, start);
                     if let Some(pace) = pace {
                         pace.sent(start, end, staged == Staged::Written);
                         if staged == Staged::NeedsOwner {
@@ -906,29 +913,14 @@ impl Context {
     }
 
     /// Records one completed transport send, begun at `start`, on its
-    /// `(link, method)` record and in the event ring; the event timestamp
-    /// reuses the end-of-send clock reading, which is returned.
-    fn note_send(
-        &self,
-        ltrace: &LinkMethodTrace,
-        target: ContextId,
-        method: MethodId,
-        wire: usize,
-        start: Instant,
-    ) -> Instant {
+    /// `(link, method)` record — atomics only — and returns the end-of-send
+    /// clock reading.
+    fn note_send(ltrace: &LinkMethodTrace, wire: usize, start: Instant) -> Instant {
         let end = Instant::now();
         let cost_ns = end.duration_since(start).as_nanos() as u64;
         ltrace.send_latency_ns.record(cost_ns);
         ltrace.send_bytes.record(wire as u64);
         ltrace.send_cost_ns.record(cost_ns as f64);
-        self.trace.record_event_at(
-            end,
-            TraceEventKind::Send {
-                target,
-                method,
-                wire_bytes: wire as u64,
-            },
-        );
         end
     }
 
@@ -941,6 +933,9 @@ impl Context {
     /// and stays cached — this is a policy move, so concurrent sends are
     /// drained before the switch and no connection is torn down.
     fn consider_reselect(&self, link: &Link, current: MethodId) {
+        if !self.reselect_on.load(Ordering::Relaxed) {
+            return;
+        }
         let Some(cfg) = *self.reselect.read() else {
             return;
         };
@@ -1146,10 +1141,6 @@ impl Context {
                 to: sc.to,
             });
         }
-        for &(method, drained) in &out.ready_wakeups {
-            self.trace
-                .record_event(TraceEventKind::ReadyWakeup { method, drained });
-        }
         // A transport error from one source must not swallow traffic the
         // pass retrieved: dispatch everything first, then report the
         // earliest error (poll errors before dispatch errors). Errors that
@@ -1166,12 +1157,9 @@ impl Context {
         let n = out.messages.len();
         // Recv histograms were already recorded where the message was
         // retrieved (poll engine source or blocking-poller thread),
-        // through handles cached there. Here we only stamp the pass's Recv
-        // events — with a single clock reading — and run the handlers.
-        let pass_at = if n > 0 { Some(Instant::now()) } else { None };
+        // through handles cached there; here we only run the handlers.
         for (method, msg) in out.messages.drain(..) {
-            let at = pass_at.expect("set when any message exists");
-            if let Err(e) = self.deliver(at, method, msg) {
+            if let Err(e) = self.deliver(method, msg) {
                 first_err.get_or_insert(e);
             }
         }
@@ -1311,8 +1299,7 @@ impl Context {
         obj.send(&msg, &frame)?;
         // A forwarded send is a send on the (destination, method) link like
         // any other: enquiries and re-selection see its cost.
-        let ltrace = self.trace.link(msg.dest, method);
-        self.note_send(&ltrace, msg.dest, method, msg.wire_len(), start);
+        Self::note_send(&self.trace.link(msg.dest, method), msg.wire_len(), start);
         frame.reclaim();
         self.trace
             .method(arrival)
@@ -1950,29 +1937,15 @@ impl Context {
     }
 
     /// Delivers one drained message, identically whichever thread drained
-    /// it: stamps the `Recv` event, dispatches, and surfaces a dispatch
-    /// error as a `PollError` event. The error is also returned, for the
-    /// progress pass that can carry it to its caller.
-    fn deliver(&self, at: Instant, method: MethodId, msg: Rsr) -> Result<()> {
-        self.trace.record_event_at(
-            at,
-            TraceEventKind::Recv {
-                method,
-                wire_bytes: msg.wire_len() as u64,
-            },
-        );
+    /// it: dispatches, and surfaces a dispatch error as a `PollError`
+    /// event. The error is also returned, for the progress pass that can
+    /// carry it to its caller (a shard worker has none and drops it).
+    pub(crate) fn deliver(&self, method: MethodId, msg: Rsr) -> Result<()> {
         let dispatched = self.dispatch(method, msg);
         if dispatched.is_err() {
             self.note_poll_error(method);
         }
         dispatched
-    }
-
-    /// The shard worker's dispatch hand-off. Dispatch errors land in the
-    /// event ring only — there is no progress-pass return value to carry
-    /// them on a worker thread.
-    pub(crate) fn deliver_sharded(&self, method: MethodId, msg: Rsr) {
-        let _ = self.deliver(Instant::now(), method, msg);
     }
 
     /// Surfaces a receive-side error that no caller will be handed (one
@@ -1983,12 +1956,6 @@ impl Context {
             method,
             consecutive: 1,
         });
-    }
-
-    /// Records one completed doorbell service by a worker thread.
-    pub(crate) fn note_ready_wakeup(&self, method: MethodId, drained: u64) {
-        self.trace
-            .record_event(TraceEventKind::ReadyWakeup { method, drained });
     }
 
     // -- enquiry / shutdown -------------------------------------------------------
@@ -2859,10 +2826,6 @@ mod tests {
         let snap = b.trace().snapshot_method(MethodId::LOCAL);
         assert_eq!(snap.recvs, 1);
         assert!(snap.ready_wakeups >= 1);
-        assert!(b.trace().events().iter().any(|e| matches!(
-            e.kind,
-            TraceEventKind::ReadyWakeup { method, .. } if method == MethodId::LOCAL
-        )));
         // An armed source leaves the polled rotation entirely: idle passes
         // must not probe it even once.
         let polls = b.trace().snapshot_method(MethodId::LOCAL).polls;

@@ -75,32 +75,41 @@ fn intern_table() -> &'static Mutex<HashSet<Arc<str>>> {
 #[derive(Clone, Eq)]
 pub struct HandlerName(Arc<str>);
 
+/// Names each thread's memo keeps: enough for a request/reply exchange
+/// (and a few more handlers) that one thread drives.
+const MEMO_SLOTS: usize = 4;
+
 thread_local! {
-    /// Last name this thread interned. A sender typically issues runs of
-    /// RSRs to the same handler, so the common intern is a thread-local
-    /// string compare instead of a global lock + hash.
-    static LAST_INTERNED: std::cell::RefCell<Option<HandlerName>> =
-        const { std::cell::RefCell::new(None) };
+    /// The names this thread interned last, in slots reused round-robin.
+    /// A thread issues RSRs to a handful of handlers, so the common intern
+    /// is a few thread-local string compares instead of a global lock +
+    /// hash.
+    static MEMO: std::cell::RefCell<([Option<HandlerName>; MEMO_SLOTS], usize)> =
+        const { std::cell::RefCell::new(([const { None }; MEMO_SLOTS], 0)) };
+    /// Global-table lookups this thread made.
+    #[cfg(test)]
+    static GLOBAL_LOOKUPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 impl HandlerName {
     /// Interns `name`: returns the shared instance, allocating only the
     /// first time this name is seen (or when the intern table is full).
     pub fn intern(name: &str) -> HandlerName {
-        LAST_INTERNED.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if let Some(h) = memo.as_ref() {
-                if h.as_str() == name {
-                    return h.clone();
-                }
+        MEMO.with(|memo| {
+            let (slots, next) = &mut *memo.borrow_mut();
+            if let Some(h) = slots.iter().flatten().find(|h| h.as_str() == name) {
+                return h.clone();
             }
             let h = Self::intern_global(name);
-            *memo = Some(h.clone());
+            slots[*next] = Some(h.clone());
+            *next = (*next + 1) % MEMO_SLOTS;
             h
         })
     }
 
     fn intern_global(name: &str) -> HandlerName {
+        #[cfg(test)]
+        GLOBAL_LOOKUPS.with(|n| n.set(n.get() + 1));
         let mut table = intern_table().lock();
         if let Some(existing) = table.get(name) {
             return HandlerName(Arc::clone(existing));
@@ -568,6 +577,22 @@ mod tests {
         assert_eq!("halo_exchange", a);
         assert_eq!(format!("{a}"), "halo_exchange");
         assert_eq!(format!("{a:?}"), "\"halo_exchange\"");
+    }
+
+    /// A request/reply exchange driven by one thread interns two names
+    /// alternately; after each has been seen once, the memo answers.
+    #[test]
+    fn alternating_names_hit_the_memo() {
+        std::thread::spawn(|| {
+            for i in 0..1000 {
+                let name = if i % 2 == 0 { "req" } else { "rep" };
+                assert_eq!(HandlerName::intern(name), name);
+            }
+            let lookups = GLOBAL_LOOKUPS.with(|n| n.get());
+            assert!(lookups <= 2, "{lookups} global-table lookups");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

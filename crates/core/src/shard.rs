@@ -490,13 +490,12 @@ fn service_token(shared: &Arc<PoolShared>, shard: usize, token: usize) {
         // The handler runs under the slot lock, which only ever
         // serializes services of this one source.
         let (drained, err) = ready_visit(&mut *src.receiver, &src.signal, &src.rec, |msg| {
-            ctx.deliver_sharded(method, msg)
+            let _ = ctx.deliver(method, msg);
         });
         if err.is_some() {
             ctx.note_poll_error(method);
         }
         counters.messages.fetch_add(drained, Ordering::Relaxed);
-        ctx.note_ready_wakeup(method, drained);
         ctx
     };
     // No pass returns this error: the failover it caused is recorded as

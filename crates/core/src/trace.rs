@@ -19,13 +19,15 @@
 //!   method ([`Trace::snapshot_method`]). Message and byte totals are not
 //!   stored twice: they are the `count()`/`sum()` of the size histograms.
 //! * [`Trace`] — the per-context registry of the above plus a
-//!   fixed-capacity event ring ([`TraceEvent`]) recording sends, receives,
-//!   failovers, method switches, skip_poll changes, and poll errors, with
-//!   a plain-text exporter ([`Trace::render`]).
+//!   fixed-capacity event ring ([`TraceEvent`]) of what is rare: method
+//!   selections and switches, failovers, skip_poll changes, poll errors,
+//!   and bulk, stripe and gather outcomes, with a plain-text exporter
+//!   ([`Trace::render`]). Traffic never enters the ring — it is counted
+//!   by the size histograms and counters — so no amount of it evicts an
+//!   event.
 //!
-//! Recording on the hot paths touches only atomics (histograms, EWMAs,
-//! counters); the event ring takes one short mutex per event, comparable
-//! to the queue transports' own locking.
+//! Recording on the message path touches only atomics (histograms, EWMAs,
+//! counters); only the rare events above take the ring's short mutex.
 //!
 //! # Memory model
 //!
@@ -316,22 +318,6 @@ impl fmt::Debug for Ewma {
 /// What happened, for one entry of the event ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// An RSR left over a link.
-    Send {
-        /// The link's destination context.
-        target: ContextId,
-        /// Method that carried it.
-        method: MethodId,
-        /// Encoded frame size.
-        wire_bytes: u64,
-    },
-    /// An RSR arrived and was queued for dispatch.
-    Recv {
-        /// Method that carried it.
-        method: MethodId,
-        /// Encoded frame size.
-        wire_bytes: u64,
-    },
     /// A send failed and the link is abandoning the method.
     Failover {
         /// The link's destination context.
@@ -365,14 +351,6 @@ pub enum TraceEventKind {
         method: MethodId,
         /// Consecutive errors at the time of recording.
         consecutive: u64,
-    },
-    /// An armed source's doorbell ring was serviced by the poll engine's
-    /// readiness tier.
-    ReadyWakeup {
-        /// The affected method.
-        method: MethodId,
-        /// Messages drained during the visit.
-        drained: u64,
     },
     /// A payload crossed the rendezvous cutoff and went out as a bulk
     /// handle instead of an inline body.
@@ -441,14 +419,6 @@ impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[#{} +{:.6}s] ", self.seq, self.at.as_secs_f64())?;
         match self.kind {
-            TraceEventKind::Send {
-                target,
-                method,
-                wire_bytes,
-            } => write!(f, "send to {target} via {method}, {wire_bytes} B"),
-            TraceEventKind::Recv { method, wire_bytes } => {
-                write!(f, "recv via {method}, {wire_bytes} B")
-            }
             TraceEventKind::Failover { target, from } => {
                 write!(f, "failover on link to {target}: abandoning {from}")
             }
@@ -463,9 +433,6 @@ impl fmt::Display for TraceEvent {
                 method,
                 consecutive,
             } => write!(f, "poll error on {method} ({consecutive} consecutive)"),
-            TraceEventKind::ReadyWakeup { method, drained } => {
-                write!(f, "ready wakeup on {method}, drained {drained}")
-            }
             TraceEventKind::BulkExpose { region, bytes } => {
                 write!(f, "bulk expose region {region}, {bytes} B")
             }
@@ -732,14 +699,6 @@ impl Trace {
     /// Appends an event to the ring, stamped with the current uptime.
     pub fn record_event(&self, kind: TraceEventKind) {
         self.ring.push(self.started.elapsed(), kind);
-    }
-
-    /// Appends an event stamped from an [`Instant`] the caller already
-    /// took — hot paths that just timed an operation reuse that reading
-    /// instead of paying another clock read.
-    pub fn record_event_at(&self, at: Instant, kind: TraceEventKind) {
-        let at = at.checked_duration_since(self.started).unwrap_or_default();
-        self.ring.push(at, kind);
     }
 
     /// The events currently held by the ring, oldest first.
@@ -1060,9 +1019,9 @@ mod tests {
             .record(800);
         t.link(ContextId(2), MethodId::TCP).send_bytes.record(64);
         t.method(MethodId::TCP).poll_cost_ns.record(15_000.0);
-        t.record_event(TraceEventKind::Recv {
+        t.record_event(TraceEventKind::PollError {
             method: MethodId::TCP,
-            wire_bytes: 64,
+            consecutive: 1,
         });
         let text = t.render();
         assert!(text.contains("nexus trace"));
@@ -1070,7 +1029,7 @@ mod tests {
         assert!(text.contains("receive path"));
         assert!(text.contains("events"));
         assert!(text.contains("tcp"));
-        assert!(text.contains("recv via tcp, 64 B"));
+        assert!(text.contains("poll error on tcp (1 consecutive)"));
     }
 
     #[test]

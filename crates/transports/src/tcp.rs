@@ -79,9 +79,14 @@
 //!
 //! Parameters (per §2.1's requirement that methods expose their low-level
 //! knobs): `nodelay` (`true`/`false`, applied to every new connection),
-//! `connect_timeout_ms`, and the socket-buffer sizes `sndbuf`/`rcvbuf`
-//! (bytes; 0 keeps the kernel default) — default buffers throttle striped
-//! bulk transfers long before the link saturates.
+//! `connect_timeout_ms`, and the socket-buffer sizes (bytes; unset keeps
+//! the kernel default) — default buffers throttle striped bulk transfers
+//! long before the link saturates. Every connection is one-way, so each
+//! size belongs to one end: `sndbuf` to the dialled socket that writes
+//! (also settable per connection), `rcvbuf` to the listener a context
+//! opens, before any peer connects — accepted sockets inherit it, and the
+//! window scale is negotiated from it at the SYN. It is a module
+//! parameter only.
 
 #[cfg(have_epoll)]
 use crate::reactor::{Reactor, RegistrationId};
@@ -105,7 +110,8 @@ use std::time::{Duration, Instant};
 pub struct TcpModule {
     nodelay: AtomicBool,
     connect_timeout_ms: AtomicU64,
-    /// Socket buffer sizes applied to new connections; 0 = kernel default.
+    /// Socket buffer sizes for new dialled connections (`sndbuf`) and new
+    /// listeners (`rcvbuf`); 0 = kernel default.
     sndbuf: AtomicU64,
     rcvbuf: AtomicU64,
 }
@@ -136,12 +142,15 @@ enum SockBuf {
     Recv,
 }
 
-/// Sets `SO_SNDBUF`/`SO_RCVBUF` on a connected stream. The workspace
-/// builds without libc, so this speaks setsockopt(2) directly — the same
-/// raw-FFI idiom as the reactor's epoll binding.
+/// Sets `SO_SNDBUF`/`SO_RCVBUF` on a socket. The workspace builds without
+/// libc, so this speaks setsockopt(2) directly — the same raw-FFI idiom as
+/// the reactor's epoll binding.
 #[cfg(unix)]
-fn set_socket_buffer(stream: &TcpStream, which: SockBuf, bytes: usize) -> Result<()> {
-    use std::os::unix::io::AsRawFd;
+fn set_socket_buffer(
+    socket: &impl std::os::unix::io::AsRawFd,
+    which: SockBuf,
+    bytes: usize,
+) -> Result<()> {
     #[cfg(target_os = "linux")]
     const SOL_SOCKET: i32 = 1;
     #[cfg(target_os = "linux")]
@@ -164,13 +173,13 @@ fn set_socket_buffer(stream: &TcpStream, which: SockBuf, bytes: usize) -> Result
         reason: format!("{bytes} exceeds the socket-buffer range"),
     })?;
     let name = SO_OPT[matches!(which, SockBuf::Recv) as usize];
-    // SAFETY: the fd comes from a live `TcpStream` borrowed for the whole
+    // SAFETY: the fd comes from a live socket borrowed for the whole
     // call, and the value pointer/length describe one properly aligned
     // `i32` on this stack frame; setsockopt only reads through the
     // pointer and retains nothing past the call.
     let rc = unsafe {
         setsockopt(
-            stream.as_raw_fd(),
+            socket.as_raw_fd(),
             SOL_SOCKET,
             name,
             &value as *const i32 as *const std::ffi::c_void,
@@ -184,7 +193,7 @@ fn set_socket_buffer(stream: &TcpStream, which: SockBuf, bytes: usize) -> Result
 }
 
 #[cfg(not(unix))]
-fn set_socket_buffer(_stream: &TcpStream, _which: SockBuf, _bytes: usize) -> Result<()> {
+fn set_socket_buffer<S>(_socket: &S, _which: SockBuf, _bytes: usize) -> Result<()> {
     Err(NexusError::BadParam {
         key: "sockbuf".to_owned(),
         reason: "socket-buffer sizing requires a unix platform".to_owned(),
@@ -991,14 +1000,11 @@ impl CommObject for TcpObject {
                 SockBuf::Send,
                 parse_bufsize(key, value)?,
             ),
-            "rcvbuf" => set_socket_buffer(
-                &self.stream.lock().socket,
-                SockBuf::Recv,
-                parse_bufsize(key, value)?,
-            ),
             _ => Err(NexusError::BadParam {
                 key: key.to_owned(),
-                reason: "tcp connections support nodelay, sndbuf, rcvbuf".to_owned(),
+                reason: "tcp connections support nodelay, sndbuf; a connection only writes, \
+                         so rcvbuf is the module parameter its listener applies"
+                    .to_owned(),
             }),
         }
     }
@@ -1160,11 +1166,9 @@ impl CommModule for TcpModule {
     }
 
     fn open(&self, _ctx: &ContextInfo) -> Result<(CommDescriptor, Box<dyn CommReceiver>)> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let inner = self.listen()?;
+        let addr = inner.listener.local_addr()?;
         let desc = CommDescriptor::new(MethodId::TCP, addr.to_string().into_bytes());
-        let inner = TcpReceiver::new(listener);
         // Readiness comes from the shared reactor thread (one per
         // process, O(workers) not O(sockets)); the receiver stays a
         // pass-through until the poll engine arms it.
@@ -1241,6 +1245,18 @@ impl CommModule for TcpModule {
 }
 
 impl TcpModule {
+    /// A bare receiver on a fresh loopback listener, sized by `rcvbuf`
+    /// before its address is published.
+    fn listen(&self) -> Result<TcpReceiver> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
+        let rcvbuf = self.rcvbuf.load(Ordering::Relaxed);
+        if rcvbuf > 0 {
+            set_socket_buffer(&listener, SockBuf::Recv, rcvbuf as usize)?;
+        }
+        Ok(TcpReceiver::new(listener))
+    }
+
     /// `connect`, keeping the connection's type.
     fn dial(&self, desc: &CommDescriptor) -> Result<Arc<TcpObject>> {
         let addr: SocketAddr = crate::util::parse_socket_addr(&desc.data)?;
@@ -1250,10 +1266,6 @@ impl TcpModule {
         let sndbuf = self.sndbuf.load(Ordering::Relaxed);
         if sndbuf > 0 {
             set_socket_buffer(&stream, SockBuf::Send, sndbuf as usize)?;
-        }
-        let rcvbuf = self.rcvbuf.load(Ordering::Relaxed);
-        if rcvbuf > 0 {
-            set_socket_buffer(&stream, SockBuf::Recv, rcvbuf as usize)?;
         }
         Ok(TcpObject::new(stream))
     }
@@ -1297,8 +1309,7 @@ mod tests {
 
     /// A bare receiver (no reactor shell) and the address peers dial.
     fn bare_receiver() -> (TcpReceiver, SocketAddr) {
-        let rx = TcpReceiver::new(TcpListener::bind(("127.0.0.1", 0)).unwrap());
-        rx.listener.set_nonblocking(true).unwrap();
+        let rx = TcpModule::new().listen().unwrap();
         let addr = rx.local_addr();
         (rx, addr)
     }
@@ -1520,7 +1531,7 @@ mod tests {
         m.set_param("rcvbuf", "65536").unwrap();
         let (desc, mut rx) = m.open(&info(1)).unwrap();
         let obj = m.connect(&info(2), &desc).unwrap();
-        // The sized connection still carries traffic.
+        // The sized sockets still carry traffic.
         obj.send(&msg("sized", b"ok"), &WireFrame::new()).unwrap();
         let got = rx
             .recv_timeout(Duration::from_secs(5))
@@ -1536,10 +1547,66 @@ mod tests {
         let obj = m.connect(&info(2), &desc).unwrap();
         assert!(obj.set_param("nodelay", "true").is_ok());
         assert!(obj.set_param("sndbuf", "131072").is_ok());
-        assert!(obj.set_param("rcvbuf", "131072").is_ok());
         assert!(obj.set_param("sndbuf", "junk").is_err());
-        assert!(obj.set_param("rcvbuf", "0").is_err());
         assert!(obj.set_param("sockbuf", "1024").is_err());
+        // The connection only writes: its receive buffer is the listener's.
+        match obj.set_param("rcvbuf", "131072") {
+            Err(NexusError::BadParam { reason, .. }) => {
+                assert!(reason.contains("module parameter"), "{reason}")
+            }
+            other => panic!("rcvbuf on a connection: {other:?}"),
+        }
+    }
+
+    /// `SO_RCVBUF` of a socket, as the kernel reports it.
+    #[cfg(target_os = "linux")]
+    fn rcvbuf_of(socket: &TcpStream) -> i32 {
+        use std::os::unix::io::AsRawFd;
+        extern "C" {
+            fn getsockopt(
+                fd: std::os::unix::io::RawFd,
+                level: i32,
+                name: i32,
+                value: *mut std::ffi::c_void,
+                len: *mut u32,
+            ) -> i32;
+        }
+        let (mut value, mut len) = (0i32, std::mem::size_of::<i32>() as u32);
+        // SAFETY: the fd belongs to a live stream borrowed for the call, and
+        // value/len describe one aligned `i32` on this stack frame.
+        let rc = unsafe {
+            getsockopt(
+                socket.as_raw_fd(),
+                1, // SOL_SOCKET
+                8, // SO_RCVBUF
+                &mut value as *mut i32 as *mut std::ffi::c_void,
+                &mut len,
+            )
+        };
+        assert_eq!(rc, 0, "{}", std::io::Error::last_os_error());
+        value
+    }
+
+    /// The module's `rcvbuf` sizes the socket that reads: a connection
+    /// accepted by a sized listener has a larger receive buffer than one
+    /// accepted by a listener left at the kernel default.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn rcvbuf_sizes_the_accepted_socket() {
+        let accepted_rcvbuf = |m: TcpModule| {
+            let mut rx = m.listen().unwrap();
+            let _peer = TcpStream::connect(rx.local_addr()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rx.conn_count() == 0 {
+                assert!(rx.poll().unwrap().is_none());
+                assert!(Instant::now() < deadline, "connection not accepted");
+            }
+            rcvbuf_of(&rx.conns[0].stream)
+        };
+        let sized = TcpModule::new();
+        sized.set_param("rcvbuf", "1048576").unwrap();
+        let (sized, default) = (accepted_rcvbuf(sized), accepted_rcvbuf(TcpModule::new()));
+        assert!(sized > default, "sized {sized} B vs default {default} B");
     }
 
     /// `send` and `send_parts(head, tail)` must hit the wire byte-identical
@@ -2053,6 +2120,9 @@ mod tests {
         a.rsr(&to_b, "seq", numbered(0, 64)).unwrap();
         drive(&b, || got.lock().len() == 1);
         assert_eq!(to_b.current_methods()[0].1, Some(MethodId::TCP));
+        // A dispatch round of `a`: its next send writes through by rule
+        // (a), however long the set-up write took on a loaded host.
+        a.progress().unwrap();
         let conn = kept.conn(0);
         Pair {
             fabric,

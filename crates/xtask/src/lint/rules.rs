@@ -545,14 +545,14 @@ fn rule_poll_blocking(ws: &Workspace) -> Vec<Diagnostic> {
     // the process. (Their intentional waits — the worker's bounded park
     // and the reactor's `epoll_wait` — are not spelled with these tokens.)
     //
-    // `deliver_sharded` is the worker's dispatch hand-off: past it run
+    // `deliver` (`Context::deliver`) is the worker's dispatch hand-off: past it run
     // application handlers, which may block — the same boundary the
     // single-threaded roots encode by ending at `poll_once` (dispatch
     // happens in `progress`, outside the rooted set). Paths through it
     // are therefore excluded; only the drain machinery is held to the
     // non-blocking rule.
     for (name, path) in graph.reachable_from("shard_worker_loop") {
-        if path.iter().any(|hop| hop == "deliver_sharded") {
+        if path.iter().any(|hop| hop == "deliver") {
             continue;
         }
         reach.entry(name).or_insert(path);

@@ -13,7 +13,7 @@ use nexus::rt::context::Fabric;
 use nexus::rt::descriptor::MethodId;
 use nexus::rt::rsr::Rsr;
 use nexus::rt::trace::TraceEventKind;
-use nexus::transports::{register_defaults, DelayModule, ShmemModule, TcpModule};
+use nexus::transports::{register_defaults, DelayModule, MplModule, ShmemModule, TcpModule};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -175,20 +175,71 @@ fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
         assert!(est.send_cost_ns.unwrap() > 0.0);
     }
 
-    // Receiver-side: the event ring saw deliveries, and the renderer
-    // mentions both traffic-bearing methods.
-    let events = b.trace().events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::Recv { .. })),
-        "no Recv events recorded"
-    );
+    // Receiver-side: the per-method counters saw every delivery, and the
+    // renderer mentions both traffic-bearing methods.
+    for method in [MethodId::SHMEM, MethodId::TCP] {
+        assert_eq!(b.trace().snapshot_method(method).recvs, 30, "{method}");
+    }
     let sender_report = a.trace().render();
     for needle in ["send path", "shmem", "tcp"] {
         assert!(
             sender_report.contains(needle),
             "render missing {needle:?}:\n{sender_report}"
+        );
+    }
+    fabric.shutdown();
+}
+
+/// Traffic is counted, not logged: however many messages two contexts
+/// exchange, the event ring keeps each one's initial method selection, and
+/// no event is recorded after the first round trip.
+#[test]
+fn control_events_survive_traffic() {
+    const ROUND_TRIPS: u64 = 2_000;
+    let fabric = Fabric::new();
+    fabric.registry().register(Arc::new(MplModule::new()));
+    let a = fabric.create_context().unwrap();
+    let b = fabric.create_context().unwrap();
+    let to_a = Arc::new(a.startpoint_to(a.create_endpoint()).unwrap());
+    let to_b = b.startpoint_to(b.create_endpoint()).unwrap();
+    b.register_handler("ping", move |args| {
+        args.context.rsr(&to_a, "pong", Buffer::new()).unwrap();
+    });
+    let pongs = Arc::new(AtomicU64::new(0));
+    {
+        let p = Arc::clone(&pongs);
+        a.register_handler("pong", move |_| {
+            p.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    let recorded = || a.trace().events_recorded() + b.trace().events_recorded();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut after_first = 0;
+    for i in 1..=ROUND_TRIPS {
+        a.rsr(&to_b, "ping", Buffer::new()).unwrap();
+        while pongs.load(Ordering::Relaxed) < i {
+            b.progress().unwrap();
+            a.progress().unwrap();
+            assert!(std::time::Instant::now() < deadline, "ping-pong stalled");
+        }
+        if i == 1 {
+            after_first = recorded();
+        }
+    }
+    assert_eq!(recorded(), after_first, "traffic recorded events");
+    for (ctx, peer) in [(&a, &b), (&b, &a)] {
+        assert!(
+            ctx.trace().events().iter().any(|e| matches!(
+                e.kind,
+                TraceEventKind::MethodSwitch { target, from: None, to: MethodId::MPL }
+                    if target == peer.id()
+            )),
+            "initial selection evicted:\n{}",
+            ctx.trace().render()
+        );
+        assert_eq!(
+            ctx.trace().snapshot_method(MethodId::MPL).sends,
+            ROUND_TRIPS
         );
     }
     fabric.shutdown();
