@@ -23,14 +23,6 @@ impl fmt::Display for EndpointId {
 /// Type of the object attachable to an endpoint as its "local address".
 pub type Attached = Arc<dyn Any + Send + Sync>;
 
-/// Receive-side state for one endpoint (kept in the context's endpoint
-/// table).
-#[derive(Default)]
-pub(crate) struct EndpointState {
-    /// The attached local object, if any.
-    pub attached: Option<Attached>,
-}
-
 /// The endpoint view passed to handlers.
 #[derive(Clone)]
 pub struct EndpointRef {

@@ -80,7 +80,6 @@ pub mod context;
 pub mod descriptor;
 pub mod endpoint;
 pub mod error;
-pub mod fxhash;
 pub mod gp;
 pub mod handler;
 pub mod module;

@@ -16,6 +16,9 @@
 //! per connection and never grows — and the receiver's batches get
 //! bigger, not more numerous.
 //!
+//! The last pins what building a message costs before any of that: a
+//! `Buffer` filled and frozen, and a pooled frame buffer's whole cycle.
+//!
 //! The counter is process-wide, so the tests in this file take `SERIAL`
 //! for their whole body: a sibling allocating concurrently would break
 //! the budget.
@@ -24,6 +27,7 @@ use bytes::Bytes;
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::Fabric;
 use nexus_rt::descriptor::MethodId;
+use nexus_rt::pool;
 use nexus_transports::{register_defaults, register_queue_modules};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -262,5 +266,40 @@ fn tcp_burst_stays_within_the_allocation_budget() {
     assert!(
         sender * 256.0 * 100.0 <= BUDGET as f64,
         "the sending thread allocates {sender} times per staged message"
+    );
+}
+
+/// `BytesMut` keeps its bytes in a plain `Vec` and gets its refcount block
+/// at `freeze` — a new one for a new buffer, the one it came back with for
+/// a pooled buffer — so building a `Buffer` costs what it did when the
+/// block came with the storage, and the pool's cycle still costs nothing.
+#[test]
+fn building_a_buffer_costs_storage_and_one_refcount_block() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let calls = || THREAD_CALLS.with(Cell::get);
+    let before = calls();
+    let mut buf = Buffer::with_capacity(16);
+    buf.put_u32(1);
+    buf.put_u32(2);
+    buf.put_f32(3.0);
+    buf.put_i32(-4);
+    let bytes = std::hint::black_box(buf.into_bytes());
+    assert_eq!(calls() - before, 2, "storage + refcount block");
+    assert_eq!(bytes.len(), 16);
+
+    let cycle = |n: u32| {
+        for i in 0..n {
+            let mut m = pool::take(64);
+            m.extend_from_slice(&[i as u8; 48]);
+            pool::reclaim(std::hint::black_box(m.freeze()));
+        }
+    };
+    cycle(8); // warm: the thread's pool and its first buffer
+    let before = calls();
+    cycle(1_000);
+    assert_eq!(
+        calls() - before,
+        0,
+        "a pooled take → freeze → reclaim allocated"
     );
 }
