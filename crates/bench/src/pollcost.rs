@@ -122,8 +122,9 @@ pub fn format(rows: &[ProbeCost]) -> String {
 }
 
 /// Per-method costs as the runtime itself measured them: the poll-cost
-/// EWMA fed by the receiving context's `PollEngine` timing every probe,
-/// and the send-cost EWMA fed by the sender timing every transport send.
+/// EWMA fed by the receiving context's `PollEngine` timing sampled probes,
+/// and the send-cost EWMA fed by the sender's timed transport sends (every
+/// send on a method that stages, else the first and every 16th per link).
 /// `hint_ns` is the module's a-priori constant (the role the paper's §3.3
 /// numbers — `mpc_status` 15 µs, `select` >100 µs — play in selection).
 #[derive(Debug, Clone)]
@@ -136,8 +137,10 @@ pub struct MeasuredCost {
     pub poll_samples: u64,
     /// Send-cost EWMA on the sending context, ns (None if never sent).
     pub send_ewma_ns: Option<f64>,
-    /// Send samples behind the send EWMA.
+    /// Timed sends behind the send EWMA.
     pub send_samples: u64,
+    /// Sends, timed or not.
+    pub sends: u64,
     /// Doorbell wakeups on the receiving context. Readiness-tier methods
     /// deliver through these instead of timed probes, so for them
     /// `poll_samples` is legitimately 0 and this is the activity signal.
@@ -203,6 +206,7 @@ pub fn measured(msgs_per_method: u32, quiet_polls: u32) -> Vec<MeasuredCost> {
                 poll_samples: rx.poll_samples,
                 send_ewma_ns: tx.send_cost_ns,
                 send_samples: tx.send_samples,
+                sends: a.trace().snapshot_method(m).sends,
                 ready_wakeups: b.trace().snapshot_method(m).ready_wakeups,
                 hint_ns: hint_ns(m),
             }
@@ -227,6 +231,7 @@ pub fn format_measured(rows: &[MeasuredCost]) -> String {
                 r.poll_samples.to_string(),
                 opt(r.send_ewma_ns),
                 r.send_samples.to_string(),
+                r.sends.to_string(),
                 r.ready_wakeups.to_string(),
                 r.hint_ns.to_string(),
             ]
@@ -241,6 +246,7 @@ pub fn format_measured(rows: &[MeasuredCost]) -> String {
                 "poll EWMA ns",
                 "probes",
                 "send EWMA ns",
+                "timed",
                 "sends",
                 "wakeups",
                 "hint ns",
@@ -282,7 +288,7 @@ mod tests {
         assert_eq!(rows.len(), 3);
         for r in &rows {
             if r.name == "mpl" {
-                // Polled fallback tier: every probe is timed.
+                // Polled fallback tier: every 16th probe is timed.
                 assert!(
                     r.poll_samples > 0 && r.poll_ewma_ns.is_some(),
                     "{} poll EWMA never fed",
@@ -298,11 +304,11 @@ mod tests {
                 );
                 assert!(r.ready_wakeups > 0, "{} doorbell never rang", r.name);
             }
-            assert!(
-                r.send_samples >= 20 && r.send_ewma_ns.is_some(),
-                "{} send EWMA never fed",
-                r.name
-            );
+            // Every send is counted. TCP stages, so it times every send;
+            // the others time their link's 1st and 17th of the 20.
+            let timed = if r.name == "tcp" { 20 } else { 2 };
+            assert_eq!((r.sends, r.send_samples), (20, timed), "{}", r.name);
+            assert!(r.send_ewma_ns.is_some(), "{} send EWMA never fed", r.name);
         }
         let t = format_measured(&rows);
         for m in ["shmem", "mpl", "tcp"] {

@@ -752,20 +752,24 @@ impl Context {
     /// * (b) the send began sooner after the previous one on the
     ///   connection ended than the connection's last write took — the
     ///   sender outruns the wire, judged from the two clock readings this
-    ///   path takes anyway; an open-loop sender slower than one write
-    ///   always writes through;
+    ///   path takes for every send on such a method; an open-loop sender
+    ///   slower than one write always writes through;
     /// * (c) the frame fits the connection's staging buffer — checked by
     ///   the connection, which owns the buffer.
     ///
     /// A `NeedsOwner` answer lists the connection for this context's next
     /// dispatch round ([`Context::flush_listed`]). A method that cannot
     /// stage costs one branch here.
+    /// A send reads the clock only for a consumer of the reading: rule (b),
+    /// re-selection's checks (if configured), or the `(link, method)`
+    /// record's sample ([`LinkMethodTrace::sample`]); else it counts its size.
     fn send_with_failover(&self, link: &Link, msg: &Rsr, frame: &WireFrame) -> Result<()> {
         let wire = msg.wire_len();
-        // One pinned read serves the send loop, selection, and the
+        // One pin read serves the send loop, selection, and the
         // re-selection check below.
-        let pinned_method = *link.pinned.lock();
+        let pinned_method = link.pin();
         let pinned = pinned_method.is_some();
+        let reselect_on = self.reselect_on.load(Ordering::Relaxed);
         // lint:allow(hot-path-alloc) empty Vec never allocates; it only grows after a send error
         let mut failed: Vec<MethodId> = Vec::new();
         loop {
@@ -784,11 +788,9 @@ impl Context {
                 }
                 continue;
             }
-            let start = Instant::now();
-            link.send_begin();
-            let sent = match pace {
-                None => sel.obj.send(msg, frame).map(|()| Staged::Written),
-                Some(pace) => {
+            let start = (sel.stages || reselect_on || sel.ltrace.sample()).then(Instant::now);
+            let sent = match (pace, start) {
+                (Some(pace), Some(start)) => {
                     let round = self.rounds.load(Ordering::Relaxed);
                     let quiet = link.last_round.load(Ordering::Relaxed) == round;
                     if !quiet {
@@ -797,14 +799,14 @@ impl Context {
                     sel.obj
                         .send_or_stage(msg, frame, quiet && pace.outruns(start))
                 }
+                _ => sel.obj.send(msg, frame).map(|()| Staged::Written),
             };
-            link.send_end();
             match sent {
                 Ok(staged) => {
                     // Steady-state recording: atomics only, through the
                     // handle cached on the link's selection.
                     let end = Self::note_send(&sel.ltrace, wire, start);
-                    if let Some(pace) = pace {
+                    if let (Some(pace), Some(start), Some(end)) = (pace, start, end) {
                         pace.sent(start, end, staged == Staged::Written);
                         if staged == Staged::NeedsOwner {
                             self.list_for_flush(link.target.context, sel.method, &sel.obj);
@@ -910,16 +912,17 @@ impl Context {
         self.rounds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one completed transport send, begun at `start`, on its
-    /// `(link, method)` record — atomics only — and returns the end-of-send
-    /// clock reading.
-    fn note_send(ltrace: &LinkMethodTrace, wire: usize, start: Instant) -> Instant {
+    /// Records one completed transport send on its `(link, method)`
+    /// record — atomics only: its size, and if it was timed from `start`,
+    /// its cost, returning the end-of-send clock reading.
+    fn note_send(ltrace: &LinkMethodTrace, wire: usize, start: Option<Instant>) -> Option<Instant> {
+        ltrace.send_bytes.record(wire as u64);
+        let start = start?;
         let end = Instant::now();
         let cost_ns = end.duration_since(start).as_nanos() as u64;
         ltrace.send_latency_ns.record(cost_ns);
-        ltrace.send_bytes.record(wire as u64);
         ltrace.send_cost_ns.record(cost_ns as f64);
-        end
+        Some(end)
     }
 
     /// Cost-driven live re-selection (§6's proposed adaptive method
@@ -928,8 +931,9 @@ impl Context {
     /// of the other applicable methods; once `consecutive` checks agree
     /// on the same cheaper method, migrate the link's communication
     /// object in place. Unlike failover, the previous object is healthy
-    /// and stays cached — this is a policy move, so concurrent sends are
-    /// drained before the switch and no connection is torn down.
+    /// and stays cached — this is a policy move, so no connection is torn
+    /// down, and a concurrent send that still holds the old object
+    /// completes on it (messages on two methods were never ordered).
     fn consider_reselect(&self, link: &Link, current: MethodId) {
         if !self.reselect_on.load(Ordering::Relaxed) {
             return;
@@ -986,13 +990,6 @@ impl Context {
         let Some(to) = migrate_to else {
             return;
         };
-        // Drain: give concurrent sends over the old object a bounded
-        // window to finish, so the switch lands between messages rather
-        // than alongside one.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        while link.sends_in_flight() > 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
         // select_into_link records the MethodSwitch trace event.
         let _ = self.select_into_link(link, to, &table);
     }
@@ -1281,10 +1278,10 @@ impl Context {
         // in the per-send header, so this still encodes the body at most
         // once even if the message hops onward over a wire transport.
         let frame = WireFrame::new();
-        let start = Instant::now();
+        let start = Some(Instant::now());
         obj.send(&msg, &frame)?;
         // A forwarded send is a send on the (destination, method) link like
-        // any other: enquiries and re-selection see its cost.
+        // any other, and always timed: enquiries and re-selection see its cost.
         Self::note_send(&self.trace.link(msg.dest, method), msg.wire_len(), start);
         frame.reclaim();
         self.trace
@@ -1963,9 +1960,9 @@ impl Context {
         selection::method_cost_estimate(&self.trace, method)
     }
 
-    /// Enquiry: distribution of measured transport-send latency (ns) on
-    /// the link to `target` over `method`, or `None` if nothing has been
-    /// sent that way.
+    /// Enquiry: distribution of the timed transport sends' latency (ns) on
+    /// the link to `target` over `method` (see [`LinkMethodTrace`] for which
+    /// sends are timed), or `None` if nothing has been sent that way.
     pub fn link_latency(&self, target: ContextId, method: MethodId) -> Option<HistogramSummary> {
         self.trace
             .get_link(target, method)

@@ -166,7 +166,7 @@ fn stamp(at: Instant) -> u64 {
 /// last send on it ended, what its last write cost, whether a flush of it
 /// failed, and which method record counts the writes that carried staged
 /// frames. The sending context reads and updates it around each send with
-/// the two clock readings its send path takes anyway; the connection
+/// the two clock readings it takes on every send there; the connection
 /// refreshes the write cost itself on every write it times (flushes), so a
 /// rule fed by one slow write cannot latch.
 #[derive(Debug, Default)]

@@ -25,7 +25,7 @@ use crate::descriptor::MethodId;
 use crate::error::NexusError;
 use crate::module::CommReceiver;
 use crate::rsr::Rsr;
-use crate::trace::{MethodTrace, Trace, TraceEventKind};
+use crate::trace::{MethodTrace, Trace, TraceEventKind, SAMPLE_EVERY};
 // Re-exported so external drivers of the doorbell protocol (transports,
 // the xtask model checker) can build a ready list without depending on
 // crossbeam directly.
@@ -381,7 +381,7 @@ struct PollSource {
     /// records into plain atomics — no lock is taken per poll event.
     rec: Arc<MethodTrace>,
     /// Probes performed on this source; every
-    /// [`PROBE_SAMPLE_EVERY`]-th one (starting with the first) is timed.
+    /// [`SAMPLE_EVERY`]-th one (starting with the first) is timed.
     probe_tick: u64,
     /// Stable identity of this source in the engine's token table (never
     /// reused, so stale ready-list entries are detectable after removal).
@@ -393,12 +393,6 @@ struct PollSource {
     /// drain is cut short (batch limit, transport error).
     signal: Option<ReadySignal>,
 }
-
-/// One out of this many probes per source is wall-clock timed for the
-/// poll-cost EWMA. Sampling keeps the steady-state cost of a probe pass
-/// at a fraction of a clock read while the EWMA still converges on the
-/// true probe cost (empty-probe cost is stable per method).
-pub const PROBE_SAMPLE_EVERY: u64 = 16;
 
 impl PollSource {
     /// The cost-driven layer's periodic recomputation: decide whether the
@@ -801,12 +795,12 @@ impl PollEngine {
             let skip_before = s.skip;
             // Timing every probe would double the cost of the cheap
             // in-process probes (two clock reads dwarf a queue check), so
-            // only every `PROBE_SAMPLE_EVERY`-th probe per source is
+            // only every `SAMPLE_EVERY`-th probe per source is
             // timed — the first one always, so the EWMA is seeded
             // immediately. Empty-probe cost is stable, so the sampled
             // EWMA converges to the same value at a fraction of the
             // overhead.
-            let timed = s.probe_tick.is_multiple_of(PROBE_SAMPLE_EVERY);
+            let timed = s.probe_tick.is_multiple_of(SAMPLE_EVERY);
             s.probe_tick += 1;
             let method = s.method;
             let probed = probe(&mut *s.receiver, &s.rec, timed, |msg| {

@@ -29,7 +29,7 @@ use crate::module::CommObject;
 use crate::trace::LinkMethodTrace;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The destination of one communication link.
@@ -78,17 +78,14 @@ pub struct Link {
     /// The methods usable to reach the target, in selection priority order.
     /// Mutable: editing it is the manual-selection lever (§3.2).
     pub(crate) table: Mutex<DescriptorTable>,
-    /// Manual method pin, if any.
-    pub(crate) pinned: Mutex<Option<MethodId>>,
+    /// Manual method pin, read through [`Link::pin`]; `UNPINNED` is none.
+    pin: AtomicU32,
     /// The selection currently in force for this link.
     // Arc so the send path hands out the whole selection with one
     // refcount bump instead of cloning each cached handle inside.
     pub(crate) chosen: Mutex<Option<Arc<SelectedMethod>>>,
     /// Cost-driven re-selection streak state.
     pub(crate) reselect: Mutex<ReselectState>,
-    /// Sends currently in flight on the link's selected object; migration
-    /// drains this to zero before retiring the old object.
-    pub(crate) inflight: AtomicU64,
     /// The sending context's dispatch round at this link's last send on a
     /// method that can stage (`u64::MAX`: none yet) — part (a) of the
     /// stage rule in `Context::send_with_failover`.
@@ -106,10 +103,9 @@ impl Link {
         Link {
             target,
             table: Mutex::new(table),
-            pinned: Mutex::new(None),
+            pin: AtomicU32::new(UNPINNED),
             chosen: Mutex::new(None),
             reselect: Mutex::new(ReselectState::default()),
-            inflight: AtomicU64::new(0),
             last_round: AtomicU64::new(u64::MAX),
             lightweight,
             rendezvous_cutoff: AtomicUsize::new(usize::MAX),
@@ -138,38 +134,35 @@ impl Link {
         *self.reselect.lock() = ReselectState::default();
     }
 
-    /// Marks one send as in flight on the current selection.
-    pub(crate) fn send_begin(&self) {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
+    /// The manual method pin, if any: one load, so every send can read it.
+    pub(crate) fn pin(&self) -> Option<MethodId> {
+        match self.pin.load(Ordering::Relaxed) {
+            UNPINNED => None,
+            m => Some(MethodId(m as u16)),
+        }
     }
 
-    /// Marks an in-flight send as finished. Release-ordered so a drainer
-    /// that acquires `inflight == 0` observes the completed send.
-    pub(crate) fn send_end(&self) {
-        self.inflight.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Sends currently in flight on this link.
-    pub(crate) fn sends_in_flight(&self) -> u64 {
-        self.inflight.load(Ordering::Acquire)
+    /// Sets or clears the pin, and drops the current selection so the next
+    /// send selects under it.
+    pub(crate) fn set_pin(&self, pin: Option<MethodId>) {
+        let raw = pin.map_or(UNPINNED, |m| u32::from(m.0));
+        self.pin.store(raw, Ordering::Relaxed);
+        self.invalidate();
     }
 }
+
+/// `Link::pin`'s encoding of no pin (every `MethodId` fits below it).
+const UNPINNED: u32 = u32::MAX;
 
 impl Clone for Link {
     /// Mirrors the link: same target and table, but *no* selection state —
     /// the receiving/copying context performs its own method selection.
     fn clone(&self) -> Self {
-        Link {
-            target: self.target,
-            table: Mutex::new(self.table.lock().clone()),
-            pinned: Mutex::new(*self.pinned.lock()),
-            chosen: Mutex::new(None),
-            reselect: Mutex::new(ReselectState::default()),
-            inflight: AtomicU64::new(0),
-            last_round: AtomicU64::new(u64::MAX),
-            lightweight: self.lightweight,
-            rendezvous_cutoff: AtomicUsize::new(self.rendezvous_cutoff.load(Ordering::Relaxed)),
-        }
+        let link = Link::new(self.target, self.table(), self.lightweight);
+        link.set_pin(self.pin());
+        link.rendezvous_cutoff
+            .store(self.rendezvous_cutoff(), Ordering::Relaxed);
+        link
     }
 }
 
@@ -178,7 +171,7 @@ impl fmt::Debug for Link {
         f.debug_struct("Link")
             .field("target", &self.target)
             .field("methods", &self.table.lock().methods())
-            .field("pinned", &*self.pinned.lock())
+            .field("pinned", &self.pin())
             .field("chosen", &self.current_method())
             .field("lightweight", &self.lightweight)
             .finish()
@@ -255,8 +248,7 @@ impl Startpoint {
     /// [`NexusError::MethodNotApplicable`].
     pub fn set_method(&self, method: MethodId) {
         for l in &self.links {
-            *l.pinned.lock() = Some(method);
-            l.invalidate();
+            l.set_pin(Some(method));
         }
     }
 
@@ -264,8 +256,7 @@ impl Startpoint {
     pub fn set_method_for(&self, target: Target, method: MethodId) -> bool {
         match self.links.iter().find(|l| l.target == target) {
             Some(l) => {
-                *l.pinned.lock() = Some(method);
-                l.invalidate();
+                l.set_pin(Some(method));
                 true
             }
             None => false,
@@ -275,8 +266,7 @@ impl Startpoint {
     /// Clears all pins, returning links to automatic selection.
     pub fn clear_method(&self) {
         for l in &self.links {
-            *l.pinned.lock() = None;
-            l.invalidate();
+            l.set_pin(None);
         }
     }
 
@@ -479,7 +469,7 @@ mod tests {
         a.set_method(MethodId::TCP);
         let c = a.clone();
         assert_eq!(c.targets(), a.targets());
-        assert_eq!(*c.links()[0].pinned.lock(), Some(MethodId::TCP));
+        assert_eq!(c.links()[0].pin(), Some(MethodId::TCP));
         assert!(c.links()[0].current_method().is_none());
     }
 
@@ -492,10 +482,10 @@ mod tests {
             endpoint: EndpointId(20),
         };
         assert!(a.set_method_for(t2, MethodId::TCP));
-        assert_eq!(*a.links()[0].pinned.lock(), None);
-        assert_eq!(*a.links()[1].pinned.lock(), Some(MethodId::TCP));
+        assert_eq!(a.links()[0].pin(), None);
+        assert_eq!(a.links()[1].pin(), Some(MethodId::TCP));
         a.clear_method();
-        assert_eq!(*a.links()[1].pinned.lock(), None);
+        assert_eq!(a.links()[1].pin(), None);
     }
 
     #[test]

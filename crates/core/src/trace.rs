@@ -6,8 +6,9 @@
 //! and the one place those enquiries read:
 //!
 //! * [`LogHistogram`] — lock-free, log-bucketed (power-of-two buckets,
-//!   HDR-style) histograms of send latency and message sizes, kept per
-//!   `(link, method)` so p50/p99 can be compared across methods.
+//!   HDR-style) histograms of sampled send latency and of every message's
+//!   size, kept per `(link, method)` so p50/p99 can be compared across
+//!   methods.
 //! * [`Ewma`] — an atomically updated exponentially weighted moving
 //!   average. The runtime maintains one per method for the *measured* cost
 //!   of a probe in the unified polling function, giving a live counterpart
@@ -41,7 +42,8 @@
 //!   safe to touch, so there is no acquire/release publication edge to
 //!   establish;
 //! * each counter is individually exact (`fetch_add` is atomic at every
-//!   ordering), so totals are never lost, only observed slightly late;
+//!   ordering), so totals are never lost, only observed slightly late —
+//!   except a link's sampling tick, which only picks the sends to time;
 //! * snapshots taken while senders are active are *per-counter* exact but
 //!   only *cross-counter* approximate (e.g. `sends` may already include a
 //!   send whose `send_bytes` increment is still in flight, or a bucket may
@@ -498,7 +500,13 @@ impl EventRing {
     }
 }
 
-/// Per-`(link, method)` send-path measurements.
+/// One probe per receive source, and one send per `(link, method)` record
+/// that nothing else asks to time, out of this many is wall-clock timed.
+pub const SAMPLE_EVERY: u64 = 16;
+
+/// Per-`(link, method)` send-path measurements. `send_bytes` counts every
+/// send; the cost fields summarise the timed ones: every send on a method
+/// that stages or from a context with re-selection on, else 1 in [`SAMPLE_EVERY`].
 #[derive(Debug, Default)]
 pub struct LinkMethodTrace {
     /// Time spent in the transport's `send`, in nanoseconds.
@@ -507,6 +515,18 @@ pub struct LinkMethodTrace {
     pub send_bytes: LogHistogram,
     /// EWMA of send cost in nanoseconds.
     pub send_cost_ns: Ewma,
+    /// Sends offered to [`LinkMethodTrace::sample`].
+    tick: AtomicU64,
+}
+
+impl LinkMethodTrace {
+    /// Whether to time this send: the record's first or a [`SAMPLE_EVERY`]-th.
+    /// A load and a store: a tick lost to a racing sender only moves the sample.
+    pub(crate) fn sample(&self) -> bool {
+        let tick = self.tick.load(Ordering::Relaxed);
+        self.tick.store(tick.wrapping_add(1), Ordering::Relaxed);
+        tick.is_multiple_of(SAMPLE_EVERY)
+    }
 }
 
 /// One method's record within one context: what its receive source
@@ -716,8 +736,8 @@ impl Trace {
         self.ring.capacity
     }
 
-    /// Renders the whole trace as plain text: per-link send latency/size
-    /// distributions, per-method poll-cost EWMAs, and recent events.
+    /// Renders the whole trace as plain text: per-link send counts, timed-send
+    /// latency and size distributions, per-method poll-cost EWMAs, and recent events.
     pub fn render(&self) -> String {
         use fmt::Write;
         let mut out = String::new();
@@ -732,18 +752,15 @@ impl Trace {
         if links.is_empty() {
             let _ = writeln!(out, "  (no sends recorded)");
         } else {
-            let _ = writeln!(
-                out,
-                "  {:<8} {:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "link", "method", "sends", "p50-ns", "p99-ns", "mean-ns", "ewma-ns", "p50-bytes"
-            );
+            let _ = writeln!(out, "  link     method      sends    timed     p50-ns     p99-ns    mean-ns    ewma-ns  p50-bytes");
             for ((target, method), t) in links {
                 let lat = t.send_latency_ns.summary();
                 let _ = writeln!(
                     out,
-                    "  {:<8} {:<8} {:>8} {:>10} {:>10} {:>10.0} {:>10.0} {:>10}",
+                    "  {:<8} {:<8} {:>8} {:>8} {:>10} {:>10} {:>10.0} {:>10.0} {:>10}",
                     format!("ctx {}", target.0),
                     method.to_string(),
+                    t.send_bytes.count(),
                     lat.map_or(0, |s| s.count),
                     lat.map_or(0, |s| s.p50),
                     lat.map_or(0, |s| s.p99),

@@ -8,7 +8,7 @@ use nexus_rt::descriptor::MethodId;
 use nexus_rt::module::CommModule;
 use nexus_rt::selection::ReselectConfig;
 use nexus_rt::trace::TraceEventKind;
-use nexus_transports::{RudpModule, ShmemModule, TcpModule};
+use nexus_transports::{PayloadTransform, RudpModule, ShmemModule, TcpModule, WrapModule};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,4 +173,127 @@ fn rudp_connection_death_triggers_failover_to_tcp() {
         Duration::from_secs(5)
     ));
     fabric.shutdown();
+}
+
+/// An identity payload transform that sleeps in `encode`. Wrapped around
+/// tcp it makes a method whose every send costs at least a millisecond, so
+/// its cost inversion against shmem holds however the threads are
+/// scheduled, and a sender is almost always inside a send when the link
+/// switches.
+struct Sleepy;
+
+impl PayloadTransform for Sleepy {
+    fn name(&self) -> &'static str {
+        "sleepy"
+    }
+
+    fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        std::thread::sleep(Duration::from_millis(1));
+        payload.to_vec()
+    }
+
+    fn decode(&self, payload: &[u8]) -> nexus_rt::error::Result<Vec<u8>> {
+        Ok(payload.to_vec())
+    }
+}
+
+/// Migration under concurrent senders: two threads send on one startpoint
+/// while re-selection moves its link from a slow tcp method to shmem. A
+/// send that overlaps the switch completes on the old object, which stays
+/// cached and healthy, so whatever the interleaving every payload arrives
+/// exactly once, the link switches once, and nothing fails over.
+#[test]
+fn migration_under_concurrent_senders_delivers_each_message_once() {
+    const SLOW_TCP: MethodId = MethodId(0x130);
+    const THREADS: usize = 2;
+    const PER_THREAD: usize = 200;
+    for round in 0..20 {
+        let fabric = Fabric::new();
+        fabric.registry().register(Arc::new(ShmemModule::new()));
+        fabric.registry().register(Arc::new(WrapModule::new(
+            SLOW_TCP,
+            "slow-tcp",
+            40,
+            Arc::new(TcpModule::new()),
+            Arc::new(Sleepy),
+        )));
+        let a = fabric.create_context().unwrap();
+        let b = fabric.create_context().unwrap();
+
+        let seen: Arc<Vec<AtomicU32>> = Arc::new(
+            (0..THREADS * PER_THREAD)
+                .map(|_| AtomicU32::new(0))
+                .collect(),
+        );
+        {
+            let seen = Arc::clone(&seen);
+            b.register_handler("x", move |args| {
+                let i = args.buffer.get_u32().unwrap() as usize;
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        b.register_handler("prime", |_| {});
+        let ep = b.create_endpoint();
+        let sp_fast = b.startpoint_to(ep).unwrap();
+        let sp = b.startpoint_to(ep).unwrap();
+        assert!(sp.edit_table(sp.targets()[0], |t| {
+            t.prioritize(SLOW_TCP);
+        }));
+        a.set_reselection(Some(ReselectConfig {
+            margin: 1.1,
+            consecutive: 2,
+            min_samples: 4,
+            check_every: 4,
+        }));
+        for _ in 0..8 {
+            a.rsr(&sp_fast, "prime", payload("prime shmem")).unwrap();
+        }
+        a.rsr(&sp, "prime", payload("select slow tcp")).unwrap();
+        assert_eq!(sp.current_methods()[0].1, Some(SLOW_TCP));
+
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (a, sp) = (&a, &sp);
+                s.spawn(move || {
+                    for k in 0..PER_THREAD {
+                        let mut buf = Buffer::new();
+                        buf.put_u32((t * PER_THREAD + k) as u32);
+                        a.rsr(sp, "x", buf).unwrap();
+                    }
+                });
+            }
+        });
+        let total = (THREADS * PER_THREAD) as u32;
+        let delivered = || seen.iter().map(|n| n.load(Ordering::Relaxed)).sum::<u32>();
+        assert!(
+            b.progress_until(|| delivered() >= total, Duration::from_secs(10)),
+            "round {round}: {} of {total} delivered",
+            delivered()
+        );
+        // Give a duplicate the chance to arrive before the count.
+        for _ in 0..200 {
+            b.progress().unwrap();
+        }
+        assert!(
+            seen.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+            "round {round}: a payload arrived other than once"
+        );
+        assert_eq!(sp.current_methods()[0].1, Some(MethodId::SHMEM));
+        let events = a.trace().events();
+        let switches = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::MethodSwitch { from: Some(_), .. }))
+            .count();
+        assert_eq!(switches, 1, "round {round}: {events:?}");
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e.kind, TraceEventKind::Failover { .. })),
+            "round {round}: {events:?}"
+        );
+        for m in [SLOW_TCP, MethodId::SHMEM] {
+            assert_eq!(a.trace().snapshot_method(m).failovers, 0, "round {round}");
+        }
+        fabric.shutdown();
+    }
 }

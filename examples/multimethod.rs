@@ -123,9 +123,12 @@ fn main() -> Result<()> {
     }
 
     // --- enquiry: measured costs from the trace layer ---------------------
-    // Every probe and every transport send was timed; the EWMAs and the
-    // per-(link, method) latency histograms are what a QoS policy (or a
-    // curious programmer, §2.1) reads instead of a-priori constants.
+    // Sampled probes (1 in 16 per source) and the timed transport sends
+    // (every tcp send, 1 in 16 per link elsewhere) feed the EWMAs and the
+    // per-(link, method) latency histograms; the trace report below lists
+    // every send under `sends` and the timed ones under `timed`. These are
+    // what a QoS policy (or a curious programmer, §2.1) reads instead of
+    // a-priori constants.
     for method in [MethodId::MPL, MethodId::TCP] {
         let est = n2.method_cost_estimate(method);
         if let Some(ns) = est.poll_cost_ns {

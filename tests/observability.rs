@@ -9,10 +9,12 @@
 //! are instead asserted to show *wakeup* counters and near-zero probes.
 
 use nexus::rt::buffer::Buffer;
-use nexus::rt::context::Fabric;
+use nexus::rt::context::{Context, Fabric};
 use nexus::rt::descriptor::MethodId;
 use nexus::rt::rsr::Rsr;
-use nexus::rt::trace::TraceEventKind;
+use nexus::rt::selection::ReselectConfig;
+use nexus::rt::startpoint::Startpoint;
+use nexus::rt::trace::{TraceEventKind, SAMPLE_EVERY};
 use nexus::transports::{register_defaults, DelayModule, MplModule, ShmemModule, TcpModule};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -163,15 +165,18 @@ fn tcp_measured_poll_cost_exceeds_shmem_poll_cost_on_the_polled_tier() {
 fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
     let (a, b, fabric) = drive(30, 100);
 
-    // Sender-side: per-(link, method) send latency histograms.
-    for method in [MethodId::SHMEM, MethodId::TCP] {
+    // Sender-side: per-(link, method) send latency histograms. Every send
+    // is counted; shmem cannot stage, so its link times sends 1 and 17 of
+    // the 30, while tcp stages and times all of them.
+    for (method, timed) in [(MethodId::SHMEM, 2), (MethodId::TCP, 30)] {
+        assert_eq!(a.trace().snapshot_method(method).sends, 30, "{method}");
         let lat = a
             .link_latency(b.id(), method)
             .unwrap_or_else(|| panic!("no latency summary for {method}"));
-        assert_eq!(lat.count, 30);
+        assert_eq!(lat.count, timed, "{method}");
         assert!(lat.p50 >= 1 && lat.p50 <= lat.p99, "{method}: {lat:?}");
         let est = a.method_cost_estimate(method);
-        assert_eq!(est.send_samples, 30);
+        assert_eq!(est.send_samples, timed, "{method}");
         assert!(est.send_cost_ns.unwrap() > 0.0);
     }
 
@@ -187,6 +192,95 @@ fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
             "render missing {needle:?}:\n{sender_report}"
         );
     }
+    fabric.shutdown();
+}
+
+/// Two contexts with MPL and TCP registered, and a startpoint from the
+/// first to an endpoint of the second pinned to each method.
+fn mpl_and_tcp_links() -> (Fabric, Arc<Context>, Arc<Context>, Startpoint, Startpoint) {
+    let fabric = Fabric::new();
+    fabric.registry().register(Arc::new(MplModule::new()));
+    fabric.registry().register(Arc::new(TcpModule::new()));
+    let a = fabric.create_context().unwrap();
+    let b = fabric.create_context().unwrap();
+    b.register_handler("m", |_| {});
+    let pinned = |method| {
+        let sp = b.startpoint_to(b.create_endpoint()).unwrap();
+        sp.set_method(method);
+        sp
+    };
+    let (mpl, tcp) = (pinned(MethodId::MPL), pinned(MethodId::TCP));
+    (fabric, a, b, mpl, tcp)
+}
+
+/// A send is timed only where a reading has a consumer. On a method that
+/// cannot stage, with re-selection off, the `(link, method)` record times
+/// its first send and every `SAMPLE_EVERY`-th one; a method that stages
+/// (tcp) times every send, and so does a context with re-selection
+/// configured. Every send is counted either way.
+#[test]
+fn send_timing_is_sampled_unless_a_reader_needs_every_send() {
+    const N: u64 = 37;
+    let (fabric, a, b, mpl, tcp) = mpl_and_tcp_links();
+    let timed = |m| a.link_latency(b.id(), m).map_or(0, |l| l.count);
+    let sends = |m| a.trace().snapshot_method(m).sends;
+
+    a.rsr(&mpl, "m", Buffer::new()).unwrap();
+    assert_eq!(timed(MethodId::MPL), 1, "the first send is timed");
+    assert!(a.method_cost_estimate(MethodId::MPL).send_cost_ns.is_some());
+    for _ in 1..N {
+        a.rsr(&mpl, "m", Buffer::new()).unwrap();
+        let _ = b.progress();
+    }
+    assert_eq!(sends(MethodId::MPL), N);
+    assert_eq!(timed(MethodId::MPL), N.div_ceil(SAMPLE_EVERY));
+
+    for _ in 0..N {
+        a.rsr(&tcp, "m", Buffer::new()).unwrap();
+        let _ = b.progress();
+    }
+    assert_eq!(sends(MethodId::TCP), N);
+    assert_eq!(
+        timed(MethodId::TCP),
+        N,
+        "a method that stages times every send"
+    );
+
+    // Re-selection counts timed sends, so from here on every send is timed
+    // (the pin keeps the link on MPL).
+    let before = timed(MethodId::MPL);
+    a.set_reselection(Some(ReselectConfig::default()));
+    for _ in 0..N {
+        a.rsr(&mpl, "m", Buffer::new()).unwrap();
+        let _ = b.progress();
+    }
+    assert_eq!(sends(MethodId::MPL), 2 * N);
+    assert_eq!(timed(MethodId::MPL), before + N);
+    fabric.shutdown();
+}
+
+/// `render` reports every send under `sends` and the sampled ones under
+/// `timed`: 30 MPL sends time the first and the 17th.
+#[test]
+fn render_separates_sends_from_timed_sends() {
+    let (fabric, a, b, mpl, _tcp) = mpl_and_tcp_links();
+    for _ in 0..30 {
+        a.rsr(&mpl, "m", Buffer::new()).unwrap();
+        let _ = b.progress();
+    }
+    let report = a.trace().render();
+    let lines: Vec<Vec<&str>> = report
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let header = lines.iter().find(|l| l.first() == Some(&"link")).unwrap();
+    let row = lines
+        .iter()
+        .find(|l| l.get(2) == Some(&"mpl") && l[0] == "ctx")
+        .unwrap_or_else(|| panic!("no mpl send row:\n{report}"));
+    // The link column, `ctx N`, is two words in a row and one in the header.
+    let column = |name| row[header.iter().position(|h| *h == name).unwrap() + 1];
+    assert_eq!((column("sends"), column("timed")), ("30", "2"), "{report}");
     fabric.shutdown();
 }
 
