@@ -53,7 +53,7 @@ pub enum StabilityIssue {
 }
 
 /// Checks the explicit-scheme stability criteria for `p` (unit grid
-/// spacing). Returns every violated criterion.
+/// spacing). Returns every violated condition.
 pub fn check_stability(p: StencilParams) -> Vec<StabilityIssue> {
     let mut issues = Vec::new();
     let dn = p.dt * p.diff * 4.0;

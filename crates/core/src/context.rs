@@ -1914,7 +1914,6 @@ impl Context {
     /// (or refused by a pool): back into the engine, re-armed into the
     /// readiness tier.
     pub(crate) fn restore_source(&self, method: MethodId, receiver: Box<dyn CommReceiver>) {
-        // lint:allow(lock-across-blocking) arm_ready installs a doorbell via set_ready_signal; the pump-loop sleep the lint attributes to that fn runs on the pump's own spawned thread, never in this caller
         let mut eng = self.poll.lock();
         eng.add_source(method, receiver);
         eng.arm_ready(method);
@@ -2019,9 +2018,10 @@ impl Context {
             pool.shutdown();
         }
         // Drain under the lock, close after releasing it: receiver close()
-        // joins pump threads, and holding the engine lock through that
-        // would wedge any concurrent progress pass for the whole shutdown
-        // (and deadlock outright if a closing thread ever needs the engine).
+        // runs transport code that can block, and holding the engine lock
+        // through that would wedge any concurrent progress pass for the
+        // whole shutdown (and deadlock outright if a closing thread ever
+        // needs the engine).
         let receivers = self.poll.lock().drain_sources();
         for mut r in receivers {
             r.close();

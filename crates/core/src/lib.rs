@@ -66,7 +66,6 @@
 //! | [`pool`] | thread-local frame-buffer reuse for the send path |
 //! | [`rsr`] | RSR wire format: encode-once frames, zero-copy decode |
 //! | [`handler`] | handler registration and dispatch |
-//! | [`gp`] | global pointers: remote read/write/fetch-add through startpoints |
 //! | [`stripe`] | multi-link striped bulk transfer (rail pattern) |
 //! | [`trace`] | the enquiry instrument: per-method counters, per-link histograms, measured poll-cost EWMAs, event ring |
 //! | [`config`] | resource database + command-line overrides |
@@ -80,7 +79,6 @@ pub mod context;
 pub mod descriptor;
 pub mod endpoint;
 pub mod error;
-pub mod gp;
 pub mod handler;
 pub mod module;
 pub mod poll;
@@ -103,7 +101,6 @@ pub mod prelude {
     pub use crate::descriptor::{CommDescriptor, DescriptorTable, MethodId};
     pub use crate::endpoint::{EndpointId, EndpointRef};
     pub use crate::error::{NexusError, Result};
-    pub use crate::gp::{GlobalCell, GlobalPointer};
     pub use crate::handler::HandlerArgs;
     pub use crate::module::{CommModule, CommObject, CommReceiver, ModuleRegistry};
     pub use crate::poll::{AdaptiveSkipPoll, PollOutcome, SkipChange};

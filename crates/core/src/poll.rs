@@ -893,10 +893,10 @@ impl PollEngine {
     }
 
     /// Removes every source from the rotation and returns the receivers
-    /// for the caller to close. Closing can block (socket receivers join
-    /// their pump threads), so a caller that keeps the engine behind a
-    /// lock must close the returned receivers *after* releasing it — see
-    /// `Context::shutdown`.
+    /// for the caller to close. Closing runs transport code that can block
+    /// (a socket receiver takes the reactor's lock to deregister), so a
+    /// caller that keeps the engine behind a lock must close the returned
+    /// receivers *after* releasing it — see `Context::shutdown`.
     pub fn drain_sources(&mut self) -> Vec<Box<dyn CommReceiver>> {
         let receivers = self.sources.drain(..).map(|s| s.receiver).collect();
         self.token_slots.clear();
@@ -906,7 +906,7 @@ impl PollEngine {
     }
 
     /// Closes all receivers. Only for engines not shared behind a lock —
-    /// this joins pump threads inline (see [`PollEngine::drain_sources`]).
+    /// this closes the receivers inline (see [`PollEngine::drain_sources`]).
     pub fn close_all(&mut self) {
         for mut r in self.drain_sources() {
             r.close();

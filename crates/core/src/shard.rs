@@ -271,7 +271,6 @@ impl WorkerPool {
         method: MethodId,
         mut receiver: Box<dyn CommReceiver>,
     ) -> std::result::Result<ReadySignal, Box<dyn CommReceiver>> {
-        // lint:allow(lock-across-blocking) set_ready_signal installs a doorbell; the pump-loop sleep the lint attributes to it runs on the pump's own spawned thread, never in this caller
         let mut slots = self.shared.slots.write();
         let token = slots.len();
         let signal = ReadySignal::with_sink(token, Arc::clone(&self.shared.sink));

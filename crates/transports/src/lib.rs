@@ -21,13 +21,14 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("nexus-transports needs epoll: its socket reactor builds only for Linux");
+
 pub mod delay;
 pub mod local;
 pub mod mpl;
 pub mod queue;
-#[cfg(have_epoll)]
 pub mod reactor;
-pub mod ready;
 pub mod rudp;
 pub mod shmem;
 pub mod tcp;
@@ -42,7 +43,6 @@ use std::sync::Arc;
 pub use delay::DelayModule;
 pub use local::LocalModule;
 pub use mpl::MplModule;
-pub use ready::ReadyPumpReceiver;
 pub use rudp::RudpModule;
 pub use shmem::ShmemModule;
 pub use tcp::TcpModule;

@@ -3,10 +3,10 @@
 //!
 //! Socket transports have no send-side hook to ring the poll engine's
 //! doorbell — the kernel owns the wake-up — and a pump thread per
-//! receiver ([`crate::ready::ReadyPumpReceiver`]) is O(sockets) threads.
-//! Instead every socket of the process is registered with one epoll
-//! instance, watched by a single `nexus-reactor` thread that never reads
-//! payload and never runs handlers.
+//! receiver would be O(sockets) threads. Instead every socket of the
+//! process is registered with one epoll instance, watched by a single
+//! `nexus-reactor` thread that never reads payload and never runs
+//! handlers.
 //!
 //! ## Who arms, who re-arms
 //!
@@ -55,11 +55,10 @@
 //! operation that interrupts a blocked reactor (to shorten its timeout),
 //! which is all the wake datagram is for.
 //!
-//! This module exists only where the build-time probe finds epoll
-//! (`have_epoll`, see `build.rs`); elsewhere the transports keep their
-//! pump threads. If the kernel refuses an epoll instance at runtime,
-//! [`Reactor::global`] is `None`, `set_ready_signal` reports `false` and
-//! the source stays in the polled tier.
+//! The crate builds only for Linux, where epoll exists. If the kernel
+//! refuses an epoll instance at runtime, [`Reactor::global`] is `None`,
+//! `set_ready_signal` reports `false` and the source stays in the polled
+//! tier.
 
 use nexus_rt::error::Result;
 use nexus_rt::module::CommReceiver;
@@ -596,9 +595,11 @@ mod tests {
     use nexus_rt::context::{ContextId, ContextInfo, NodeId, PartitionId};
     use nexus_rt::descriptor::{CommDescriptor, MethodId};
     use nexus_rt::endpoint::EndpointId;
+    use nexus_rt::error::NexusError;
     use nexus_rt::module::{CommModule, CommObject};
     use nexus_rt::poll::{PollEngine, SegQueue};
     use nexus_rt::rsr::WireFrame;
+    use std::collections::VecDeque;
     use std::io::Write;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicU32;
@@ -1023,5 +1024,107 @@ mod tests {
         }
         assert_eq!(rudp.collect(32).len(), 32);
         assert_eq!(rudp.callbacks(), 1);
+    }
+
+    /// A scripted source over one UDP socket, so the adapter is tested
+    /// alone: `poll` answers only from `direct`; a scan reads every queued
+    /// datagram and queues one message per datagram named by its bytes,
+    /// or, while `fail_scans` lasts, reads them and fails.
+    struct Scripted {
+        socket: UdpSocket,
+        direct: Vec<Rsr>,
+        queued: VecDeque<Rsr>,
+        fail_scans: u32,
+        scans: u32,
+    }
+
+    impl Scripted {
+        fn new(socket: UdpSocket) -> Self {
+            Scripted {
+                socket,
+                direct: Vec::new(),
+                queued: VecDeque::new(),
+                fail_scans: 0,
+                scans: 0,
+            }
+        }
+    }
+
+    impl CommReceiver for Scripted {
+        fn poll(&mut self) -> Result<Option<Rsr>> {
+            Ok(self.direct.pop())
+        }
+    }
+
+    impl FdSource for Scripted {
+        fn scan(&mut self, _fired: bool) -> Result<bool> {
+            self.scans += 1;
+            let mut read = Vec::new();
+            let mut b = [0u8; 64];
+            while let Ok(n) = self.socket.recv(&mut b) {
+                read.push(msg(std::str::from_utf8(&b[..n]).unwrap()));
+            }
+            if self.fail_scans > 0 {
+                self.fail_scans -= 1;
+                return Err(NexusError::ConnectionClosed);
+            }
+            let any = !read.is_empty();
+            self.queued.extend(read);
+            Ok(any)
+        }
+
+        fn pop(&mut self) -> Option<Rsr> {
+            self.queued.pop_front()
+        }
+
+        fn fill_fds(&self, out: &mut Vec<RawFd>) {
+            out.push(self.socket.as_raw_fd());
+        }
+    }
+
+    /// Until the engine arms it, the adapter is the inner receiver: `poll`
+    /// is the inner `poll`, and no scan runs however readable the socket.
+    #[test]
+    fn unarmed_receiver_is_the_inner_receiver() {
+        let (socket, addr) = udp_socket();
+        let mut inner = Scripted::new(socket);
+        inner.direct.push(msg("direct"));
+        let mut rx = ReactorReceiver::new(inner);
+        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        tx.send_to(b"unread", addr).unwrap();
+        assert_eq!(rx.poll().unwrap().unwrap().handler, "direct");
+        assert!(rx.poll().unwrap().is_none());
+        assert_eq!(rx.inner.scans, 0);
+        assert!(rx.reg.is_none());
+    }
+
+    /// A failing scan reaches the caller of `poll` once. The source stays
+    /// registered and re-armed: the next datagram rings the doorbell
+    /// through the kernel and is delivered.
+    #[test]
+    fn scan_error_surfaces_once_and_the_source_stays_armed() {
+        let (socket, addr) = udp_socket();
+        let mut inner = Scripted::new(socket);
+        inner.fail_scans = 1;
+        let mut armed = Armed::new(inner);
+        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        tx.send_to(b"lost", addr).unwrap();
+
+        let deadline = Instant::now() + PATIENCE;
+        while armed.list.pop().is_none() {
+            assert!(Instant::now() < deadline, "the reactor never rang");
+            std::thread::yield_now();
+        }
+        armed.signal.clear();
+        assert!(matches!(armed.rx.poll(), Err(NexusError::ConnectionClosed)));
+        assert!(armed.rx.reg.is_some(), "the error retired the source");
+        assert!(armed.rx.heat == Heat::Cold, "the error did not re-arm");
+
+        // Visits unwrap every poll: a second error fails the test.
+        tx.send_to(b"next", addr).unwrap();
+        let got = armed.drive_until(|rx| rx.inner.scans == 2);
+        let names: Vec<_> = got.iter().map(|m| m.handler.as_str()).collect();
+        assert_eq!(names, ["next"]);
+        assert!(armed.cool().is_empty());
     }
 }

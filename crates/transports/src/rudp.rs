@@ -256,7 +256,6 @@ impl RudpReceiver {
     }
 }
 
-#[cfg(have_epoll)]
 impl crate::reactor::FdSource for RudpReceiver {
     fn scan(&mut self, _fired: bool) -> Result<bool> {
         self.drain_socket()
@@ -403,7 +402,6 @@ impl SenderShared {
 /// drives retransmission), with a dedicated thread as the fallback where
 /// the reactor is unavailable.
 enum PumpDriver {
-    #[cfg(have_epoll)]
     Reactor(crate::reactor::RegistrationId),
     Thread(std::thread::JoinHandle<()>),
 }
@@ -412,7 +410,6 @@ enum PumpDriver {
 const PUMP_PERIOD: Duration = Duration::from_millis(2);
 
 fn start_pump(shared: &Arc<SenderShared>) -> Result<PumpDriver> {
-    #[cfg(have_epoll)]
     if let Some(reactor) = crate::reactor::Reactor::global() {
         use std::os::fd::AsRawFd;
         let pump = Arc::clone(shared);
@@ -523,7 +520,6 @@ impl CommObject for RudpObject {
         // the pump thread must never find this lock wedged while exiting.
         let driver = self.pump.lock().take();
         match driver {
-            #[cfg(have_epoll)]
             Some(PumpDriver::Reactor(id)) => {
                 if let Some(reactor) = crate::reactor::Reactor::global() {
                     use std::os::fd::AsRawFd;
@@ -562,18 +558,9 @@ impl CommModule for RudpModule {
         socket.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
         let inner = RudpReceiver::new(socket, Arc::clone(&self.corrupt_drops));
-        // Readiness via the shared reactor thread; pump-thread fallback
-        // where epoll is unavailable.
-        #[cfg(have_epoll)]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        #[cfg(not(have_epoll))]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
-            MethodId::RUDP,
-            Box::new(inner),
-        ));
         Ok((
             CommDescriptor::new(MethodId::RUDP, addr.to_string().into_bytes()),
-            rx,
+            Box::new(crate::reactor::ReactorReceiver::new(inner)),
         ))
     }
 
@@ -620,8 +607,9 @@ impl CommModule for RudpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the shared reactor (`ReactorReceiver`), or the pump thread
-        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
+        // Via the shared reactor (`ReactorReceiver`); if the kernel
+        // refuses an epoll instance, arming fails and the source stays
+        // in the polled tier.
         true
     }
 

@@ -88,7 +88,6 @@
 //! window scale is negotiated from it at the SYN. It is a module
 //! parameter only.
 
-#[cfg(have_epoll)]
 use crate::reactor::{Reactor, RegistrationId};
 use bytes::{Bytes, BytesMut};
 use nexus_rt::context::ContextInfo;
@@ -101,9 +100,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(have_epoll)]
-use std::sync::OnceLock;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// TCP communication module.
@@ -540,7 +537,6 @@ impl TcpReceiver {
     }
 }
 
-#[cfg(have_epoll)]
 impl crate::reactor::FdSource for TcpReceiver {
     fn scan(&mut self, fired: bool) -> Result<bool> {
         TcpReceiver::scan(self, fired)
@@ -680,7 +676,6 @@ fn stage_frame(out: &mut Outbox, lead: [&[u8]; 5], tail: &[u8]) {
 /// One `send(2)` that never blocks (`MSG_DONTWAIT`): how much of `bytes`
 /// the kernel took. The backstop writes this way, so a peer that stopped
 /// reading cannot stall the reactor thread.
-#[cfg(have_epoll)]
 fn send_nowait(socket: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
     use std::os::fd::{AsRawFd, RawFd};
     const MSG_DONTWAIT: i32 = 0x40;
@@ -715,19 +710,12 @@ fn send_nowait(socket: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
 /// runs, so that no staged frame depends on its context being entered
 /// again.
 fn can_stage() -> bool {
-    #[cfg(have_epoll)]
-    return Backstop::get().is_some();
-    #[cfg(not(have_epoll))]
-    false
+    Backstop::get().is_some()
 }
 
 /// The backstop's tick count, which dates a connection's oldest frame.
 fn backstop_now() -> u64 {
-    #[cfg(have_epoll)]
-    if let Some(b) = Backstop::get() {
-        return b.ticks.load(Ordering::Relaxed);
-    }
-    1
+    Backstop::get().map_or(1, |b| b.ticks.load(Ordering::Relaxed))
 }
 
 impl TcpObject {
@@ -881,7 +869,6 @@ impl TcpObject {
     /// the oldest frame has waited a full tick (`now` is at least two past
     /// its tick count) and the writer is free. Returns whether frames
     /// remain for a later tick.
-    #[cfg(have_epoll)]
     fn backstop_visit(&self, now: u64) -> bool {
         let at = self.staged_at.load(Ordering::SeqCst);
         if at == 0 {
@@ -929,7 +916,6 @@ impl TcpObject {
 
 /// A connection dropped without `close` still hands the kernel what it
 /// staged, as far as the socket takes it without blocking.
-#[cfg(have_epoll)]
 impl Drop for TcpObject {
     fn drop(&mut self) {
         let out = self.stream.get_mut();
@@ -966,14 +952,11 @@ impl CommObject for TcpObject {
     fn send_or_stage(&self, rsr: &Rsr, _frame: &WireFrame, may_stage: bool) -> Result<Staged> {
         let (staged, first) =
             self.send_gathered(rsr, &[], &rsr.payload, may_stage && can_stage())?;
-        #[cfg(have_epoll)]
         if first {
             if let Some(backstop) = Backstop::get() {
                 backstop.arm(self);
             }
         }
-        #[cfg(not(have_epoll))]
-        let _ = first;
         Ok(staged)
     }
 
@@ -1019,7 +1002,6 @@ impl CommObject for TcpObject {
 /// The backstop (module doc, § Send): while some connection holds staged
 /// bytes, a timer on the existing reactor thread visits every connection
 /// that has staged and writes the frames that have waited a full tick.
-#[cfg(have_epoll)]
 struct Backstop {
     reactor: &'static Arc<Reactor>,
     /// The timer callback, built once.
@@ -1036,7 +1018,6 @@ struct Backstop {
     timer: Mutex<Option<RegistrationId>>,
 }
 
-#[cfg(have_epoll)]
 impl Backstop {
     /// The process's backstop; `None` without a reactor, and then nothing
     /// stages.
@@ -1172,15 +1153,7 @@ impl CommModule for TcpModule {
         // Readiness comes from the shared reactor thread (one per
         // process, O(workers) not O(sockets)); the receiver stays a
         // pass-through until the poll engine arms it.
-        #[cfg(have_epoll)]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        // Without epoll, fall back to the per-fd pump thread.
-        #[cfg(not(have_epoll))]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
-            MethodId::TCP,
-            Box::new(inner),
-        ));
-        Ok((desc, rx))
+        Ok((desc, Box::new(crate::reactor::ReactorReceiver::new(inner))))
     }
 
     fn applicable(&self, _local: &ContextInfo, desc: &CommDescriptor) -> bool {
@@ -1203,8 +1176,9 @@ impl CommModule for TcpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the shared reactor (`ReactorReceiver`), or the pump thread
-        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
+        // Via the shared reactor (`ReactorReceiver`); if the kernel
+        // refuses an epoll instance, arming fails and the source stays
+        // in the polled tier.
         true
     }
 

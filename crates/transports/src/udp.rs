@@ -100,7 +100,6 @@ impl UdpReceiver {
     }
 }
 
-#[cfg(have_epoll)]
 impl crate::reactor::FdSource for UdpReceiver {
     fn scan(&mut self, _fired: bool) -> Result<bool> {
         UdpReceiver::scan(self)
@@ -202,18 +201,9 @@ impl CommModule for UdpModule {
         socket.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
         let inner = UdpReceiver::new(socket);
-        // Readiness via the shared reactor thread; pump-thread fallback
-        // where epoll is unavailable.
-        #[cfg(have_epoll)]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::reactor::ReactorReceiver::new(inner));
-        #[cfg(not(have_epoll))]
-        let rx: Box<dyn CommReceiver> = Box::new(crate::ready::ReadyPumpReceiver::new(
-            MethodId::UDP,
-            Box::new(inner),
-        ));
         Ok((
             CommDescriptor::new(MethodId::UDP, addr.to_string().into_bytes()),
-            rx,
+            Box::new(crate::reactor::ReactorReceiver::new(inner)),
         ))
     }
 
@@ -242,8 +232,9 @@ impl CommModule for UdpModule {
     }
 
     fn supports_readiness(&self) -> bool {
-        // Via the shared reactor (`ReactorReceiver`), or the pump thread
-        // of a `ReadyPumpReceiver` shell where epoll is unavailable.
+        // Via the shared reactor (`ReactorReceiver`); if the kernel
+        // refuses an epoll instance, arming fails and the source stays
+        // in the polled tier.
         true
     }
 

@@ -43,9 +43,9 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Names too generic to link on. Every type has a `new`/`default`/`clone`,
-/// and std container/guard methods (`Vec::push`, `RwLock::read`, …) share
-/// names with workspace functions (`EventRing::push`, `GlobalPointer::
-/// read`), so linking on them connects unrelated code and makes everything
+/// and std container/guard methods (`Vec::push`, `Option::take`, …) share
+/// names with workspace functions (`EventRing::push`, `pool::take`), so
+/// linking on them connects unrelated code and makes everything
 /// "reachable". The cost of the cut is that a workspace fn *named* like a
 /// std method never becomes a call-graph node — an accepted trade for a
 /// name-linked scan.
