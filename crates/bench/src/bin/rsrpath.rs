@@ -131,18 +131,14 @@ fn main() {
                 eprintln!("{path}: no \"after\" or \"results\" scenario block");
                 std::process::exit(2);
             });
-        let failures = rsrpath::check(&rows, &baseline, tolerance);
-        if failures.is_empty() {
-            println!(
-                "regression check vs {path}: OK ({} scenarios, tolerance {:.0} %)",
-                baseline.len(),
-                tolerance * 100.0
-            );
-        } else {
-            for f in &failures {
-                eprintln!("REGRESSION: {f}");
+        match rsrpath::check(&rows, &baseline, tolerance).verdict(&path, tolerance) {
+            Ok(ok) => println!("{ok}"),
+            Err(lines) => {
+                for line in &lines {
+                    eprintln!("{line}");
+                }
+                std::process::exit(1);
             }
-            std::process::exit(1);
         }
     }
 }

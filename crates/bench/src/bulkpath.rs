@@ -21,17 +21,16 @@
 //!   control overhead is gated against (within 25 % at 4 MiB).
 //!
 //! The measured **knees** — the smallest swept payloads where each pull
-//! path beats inline — are recorded in the emitted JSON. On this 1-CPU
-//! container the mapped pull shows a genuine knee (its constant control
+//! path beats inline — are recorded in the emitted JSON, with the CPUs the
+//! run had. The mapped pull shows a genuine knee (its constant control
 //! cost crosses inline's per-byte copy within a few tens of KiB), while
-//! the wire pull typically does not: both protocol sides share one core,
-//! so the chunk-and-reassemble copy is never repaid by an in-process
-//! "wire" that costs nothing. The analytic model in `nexus-simnet`'s
-//! `bulk` module pins the wire knee against the paper's calibrated wire
-//! constants instead.
+//! the wire pull typically does not: its chunk-and-reassemble copy is
+//! never repaid by an in-process "wire" that costs nothing. The analytic
+//! model in `nexus-simnet`'s `bulk` module pins the wire knee against the
+//! paper's calibrated wire constants instead.
 
 use crate::patterns::CopyWire;
-use crate::report;
+use crate::report::{self, Gate};
 use crate::rsrpath::Json;
 use bytes::Bytes;
 use nexus_rt::buffer::Buffer;
@@ -349,10 +348,10 @@ pub fn run(cfg: &Config, alloc_count: &dyn Fn() -> u64) -> Vec<Scenario> {
 /// The measured rendezvous knee for one pull scenario: the smallest
 /// swept payload at which the 1-rail pull is no slower than the inline
 /// send. `None` when the pull never catches up inside the sweep — the
-/// expected outcome for `pull-wire` on a 1-CPU container, where the
-/// chunk-and-reassemble copy can never be won back against an in-process
-/// "wire" that costs nothing (the analytic model in nexus-simnet pins
-/// that knee against real wire constants instead).
+/// usual outcome for `pull-wire`, whose chunk-and-reassemble copy is never
+/// won back against an in-process "wire" that costs nothing (the analytic
+/// model in nexus-simnet pins that knee against real wire constants
+/// instead).
 pub fn knee_bytes(rows: &[Scenario], pull: &str) -> Option<usize> {
     let mut knee: Option<usize> = None;
     for p in rows.iter().filter(|r| r.key().0 == pull && r.links == 1) {
@@ -426,9 +425,9 @@ pub fn results_json(rows: &[Scenario]) -> String {
 
 /// The document the `bulkpath` binary writes.
 pub fn document_json(rows: &[Scenario]) -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let note = format!(
-        "{}; {} (1-CPU container: both protocol sides share the core, so the in-process wire pull \
-         keeps its reassembly copy without the wire savings that repay it)",
+        "{}; {}; measured with {cpus} available CPU(s)",
         knee_line(rows, "pull-map"),
         knee_line(rows, "pull-wire")
     );
@@ -465,13 +464,16 @@ pub fn scenarios_from(doc: &Json, key: &str) -> Option<Vec<Scenario>> {
 /// Compares `current` against the tracked baseline. Returns one message
 /// per regression: ns/op more than `ns_tolerance` above baseline, or
 /// allocs/op meaningfully above the pinned budget. Scenarios absent from
-/// the baseline are ignored (new rows are not regressions).
-pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Vec<String> {
+/// the baseline are ignored (new rows are not regressions) and not counted
+/// as matched.
+pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Gate {
     let mut failures = Vec::new();
+    let mut matched = 0;
     for cur in current {
         let Some(base) = baseline.iter().find(|b| b.key() == cur.key()) else {
             continue;
         };
+        matched += 1;
         let ns_limit = base.ns_per_op * (1.0 + ns_tolerance);
         if cur.ns_per_op > ns_limit {
             failures.push(format!(
@@ -499,7 +501,7 @@ pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> 
             ));
         }
     }
-    failures
+    Gate { matched, failures }
 }
 
 #[cfg(test)]
@@ -579,14 +581,20 @@ mod tests {
     #[test]
     fn check_gates_ns_and_allocs_per_scenario() {
         let base = vec![s("pull-wire", 2, 4096, 10_000.0, 4.0)];
-        assert!(check(&[s("pull-wire", 2, 4096, 12_000.0, 4.0)], &base, 0.25).is_empty());
-        let ns_fail = check(&[s("pull-wire", 2, 4096, 13_000.0, 4.0)], &base, 0.25);
+        assert!(
+            check(&[s("pull-wire", 2, 4096, 12_000.0, 4.0)], &base, 0.25)
+                .failures
+                .is_empty()
+        );
+        let ns_fail = check(&[s("pull-wire", 2, 4096, 13_000.0, 4.0)], &base, 0.25).failures;
         assert_eq!(ns_fail.len(), 1);
         assert!(ns_fail[0].contains("ns/op"));
-        let alloc_fail = check(&[s("pull-wire", 2, 4096, 9_000.0, 30.0)], &base, 0.25);
+        let alloc_fail = check(&[s("pull-wire", 2, 4096, 9_000.0, 30.0)], &base, 0.25).failures;
         assert_eq!(alloc_fail.len(), 1);
         assert!(alloc_fail[0].contains("allocs/op"));
         // Different scenario at the same shape is a different cell.
-        assert!(check(&[s("inline", 2, 4096, 9e9, 9e9)], &base, 0.25).is_empty());
+        let unknown = check(&[s("inline", 2, 4096, 9e9, 9e9)], &base, 0.25);
+        assert!(unknown.failures.is_empty());
+        assert_eq!(unknown.matched, 0);
     }
 }

@@ -17,8 +17,7 @@
 //! skip_poll) via `--bin ablation`. [`rsrpath`] (`--bin rsrpath`),
 //! [`patterns`] (`--bin patterns`), and [`bulkpath`] (`--bin bulkpath`)
 //! gate the RSR hot path, the collective patterns, and the
-//! eager/rendezvous bulk paths against tracked baselines. Criterion
-//! microbenches of the runtime's hot paths live under `benches/`.
+//! eager/rendezvous bulk paths against tracked baselines.
 
 #![warn(missing_docs)]
 

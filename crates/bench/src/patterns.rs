@@ -23,15 +23,16 @@
 //! emits/validates `BENCH_stripe.json` with the same min-of-batches
 //! estimator and CI gate as `rsrpath`.
 
-use crate::report;
+use crate::report::{self, Gate};
 use crate::rsrpath::Json;
 use bytes::Bytes;
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::{Context, ContextInfo, Fabric};
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::Result as NexusResult;
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::rsr::{Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use nexus_transports::queue::{QueueDescriptor, QueueMedium, QueueObject, QueueReceiver};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,11 +190,12 @@ impl CommModule for RailModule {
 }
 
 /// Imposes exactly one copy per byte per hop on the otherwise zero-copy
-/// in-process queue: a plain `send` splices the payload through a pooled
-/// buffer, and `send_parts` delegates to the queue's own single-copy
-/// head++tail combine. Without this, whole-message patterns move `Bytes`
-/// handles for free while striped chunks pay real memcpy, and the
-/// rail-vs-fan comparison would be meaningless at large payloads.
+/// in-process queue: a plain send splices the payload through a pooled
+/// buffer, and a headed one (a stripe chunk) passes through to the
+/// queue's own single-copy head++payload combine. Without this,
+/// whole-message patterns move `Bytes` handles for free while striped
+/// chunks pay real memcpy, and the rail-vs-fan comparison would be
+/// meaningless at large payloads.
 pub(crate) struct CopyWire {
     pub(crate) inner: Arc<dyn CommObject>,
 }
@@ -203,23 +205,26 @@ impl CommObject for CopyWire {
         self.inner.method()
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> NexusResult<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> NexusResult<Staged> {
+        if !head.is_empty() {
+            return self.inner.transfer(rsr, frame, head, None);
+        }
         let mut buf = nexus_rt::pool::take(rsr.payload.len());
         buf.extend_from_slice(&rsr.payload);
-        self.inner.send(
-            &Rsr {
-                dest: rsr.dest,
-                endpoint: rsr.endpoint,
-                handler: rsr.handler.clone(),
-                payload: buf.freeze(),
-                ttl: rsr.ttl,
-            },
-            frame,
-        )
-    }
-
-    fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &Bytes) -> NexusResult<()> {
-        self.inner.send_parts(rsr, head, tail)
+        let copy = Rsr {
+            dest: rsr.dest,
+            endpoint: rsr.endpoint,
+            handler: rsr.handler.clone(),
+            payload: buf.freeze(),
+            ttl: rsr.ttl,
+        };
+        self.inner.transfer(&copy, frame, &[], None)
     }
 }
 
@@ -446,13 +451,16 @@ pub fn scenarios_from(doc: &Json, key: &str) -> Option<Vec<Scenario>> {
 /// Compares `current` against the tracked baseline. Returns one message
 /// per regression: ns/op more than `ns_tolerance` above baseline, or
 /// allocs/op meaningfully above the pinned budget. Scenarios absent from
-/// the baseline are ignored (new rows are not regressions).
-pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Vec<String> {
+/// the baseline are ignored (new rows are not regressions) and not counted
+/// as matched.
+pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Gate {
     let mut failures = Vec::new();
+    let mut matched = 0;
     for cur in current {
         let Some(base) = baseline.iter().find(|b| b.key() == cur.key()) else {
             continue;
         };
+        matched += 1;
         let ns_limit = base.ns_per_op * (1.0 + ns_tolerance);
         if cur.ns_per_op > ns_limit {
             failures.push(format!(
@@ -480,7 +488,7 @@ pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> 
             ));
         }
     }
-    failures
+    Gate { matched, failures }
 }
 
 #[cfg(test)]
@@ -539,14 +547,18 @@ mod tests {
     #[test]
     fn check_gates_ns_and_allocs_per_pattern() {
         let base = vec![s("rail", 2, 4096, 10_000.0, 4.0)];
-        assert!(check(&[s("rail", 2, 4096, 12_000.0, 4.0)], &base, 0.25).is_empty());
-        let ns_fail = check(&[s("rail", 2, 4096, 13_000.0, 4.0)], &base, 0.25);
+        assert!(check(&[s("rail", 2, 4096, 12_000.0, 4.0)], &base, 0.25)
+            .failures
+            .is_empty());
+        let ns_fail = check(&[s("rail", 2, 4096, 13_000.0, 4.0)], &base, 0.25).failures;
         assert_eq!(ns_fail.len(), 1);
         assert!(ns_fail[0].contains("ns/op"));
-        let alloc_fail = check(&[s("rail", 2, 4096, 9_000.0, 30.0)], &base, 0.25);
+        let alloc_fail = check(&[s("rail", 2, 4096, 9_000.0, 30.0)], &base, 0.25).failures;
         assert_eq!(alloc_fail.len(), 1);
         assert!(alloc_fail[0].contains("allocs/op"));
         // Different pattern at the same shape is a different scenario.
-        assert!(check(&[s("fan", 2, 4096, 9e9, 9e9)], &base, 0.25).is_empty());
+        let unknown = check(&[s("fan", 2, 4096, 9e9, 9e9)], &base, 0.25);
+        assert!(unknown.failures.is_empty());
+        assert_eq!(unknown.matched, 0);
     }
 }

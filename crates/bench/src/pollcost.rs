@@ -123,8 +123,8 @@ pub fn format(rows: &[ProbeCost]) -> String {
 
 /// Per-method costs as the runtime itself measured them: the poll-cost
 /// EWMA fed by the receiving context's `PollEngine` timing sampled probes,
-/// and the send-cost EWMA fed by the sender's timed transport sends (every
-/// send on a method that stages, else the first and every 16th per link).
+/// and the send-cost EWMA fed by the sender's timed transport sends (the
+/// first and every 16th per link).
 /// `hint_ns` is the module's a-priori constant (the role the paper's §3.3
 /// numbers — `mpc_status` 15 µs, `select` >100 µs — play in selection).
 #[derive(Debug, Clone)]
@@ -304,10 +304,9 @@ mod tests {
                 );
                 assert!(r.ready_wakeups > 0, "{} doorbell never rang", r.name);
             }
-            // Every send is counted. TCP stages, so it times every send;
-            // the others time their link's 1st and 17th of the 20.
-            let timed = if r.name == "tcp" { 20 } else { 2 };
-            assert_eq!((r.sends, r.send_samples), (20, timed), "{}", r.name);
+            // Every send is counted, and each link times its 1st and
+            // 17th of the 20.
+            assert_eq!((r.sends, r.send_samples), (20, 2), "{}", r.name);
             assert!(r.send_ewma_ns.is_some(), "{} send EWMA never fed", r.name);
         }
         let t = format_measured(&rows);

@@ -46,9 +46,66 @@ pub fn mbps(bytes: f64, seconds: f64) -> String {
     format!("{:.1}", bytes / seconds / 1e6)
 }
 
+/// What a `--check` run compared: how many measured rows found their
+/// baseline row, and one message per regression among them (or per
+/// same-run check that failed).
+#[derive(Debug, Default)]
+pub struct Gate {
+    /// Measured rows that found a baseline row with their key.
+    pub matched: usize,
+    /// One message per regression.
+    pub failures: Vec<String>,
+}
+
+impl Gate {
+    /// The run's verdict against the baseline at `path`: the line to print
+    /// on success, or the lines to report on failure. A run in which no
+    /// measured row matched a baseline row fails: a gate that compared
+    /// nothing has passed nothing.
+    pub fn verdict(&self, path: &str, tolerance: f64) -> Result<String, Vec<String>> {
+        if self.matched == 0 {
+            return Err(vec![format!(
+                "regression check vs {path}: no measured row matched a baseline row"
+            )]);
+        }
+        if !self.failures.is_empty() {
+            return Err(self
+                .failures
+                .iter()
+                .map(|f| format!("REGRESSION: {f}"))
+                .collect());
+        }
+        Ok(format!(
+            "regression check vs {path}: OK ({} matched scenarios, tolerance {:.0} %)",
+            self.matched,
+            tolerance * 100.0
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_gate_that_matched_nothing_fails() {
+        let nothing = Gate::default();
+        assert!(nothing.verdict("B.json", 0.25).is_err());
+        let clean = Gate {
+            matched: 3,
+            failures: Vec::new(),
+        };
+        let ok = clean.verdict("B.json", 0.25).unwrap();
+        assert!(ok.contains("OK (3 matched scenarios"), "{ok}");
+        let regressed = Gate {
+            matched: 3,
+            failures: vec!["slow".to_owned()],
+        };
+        assert_eq!(
+            regressed.verdict("B.json", 0.25).unwrap_err(),
+            ["REGRESSION: slow"]
+        );
+    }
 
     #[test]
     fn table_aligns_columns() {

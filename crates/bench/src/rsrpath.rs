@@ -9,7 +9,7 @@
 //! global allocator and emits/validates `BENCH_rsr.json`, giving the repo
 //! a tracked perf trajectory with a CI regression gate.
 
-use crate::report;
+use crate::report::{self, Gate};
 use bytes::Bytes;
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::Fabric;
@@ -642,17 +642,40 @@ pub fn scenarios_from(doc: &Json, key: &str) -> Option<Vec<Scenario>> {
     Some(out)
 }
 
+/// Most the `idle_sources = 4096` row's ns/RSR may be, as a multiple of
+/// the `idle_sources = 1` row's: O(ready) means silent armed sources add
+/// nothing to a pass.
+const FLAT_LIMIT: f64 = 2.0;
+
+/// The poll engine's O(ready) flatness, judged within one run (so no
+/// baseline drift can hide it): the 4096-idle-source row within
+/// [`FLAT_LIMIT`] × the 1-idle-source row. A run without both rows is not
+/// judged.
+fn flatness(rows: &[Scenario]) -> Option<String> {
+    let idle = |n| rows.iter().find(|r| r.links == 1 && r.idle_sources == n);
+    let (one, many) = (idle(1)?, idle(4096)?);
+    (many.ns_per_rsr > FLAT_LIMIT * one.ns_per_rsr).then(|| {
+        format!(
+            "idle=4096: ns/RSR {:.0} exceeds {FLAT_LIMIT}x the same run's idle=1 row ({:.0})",
+            many.ns_per_rsr, one.ns_per_rsr
+        )
+    })
+}
+
 /// Compares `current` against a tracked baseline ("after" block of
 /// `BENCH_rsr.json`). Returns one message per regression: ns/RSR more than
 /// `ns_tolerance` (e.g. 0.25 = +25 %) above baseline, or allocs/RSR
-/// meaningfully above the pinned budget. Scenarios absent from the
-/// baseline are ignored (new rows are not regressions).
-pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Vec<String> {
+/// meaningfully above the pinned budget — plus the same-run O(ready)
+/// flatness check (idle=4096 within 2× idle=1). Scenarios absent from the baseline are ignored (new rows are not
+/// regressions) and not counted as matched.
+pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> Gate {
     let mut failures = Vec::new();
+    let mut matched = 0;
     for cur in current {
         let Some(base) = baseline.iter().find(|b| b.key() == cur.key()) else {
             continue;
         };
+        matched += 1;
         let ns_limit = base.ns_per_rsr * (1.0 + ns_tolerance);
         if cur.ns_per_rsr > ns_limit {
             failures.push(format!(
@@ -685,7 +708,8 @@ pub fn check(current: &[Scenario], baseline: &[Scenario], ns_tolerance: f64) -> 
             ));
         }
     }
-    failures
+    failures.extend(flatness(current));
+    Gate { matched, failures }
 }
 
 #[cfg(test)]
@@ -763,8 +787,10 @@ mod tests {
     #[test]
     fn check_flags_ns_regression_only_beyond_tolerance() {
         let base = vec![s(1, 16, 1000.0, 10.0)];
-        assert!(check(&[s(1, 16, 1200.0, 10.0)], &base, 0.25).is_empty());
-        let fails = check(&[s(1, 16, 1300.0, 10.0)], &base, 0.25);
+        assert!(check(&[s(1, 16, 1200.0, 10.0)], &base, 0.25)
+            .failures
+            .is_empty());
+        let fails = check(&[s(1, 16, 1300.0, 10.0)], &base, 0.25).failures;
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("ns/RSR"));
     }
@@ -772,9 +798,27 @@ mod tests {
     #[test]
     fn check_flags_alloc_regression_and_ignores_unknown_scenarios() {
         let base = vec![s(1, 16, 1000.0, 4.0)];
-        let fails = check(&[s(1, 16, 900.0, 30.0)], &base, 0.25);
+        let fails = check(&[s(1, 16, 900.0, 30.0)], &base, 0.25).failures;
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("allocs/RSR"));
-        assert!(check(&[s(8, 16, 9e9, 9e9)], &base, 0.25).is_empty());
+        let unknown = check(&[s(8, 16, 9e9, 9e9)], &base, 0.25);
+        assert!(unknown.failures.is_empty());
+        assert_eq!(unknown.matched, 0);
+        assert!(unknown.verdict("BENCH_rsr.json", 0.25).is_err());
+    }
+
+    #[test]
+    fn check_fails_a_4096_idle_row_past_twice_the_same_runs_1_idle_row() {
+        let idle = |n, ns| Scenario {
+            idle_sources: n,
+            ..s(1, 16, ns, 0.0)
+        };
+        let base = [idle(1, 1000.0), idle(4096, 1000.0)];
+        // A loose baseline tolerance: only the same-run ratio can fail.
+        let run = |many| check(&[idle(1, 600.0), idle(4096, many)], &base, 10.0);
+        assert!(run(1_200.0).failures.is_empty(), "2.0x is within");
+        let fails = run(1_260.0).failures;
+        assert_eq!(fails.len(), 1, "2.1x fails: {fails:?}");
+        assert!(fails[0].contains("idle=4096"));
     }
 }

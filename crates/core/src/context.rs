@@ -19,7 +19,7 @@ use crate::descriptor::{DescriptorTable, MethodId};
 use crate::endpoint::{Attached, EndpointId};
 use crate::error::{NexusError, Result};
 use crate::handler::{self, HandlerArgs, HandlerRegistry, Versioned};
-use crate::module::{CommObject, CommReceiver, ModuleRegistry, Pace, Staged};
+use crate::module::{CommObject, CommReceiver, ModuleRegistry, Staged};
 use crate::poll::{BlockingPoller, PollEngine, PollOutcome};
 use crate::pool;
 use crate::rsr::{HandlerName, Rsr, WireFrame};
@@ -553,7 +553,6 @@ impl Context {
         let obj = self.connect_cached(link.target.context, method, table)?;
         let sel = Arc::new(SelectedMethod {
             method,
-            stages: obj.pace().is_some(),
             obj,
             ltrace: self.trace.link(link.target.context, method),
         });
@@ -592,9 +591,6 @@ impl Context {
             .get(method)
             .ok_or(NexusError::MethodNotApplicable { method, target })?;
         let obj = module.connect(&self.info, desc)?;
-        if let Some(pace) = obj.pace() {
-            pace.attach(self.trace.method(method));
-        }
         self.comm_cache
             .lock()
             .insert((target, method), Arc::clone(&obj));
@@ -742,27 +738,18 @@ impl Context {
     /// from re-selection and its cached connection is evicted; the chosen
     /// replacement sticks for subsequent sends.
     ///
-    /// On a method that can stage ([`CommObject::pace`]) the send asks for
-    /// staging only when all three parts of the stage rule hold:
-    ///
-    /// * (a) no dispatch round of this context has begun since the link's
-    ///   previous send — so a reply sent from a handler, and the next
-    ///   request after a reply was awaited, always write through:
-    ///   request/reply never waits for a flush;
-    /// * (b) the send began sooner after the previous one on the
-    ///   connection ended than the connection's last write took — the
-    ///   sender outruns the wire, judged from the two clock readings this
-    ///   path takes for every send on such a method; an open-loop sender
-    ///   slower than one write always writes through;
-    /// * (c) the frame fits the connection's staging buffer — checked by
-    ///   the connection, which owns the buffer.
-    ///
-    /// A `NeedsOwner` answer lists the connection for this context's next
-    /// dispatch round ([`Context::flush_listed`]). A method that cannot
-    /// stage costs one branch here.
-    /// A send reads the clock only for a consumer of the reading: rule (b),
-    /// re-selection's checks (if configured), or the `(link, method)`
-    /// record's sample ([`LinkMethodTrace::sample`]); else it counts its size.
+    /// A send may stage (the permission [`CommObject::transfer`] takes)
+    /// only if no dispatch round of this context has begun since the
+    /// link's previous send — stage rule (a), the part only the context can
+    /// judge: a reply sent from a handler, and the next request after a
+    /// reply was awaited, always write through, so request/reply never
+    /// waits for a flush. The connection judges the rest (TCP:
+    /// `transports::tcp`, § Send). A `NeedsOwner` answer lists the
+    /// connection for this context's next dispatch round
+    /// ([`Context::flush_listed`]). A send reads the clock only for a
+    /// consumer of the reading: re-selection's checks (if configured) or
+    /// the `(link, method)` record's sample ([`LinkMethodTrace::sample`]);
+    /// else it counts its size.
     fn send_with_failover(&self, link: &Link, msg: &Rsr, frame: &WireFrame) -> Result<()> {
         let wire = msg.wire_len();
         // One pin read serves the send loop, selection, and the
@@ -770,6 +757,13 @@ impl Context {
         let pinned_method = link.pin();
         let pinned = pinned_method.is_some();
         let reselect_on = self.reselect_on.load(Ordering::Relaxed);
+        let round = self.rounds.load(Ordering::Relaxed);
+        let stage = if link.last_round.load(Ordering::Relaxed) == round {
+            Some(&*self.trace)
+        } else {
+            link.last_round.store(round, Ordering::Relaxed);
+            None
+        };
         // lint:allow(hot-path-alloc) empty Vec never allocates; it only grows after a send error
         let mut failed: Vec<MethodId> = Vec::new();
         loop {
@@ -778,39 +772,14 @@ impl Context {
             } else {
                 self.reselect_excluding(link, &failed)?
             };
-            let pace = if sel.stages { sel.obj.pace() } else { None };
-            if pace.is_some_and(Pace::failed) {
-                // A flush already failed this connection over and counted
-                // it; re-select as that failover would have.
-                link.invalidate();
-                if !pinned {
-                    failed.push(sel.method);
-                }
-                continue;
-            }
-            let start = (sel.stages || reselect_on || sel.ltrace.sample()).then(Instant::now);
-            let sent = match (pace, start) {
-                (Some(pace), Some(start)) => {
-                    let round = self.rounds.load(Ordering::Relaxed);
-                    let quiet = link.last_round.load(Ordering::Relaxed) == round;
-                    if !quiet {
-                        link.last_round.store(round, Ordering::Relaxed);
-                    }
-                    sel.obj
-                        .send_or_stage(msg, frame, quiet && pace.outruns(start))
-                }
-                _ => sel.obj.send(msg, frame).map(|()| Staged::Written),
-            };
-            match sent {
+            let start = (reselect_on || sel.ltrace.sample()).then(Instant::now);
+            match sel.obj.transfer(msg, frame, &[], stage) {
                 Ok(staged) => {
                     // Steady-state recording: atomics only, through the
                     // handle cached on the link's selection.
-                    let end = Self::note_send(&sel.ltrace, wire, start);
-                    if let (Some(pace), Some(start), Some(end)) = (pace, start, end) {
-                        pace.sent(start, end, staged == Staged::Written);
-                        if staged == Staged::NeedsOwner {
-                            self.list_for_flush(link.target.context, sel.method, &sel.obj);
-                        }
+                    Self::note_send(&sel.ltrace, wire, start);
+                    if staged == Staged::NeedsOwner {
+                        self.list_for_flush(link.target.context, sel.method, &sel.obj);
                     }
                     if !pinned {
                         self.consider_reselect(link, sel.method);
@@ -820,30 +789,42 @@ impl Context {
                 Err(e) => {
                     sel.obj.close();
                     link.invalidate();
-                    self.fail_over_connection(link.target.context, sel.method, &sel.obj);
-                    if pinned {
+                    let first =
+                        self.fail_over_connection(link.target.context, sel.method, &sel.obj);
+                    if !pinned {
+                        failed.push(sel.method);
+                    } else if first {
                         return Err(e);
                     }
-                    failed.push(sel.method);
                 }
             }
         }
     }
 
     /// The failover bookkeeping for a connection that errored on a send or
-    /// a flush: evicted from the connection cache (if it is still the
-    /// cached one), counted, and recorded as a `Failover` event. A flush
-    /// does not `close` it — that may block, and a flush can run on a
-    /// worker — the broken socket is released with its last reference.
-    fn fail_over_connection(&self, target: ContextId, method: MethodId, obj: &Arc<dyn CommObject>) {
-        {
+    /// a flush: evicted from the connection cache, counted, and recorded as
+    /// a `Failover` event. A connection fails over once, by the error that
+    /// finds it still cached; a later error on it (a send that meets it
+    /// after a failed flush, or on another link) only re-selects, and this
+    /// returns `false`. A striped object belongs to its link and is never
+    /// cached, so each of its errors counts. A flush does not `close` the
+    /// connection — that may block, and a flush can run on a worker — the
+    /// broken socket is released with its last reference.
+    fn fail_over_connection(
+        &self,
+        target: ContextId,
+        method: MethodId,
+        obj: &Arc<dyn CommObject>,
+    ) -> bool {
+        let evicted = {
             let mut cache = self.comm_cache.lock();
-            if cache
+            let cached = cache
                 .get(&(target, method))
-                .is_some_and(|cached| Arc::ptr_eq(cached, obj))
-            {
-                cache.remove(&(target, method));
-            }
+                .is_some_and(|cached| Arc::ptr_eq(cached, obj));
+            cached && cache.remove(&(target, method)).is_some()
+        };
+        if !evicted && method != MethodId::STRIPE {
+            return false;
         }
         self.trace
             .method(method)
@@ -853,6 +834,7 @@ impl Context {
             target,
             from: method,
         });
+        true
     }
 
     /// Takes the owner's claim on a connection that staged a frame: it is
@@ -896,9 +878,6 @@ impl Context {
                 break;
             };
             if let Err(e) = listed.obj.flush() {
-                if let Some(pace) = listed.obj.pace() {
-                    pace.fail();
-                }
                 self.fail_over_connection(listed.target, listed.method, &listed.obj);
                 first_err.get_or_insert(e);
             }
@@ -914,15 +893,14 @@ impl Context {
 
     /// Records one completed transport send on its `(link, method)`
     /// record — atomics only: its size, and if it was timed from `start`,
-    /// its cost, returning the end-of-send clock reading.
-    fn note_send(ltrace: &LinkMethodTrace, wire: usize, start: Option<Instant>) -> Option<Instant> {
+    /// its cost.
+    fn note_send(ltrace: &LinkMethodTrace, wire: usize, start: Option<Instant>) {
         ltrace.send_bytes.record(wire as u64);
-        let start = start?;
-        let end = Instant::now();
-        let cost_ns = end.duration_since(start).as_nanos() as u64;
-        ltrace.send_latency_ns.record(cost_ns);
-        ltrace.send_cost_ns.record(cost_ns as f64);
-        Some(end)
+        if let Some(start) = start {
+            let cost_ns = start.elapsed().as_nanos() as u64;
+            ltrace.send_latency_ns.record(cost_ns);
+            ltrace.send_cost_ns.record(cost_ns as f64);
+        }
     }
 
     /// Cost-driven live re-selection (§6's proposed adaptive method
@@ -1519,7 +1497,7 @@ impl Context {
         // Same floor as striped_send: keeps the chunk count within the
         // assembler's receipt bitmap.
         let seg_cap = stripe::MAX_CHUNK_PAYLOAD.max(data.len().div_ceil(stripe::MAX_CHUNKS - n));
-        let chunk_rsr = Rsr {
+        let chunk = Rsr {
             dest: receiver,
             endpoint: EndpointId(region),
             handler: bulk::bulk_chk_handler(),
@@ -1528,7 +1506,7 @@ impl Context {
         };
         let sent = stripe::send_chunks(
             &route.rails[..n],
-            &chunk_rsr,
+            chunk,
             region,
             &data,
             &shares[..n],
@@ -1717,7 +1695,6 @@ impl Context {
                 method: MethodId::STRIPE,
                 obj,
                 ltrace: self.trace.link(link.target.context, MethodId::STRIPE),
-                stages: false,
             });
             let prev = {
                 let mut chosen = link.chosen.lock();

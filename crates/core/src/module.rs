@@ -23,13 +23,11 @@ use crate::descriptor::{CommDescriptor, MethodId};
 use crate::error::{NexusError, Result};
 use crate::poll::ReadySignal;
 use crate::rsr::{Rsr, WireFrame};
-use crate::trace::MethodTrace;
-use bytes::Bytes;
+use crate::trace::Trace;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The receive side of a method within one context.
 ///
@@ -68,7 +66,8 @@ pub trait CommObject: Send + Sync {
     /// The method this connection uses.
     fn method(&self) -> MethodId;
 
-    /// Transfers one RSR to the remote context.
+    /// Transfers one RSR, whose payload is `head ++ rsr.payload`, to the
+    /// remote context: the function table's one send.
     ///
     /// `frame` is the message's shared encode-once wire body: the same
     /// `WireFrame` is passed for every link of a multicast and every
@@ -78,19 +77,30 @@ pub trait CommObject: Send + Sync {
     /// transports that move the [`Rsr`] directly ignore `frame` entirely —
     /// with an interned handler and a refcounted payload, `rsr.clone()` is
     /// allocation-free.
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()>;
-
-    /// Transfers one RSR whose payload is the concatenation `head ++
-    /// tail`, without requiring the caller to materialize the combined
-    /// buffer. The stripe path sends each chunk this way: `head` is the
-    /// small stack-assembled chunk header and `tail` is a zero-copy slice
-    /// of the original encode-once body. Wire transports override this
-    /// with a gathered (vectored) write; the default assembles the
-    /// combined payload from the buffer pool and delegates to
-    /// [`CommObject::send`].
-    fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &Bytes) -> Result<()> {
-        send_parts_fallback(self, rsr, head, tail)
-    }
+    ///
+    /// `head` is empty except for a stripe or bulk chunk: there it is the
+    /// small stack-assembled chunk header, `rsr.payload` is a zero-copy
+    /// slice of the original body, and `frame` encodes `rsr` alone. Wire
+    /// transports gather head and payload into one write; a transport that
+    /// needs one contiguous payload hands a headed send to
+    /// [`send_parts_fallback`].
+    ///
+    /// `stage` is the caller's permission to *stage* the frame — append it
+    /// to the connection's staging buffer for a later write — and carries
+    /// the trace whose method record counts the writes that carry staged
+    /// frames. Frames stay in issue order: every write on the connection
+    /// puts what is staged in front of its own bytes. A
+    /// [`Staged::NeedsOwner`] answer obliges the caller to
+    /// [`CommObject::flush`] the connection later (the context lists it for
+    /// its next dispatch round). A transport that cannot stage ignores the
+    /// permission and answers [`Staged::Written`].
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        stage: Option<&Trace>,
+    ) -> Result<Staged>;
 
     /// Sets a connection parameter (e.g. `"sockbuf"` for TCP). Modules
     /// reject unknown keys.
@@ -101,35 +111,16 @@ pub trait CommObject: Send + Sync {
         })
     }
 
-    /// Whether a [`Bytes`] payload handed to [`CommObject::send`] reaches
-    /// the receiving context as a shared view of the *same* storage
-    /// (queue-backed in-process transports: local, shmem, MPL) rather
-    /// than a wire copy. The bulk pull engine answers `#bulk-get` over
-    /// such a connection with the registered region itself — a map-in-
-    /// place borrow, zero copies end-to-end — and streams chunks over
-    /// everything else. The default is the honest answer for any
-    /// transport that serializes.
+    /// Whether a [`Bytes`](bytes::Bytes) payload handed to
+    /// [`CommObject::transfer`] reaches the receiving context as a shared
+    /// view of the *same* storage (queue-backed in-process transports:
+    /// local, shmem, MPL) rather than a wire copy. The bulk pull engine
+    /// answers `#bulk-get` over such a connection with the registered
+    /// region itself — a map-in-place borrow, zero copies end-to-end — and
+    /// streams chunks over everything else. The default is the honest
+    /// answer for any transport that serializes.
     fn supports_region_map(&self) -> bool {
         false
-    }
-
-    /// The stage rule's record of this connection, if it can stage frames
-    /// (see [`CommObject::send_or_stage`]). The default, `None`, keeps the
-    /// transport writing through, and the sending context then keeps no
-    /// stage bookkeeping for it at all.
-    fn pace(&self) -> Option<&Pace> {
-        None
-    }
-
-    /// Sends `rsr`, or — when `may_stage` and the frame fits — appends it
-    /// to the connection's staging buffer for a later write. Frames stay
-    /// in issue order: every write on the connection puts what is staged
-    /// in front of its own bytes. A [`Staged::NeedsOwner`] answer obliges
-    /// the caller to [`CommObject::flush`] the connection later (the
-    /// context lists it for its next dispatch round). The default writes
-    /// through.
-    fn send_or_stage(&self, rsr: &Rsr, frame: &WireFrame, _may_stage: bool) -> Result<Staged> {
-        self.send(rsr, frame).map(|()| Staged::Written)
     }
 
     /// Writes whatever is staged, and releases the owner's claim taken by
@@ -142,7 +133,14 @@ pub trait CommObject: Send + Sync {
     fn close(&self) {}
 }
 
-/// What [`CommObject::send_or_stage`] did with one RSR.
+impl dyn CommObject {
+    /// The plain send: `rsr` with no chunk head, written through.
+    pub fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
+        self.transfer(rsr, frame, &[], None).map(drop)
+    }
+}
+
+/// What [`CommObject::transfer`] did with one RSR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Staged {
     /// Written to the connection, behind whatever was staged before it.
@@ -155,95 +153,19 @@ pub enum Staged {
     NeedsOwner,
 }
 
-/// Clock origin for [`Pace`]'s instants, which live in atomics.
-fn stamp(at: Instant) -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    at.saturating_duration_since(epoch).as_nanos() as u64
-}
-
-/// The stage rule's record of one connection that can stage: when the
-/// last send on it ended, what its last write cost, whether a flush of it
-/// failed, and which method record counts the writes that carried staged
-/// frames. The sending context reads and updates it around each send with
-/// the two clock readings it takes on every send there; the connection
-/// refreshes the write cost itself on every write it times (flushes), so a
-/// rule fed by one slow write cannot latch.
-#[derive(Debug, Default)]
-pub struct Pace {
-    /// End of the last send, in ns on [`stamp`]'s clock.
-    last_end_ns: AtomicU64,
-    /// What the last write on the connection took, in ns.
-    write_ns: AtomicU64,
-    /// A flush of the connection failed: it has been failed over.
-    failed: AtomicBool,
-    /// Where [`Pace::carried`] counts, once the owning context attached it.
-    counts: OnceLock<Arc<MethodTrace>>,
-}
-
-impl Pace {
-    /// Whether a send beginning at `start` began sooner after the previous
-    /// send ended than the last write took: the sender outruns the wire.
-    pub fn outruns(&self, start: Instant) -> bool {
-        let gap = stamp(start).saturating_sub(self.last_end_ns.load(Ordering::Relaxed));
-        gap < self.write_ns.load(Ordering::Relaxed)
-    }
-
-    /// Records a send that ran from `start` to `end`; `wrote` says it
-    /// reached the socket, so its cost is the connection's latest write.
-    pub fn sent(&self, start: Instant, end: Instant, wrote: bool) {
-        self.last_end_ns.store(stamp(end), Ordering::Relaxed);
-        if wrote {
-            let cost = end.saturating_duration_since(start);
-            self.wrote(cost);
-        }
-    }
-
-    /// Records the cost of a write the connection timed itself.
-    pub fn wrote(&self, cost: Duration) {
-        self.write_ns
-            .store(cost.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one write that carried `frames` staged frames.
-    pub fn carried(&self, frames: u32) {
-        if let Some(t) = self.counts.get() {
-            t.flushes.fetch_add(1, Ordering::Relaxed);
-            t.flushed_frames
-                .fetch_add(u64::from(frames), Ordering::Relaxed);
-        }
-    }
-
-    /// Points [`Pace::carried`] at the owning context's method record.
-    pub fn attach(&self, counts: Arc<MethodTrace>) {
-        let _ = self.counts.set(counts);
-    }
-
-    /// Marks the connection failed over after a flush error.
-    pub fn fail(&self) {
-        self.failed.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether a flush of the connection failed.
-    pub fn failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
-    }
-}
-
-/// Default [`CommObject::send_parts`]: builds the combined payload from
-/// the thread-local buffer pool, sends it as an ordinary RSR, and returns
-/// the frame storage to the pool. Generic (rather than taking `&dyn
-/// CommObject`) so trait default methods can call it without coercing
-/// `&Self`.
+/// The one place a headed send becomes contiguous, for transports that
+/// need one payload: builds `head ++ rsr.payload` from the thread-local
+/// buffer pool, sends it as a plain RSR, and returns the frame storage to
+/// the pool. Generic (rather than taking `&dyn CommObject`) so a
+/// transport's `transfer` can call it without coercing `&Self`.
 pub fn send_parts_fallback<O: CommObject + ?Sized>(
     obj: &O,
     rsr: &Rsr,
     head: &[u8],
-    tail: &Bytes,
-) -> Result<()> {
-    let mut buf = crate::pool::take(head.len() + tail.len());
+) -> Result<Staged> {
+    let mut buf = crate::pool::take(head.len() + rsr.payload.len());
     buf.extend_from_slice(head);
-    buf.extend_from_slice(tail);
+    buf.extend_from_slice(&rsr.payload);
     let combined = Rsr {
         dest: rsr.dest,
         endpoint: rsr.endpoint,
@@ -252,7 +174,7 @@ pub fn send_parts_fallback<O: CommObject + ?Sized>(
         payload: buf.freeze(),
     };
     let frame = WireFrame::new();
-    let out = obj.send(&combined, &frame);
+    let out = obj.transfer(&combined, &frame, &[], None);
     // The combined payload is referenced by both `combined` and (if the
     // transport encoded) nothing else once the send returns; drop the RSR
     // first so the body storage can be pooled again.
@@ -552,12 +474,21 @@ pub mod test_support {
         fn method(&self) -> MethodId {
             self.id
         }
-        fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+        fn transfer(
+            &self,
+            rsr: &Rsr,
+            _frame: &WireFrame,
+            head: &[u8],
+            _stage: Option<&Trace>,
+        ) -> Result<Staged> {
+            if !head.is_empty() {
+                return send_parts_fallback(self, rsr, head);
+            }
             self.inbox.queue.push(rsr.clone());
             if let Some(bell) = self.inbox.bell.lock().as_ref() {
                 bell.ring();
             }
-            Ok(())
+            Ok(Staged::Written)
         }
     }
 
@@ -677,7 +608,13 @@ pub mod fault_support {
         fn method(&self) -> MethodId {
             self.inner.method()
         }
-        fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
+        fn transfer(
+            &self,
+            rsr: &Rsr,
+            frame: &WireFrame,
+            head: &[u8],
+            _stage: Option<&Trace>,
+        ) -> Result<Staged> {
             if self.broken.load(Ordering::Relaxed) {
                 self.failed_sends.fetch_add(1, Ordering::Relaxed);
                 // Touch the shared body like a real wire transport would
@@ -686,7 +623,7 @@ pub mod fault_support {
                 let _ = frame.body(rsr).len();
                 return Err(NexusError::ConnectionClosed);
             }
-            self.inner.send(rsr, frame)
+            self.inner.transfer(rsr, frame, head, None)
         }
     }
 

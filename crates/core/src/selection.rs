@@ -152,9 +152,9 @@ pub struct MethodCostEstimate {
     /// Mean of the per-link send-cost EWMAs for this method, in
     /// nanoseconds. `None` until the first send.
     pub send_cost_ns: Option<f64>,
-    /// Timed sends behind `send_cost_ns`, across all links: every send on a
-    /// method that stages or from a context with re-selection configured,
-    /// else 1 in [`crate::trace::SAMPLE_EVERY`]; `MethodSnapshot::sends` counts all.
+    /// Timed sends behind `send_cost_ns`, across all links: every send from
+    /// a context with re-selection configured, else 1 in
+    /// [`crate::trace::SAMPLE_EVERY`]; `MethodSnapshot::sends` counts all.
     pub send_samples: u64,
 }
 

@@ -53,9 +53,6 @@ pub(crate) struct SelectedMethod {
     pub(crate) obj: Arc<dyn CommObject>,
     /// The selecting context's trace for `(target, method)`.
     pub(crate) ltrace: Arc<LinkMethodTrace>,
-    /// Whether `obj` can stage (`CommObject::pace` is `Some`), asked
-    /// once here so a send on a method that cannot pays one branch.
-    pub(crate) stages: bool,
 }
 
 /// Cost-driven re-selection scratch for one link: the sampling countdown
@@ -86,9 +83,9 @@ pub struct Link {
     pub(crate) chosen: Mutex<Option<Arc<SelectedMethod>>>,
     /// Cost-driven re-selection streak state.
     pub(crate) reselect: Mutex<ReselectState>,
-    /// The sending context's dispatch round at this link's last send on a
-    /// method that can stage (`u64::MAX`: none yet) — part (a) of the
-    /// stage rule in `Context::send_with_failover`.
+    /// The sending context's dispatch round at this link's last send
+    /// (`u64::MAX`: none yet) — part (a) of the stage rule in
+    /// `Context::send_with_failover`.
     pub(crate) last_round: AtomicU64,
     /// Pack without the descriptor table (receiver reconstructs it).
     pub(crate) lightweight: bool,

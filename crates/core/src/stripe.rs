@@ -49,10 +49,10 @@
 
 use crate::descriptor::MethodId;
 use crate::error::{NexusError, Result};
-use crate::module::CommObject;
+use crate::module::{send_parts_fallback, CommObject, Staged};
 use crate::pool;
 use crate::rsr::{HandlerName, Rsr, WireFrame};
-use crate::trace::LinkMethodTrace;
+use crate::trace::{LinkMethodTrace, Trace};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -320,8 +320,17 @@ impl CommObject for StripedObject {
         MethodId::STRIPE
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
-        striped_send(self, rsr, frame)
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
+        striped_send(self, rsr, frame).map(|()| Staged::Written)
     }
 
     fn set_param(&self, key: &str, value: &str) -> Result<()> {
@@ -352,8 +361,8 @@ impl CommObject for StripedObject {
 
 /// The stripe send path (a registered `hot-path-alloc` lint root).
 ///
-/// Splits the encode-once frame body into weighted chunks, each sent as a
-/// `(StripeMeta ++ data-slice)` payload via [`CommObject::send_parts`].
+/// Splits the encode-once frame body into weighted chunks, each sent as its
+/// data slice headed by its `StripeMeta` ([`CommObject::transfer`]).
 /// A rail that fails mid-transfer is excluded and its chunks retry over
 /// the surviving rails (the assembler does not care which rail delivered
 /// a chunk); only when every rail has failed does the error propagate,
@@ -387,7 +396,7 @@ fn striped_send(obj: &StripedObject, rsr: &Rsr, frame: &WireFrame) -> Result<()>
     // cap >= body/(MAX_CHUNKS - rails).
     let seg_cap = MAX_CHUNK_PAYLOAD.max(body_len.div_ceil(MAX_CHUNKS - n));
     let transfer_id = next_transfer_id();
-    let chunk_rsr = Rsr {
+    let chunk = Rsr {
         dest: rsr.dest,
         endpoint: rsr.endpoint,
         handler: stripe_handler(),
@@ -396,7 +405,7 @@ fn striped_send(obj: &StripedObject, rsr: &Rsr, frame: &WireFrame) -> Result<()>
     };
     send_chunks(
         &obj.rails[..n],
-        &chunk_rsr,
+        chunk,
         transfer_id,
         &body,
         &shares[..n],
@@ -404,7 +413,8 @@ fn striped_send(obj: &StripedObject, rsr: &Rsr, frame: &WireFrame) -> Result<()>
     )
 }
 
-/// Sends `body` as `(StripeMeta ++ data-slice)` chunk RSRs over `rails`:
+/// Sends `body` as chunks of `chunk` — each its data slice as payload,
+/// headed by its `StripeMeta` — over `rails`:
 /// rail `i` carries `shares[i]` bytes, split into segments of at most
 /// `seg_cap` data bytes each. A rail that fails mid-stream is excluded
 /// and its remaining chunks retry on the survivors; only when every rail
@@ -413,7 +423,7 @@ fn striped_send(obj: &StripedObject, rsr: &Rsr, frame: &WireFrame) -> Result<()>
 /// with its own reserved handler and a caller-chosen transfer id.
 pub(crate) fn send_chunks(
     rails: &[StripeRail],
-    chunk_rsr: &Rsr,
+    mut chunk: Rsr,
     transfer_id: u64,
     body: &Bytes,
     shares: &[usize],
@@ -443,15 +453,18 @@ pub(crate) fn send_chunks(
                 offset: offset as u32,
             }
             .to_bytes();
-            let tail = body.slice(offset..offset + len);
+            chunk.payload = body.slice(offset..offset + len);
             let mut sent = false;
             for probe in 0..n {
                 let r = (i + probe) % n;
                 if failed[r] {
                     continue;
                 }
-                match rails[r].obj.send_parts(chunk_rsr, &meta, &tail) {
-                    Ok(()) => {
+                match rails[r]
+                    .obj
+                    .transfer(&chunk, &WireFrame::new(), &meta, None)
+                {
+                    Ok(_) => {
                         sent = true;
                         break;
                     }
@@ -744,7 +757,6 @@ mod tests {
     use super::*;
     use crate::context::ContextId;
     use crate::endpoint::EndpointId;
-    use crate::module::send_parts_fallback;
 
     // -- weighted_shares ----------------------------------------------------
 
@@ -1067,14 +1079,23 @@ mod tests {
         fn method(&self) -> MethodId {
             MethodId::FIRST_CUSTOM
         }
-        fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+        fn transfer(
+            &self,
+            rsr: &Rsr,
+            _frame: &WireFrame,
+            head: &[u8],
+            _stage: Option<&Trace>,
+        ) -> Result<Staged> {
+            if !head.is_empty() {
+                return send_parts_fallback(self, rsr, head);
+            }
             if self.broken.load(Ordering::Relaxed) {
                 return Err(NexusError::ConnectionClosed);
             }
             self.sent
                 .lock()
                 .push((rsr.handler.as_str().to_owned(), rsr.payload.clone()));
-            Ok(())
+            Ok(Staged::Written)
         }
     }
 
@@ -1099,7 +1120,7 @@ mod tests {
         let striped = StripedObject::new(rails(&r));
         let rsr = bulk_rsr(64);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         let sent = r[0].sent.lock();
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, "bulk", "cutoff bypass must keep the wire format");
@@ -1112,7 +1133,7 @@ mod tests {
         let striped = StripedObject::new(rails(&r)).with_min_chunk(512);
         let rsr = bulk_rsr(64 * 1024);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         let asm = StripeAssembler::new();
         let mut done = None;
         for rail in &r {
@@ -1138,7 +1159,7 @@ mod tests {
         let striped = StripedObject::new(rails(&r)).with_min_chunk(512);
         let rsr = bulk_rsr(64 * 1024);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         // Every chunk landed on rail 0; the transfer still reassembles.
         let asm = StripeAssembler::new();
         let mut done = None;
@@ -1161,7 +1182,7 @@ mod tests {
         let striped = StripedObject::new(rails(&r)).with_min_chunk(512);
         let rsr = bulk_rsr(64 * 1024);
         let frame = WireFrame::new();
-        assert!(striped.send(&rsr, &frame).is_err());
+        assert!(striped_send(&striped, &rsr, &frame).is_err());
     }
 
     #[test]
@@ -1170,7 +1191,7 @@ mod tests {
         let striped = StripedObject::new(rails(&r));
         let rsr = bulk_rsr(4 * 1024 * 1024);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         let asm = StripeAssembler::new();
         let mut done = None;
         let mut chunks = 0usize;
@@ -1205,7 +1226,7 @@ mod tests {
         // must grow so the total stays within the u64 receipt bitmap.
         let rsr = bulk_rsr(40 * 1024 * 1024);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         let asm = StripeAssembler::new();
         let mut done = None;
         let mut chunks = 0usize;
@@ -1233,7 +1254,7 @@ mod tests {
         let striped = StripedObject::new(rls).with_min_chunk(512);
         let rsr = bulk_rsr(64 * 1024);
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped_send(&striped, &rsr, &frame).unwrap();
         let bytes_on = |rail: &CaptureRail| {
             rail.sent
                 .lock()
@@ -1260,9 +1281,9 @@ mod tests {
     #[test]
     fn send_parts_fallback_matches_concatenation() {
         let rail = CaptureRail::new();
-        let rsr = Rsr::new(ContextId(1), EndpointId(2), "#stripe", Bytes::new());
         let tail = Bytes::from(vec![9u8; 32]);
-        send_parts_fallback(&*rail, &rsr, b"HEAD", &tail).unwrap();
+        let rsr = Rsr::new(ContextId(1), EndpointId(2), "#stripe", tail.clone());
+        send_parts_fallback(&*rail, &rsr, b"HEAD").unwrap();
         let sent = rail.sent.lock();
         assert_eq!(sent.len(), 1);
         assert_eq!(&sent[0].1[..4], b"HEAD");

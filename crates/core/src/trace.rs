@@ -505,8 +505,8 @@ impl EventRing {
 pub const SAMPLE_EVERY: u64 = 16;
 
 /// Per-`(link, method)` send-path measurements. `send_bytes` counts every
-/// send; the cost fields summarise the timed ones: every send on a method
-/// that stages or from a context with re-selection on, else 1 in [`SAMPLE_EVERY`].
+/// send; the cost fields summarise the timed ones: every send from a context
+/// with re-selection on, else 1 in [`SAMPLE_EVERY`].
 #[derive(Debug, Default)]
 pub struct LinkMethodTrace {
     /// Time spent in the transport's `send`, in nanoseconds.

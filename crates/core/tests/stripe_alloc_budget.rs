@@ -13,10 +13,11 @@ use nexus_rt::context::ContextId;
 use nexus_rt::descriptor::MethodId;
 use nexus_rt::endpoint::EndpointId;
 use nexus_rt::error::Result;
-use nexus_rt::module::CommObject;
+use nexus_rt::module::{send_parts_fallback, CommObject, Staged};
 use nexus_rt::pool;
 use nexus_rt::rsr::{Rsr, WireFrame};
 use nexus_rt::stripe::{StripeAssembler, StripeRail, StripedObject};
+use nexus_rt::trace::Trace;
 use parking_lot::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
@@ -64,9 +65,18 @@ impl CommObject for WireRail {
         MethodId::LOCAL
     }
 
-    fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        _frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
         self.wire.lock().push_back(rsr.payload.clone());
-        Ok(())
+        Ok(Staged::Written)
     }
 }
 
@@ -91,9 +101,9 @@ fn striped_transfer_cycle_is_allocation_free_once_warm() {
     let payload = Bytes::from((0..BODY).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     let rsr = Rsr::new(ContextId(1), EndpointId(1), "bulk", payload);
 
-    let mut cycle = |count_completions: &mut usize| {
+    let cycle = |count_completions: &mut usize| {
         let frame = WireFrame::new();
-        striped.send(&rsr, &frame).unwrap();
+        striped.transfer(&rsr, &frame, &[], None).unwrap();
         // Drain the wire: every chunk through the assembler, completed
         // bodies verified and their storage returned to the pool.
         loop {

@@ -13,8 +13,9 @@ use nexus_rt::buffer::Buffer;
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::rsr::{Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,9 +156,16 @@ impl CommObject for DelayObject {
     fn method(&self) -> MethodId {
         self.method
     }
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
-        // Delay is receive-side: pass the shared frame straight through.
-        self.inner.send(rsr, frame)
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        // Delay is receive-side: pass the send straight through, never
+        // staging (the delay is the receiver's, and it flushes nothing).
+        self.inner.transfer(rsr, frame, head, None)
     }
     fn set_param(&self, key: &str, value: &str) -> Result<()> {
         self.inner.set_param(key, value)

@@ -73,7 +73,79 @@ pub fn register_queue_modules(fabric: &Fabric) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use nexus_rt::context::{ContextId, ContextInfo, NodeId, PartitionId};
     use nexus_rt::descriptor::MethodId;
+    use nexus_rt::endpoint::EndpointId;
+    use nexus_rt::module::{CommModule, CommReceiver};
+    use nexus_rt::rsr::{Rsr, WireFrame};
+    use std::time::{Duration, Instant};
+
+    fn recv(rx: &mut dyn CommReceiver) -> Rsr {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(m) = rx.poll().unwrap() {
+                return m;
+            }
+            assert!(Instant::now() < deadline, "nothing arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A headed send — a stripe or bulk chunk: its `StripeMeta` as the
+    /// head, its data slice as the payload — arrives as the RSR a plain
+    /// send of `head ++ payload` delivers, on the queue (MPL) and UDP
+    /// through the contiguous fallback and on RUDP and TCP gathered.
+    /// Handler names around and past TCP's 128-byte lead buffer; empty
+    /// heads and payloads must not be written as zero-length pieces.
+    #[test]
+    fn a_headed_send_arrives_as_head_then_payload_on_every_transport() {
+        let info = |id| ContextInfo {
+            id: ContextId(id),
+            node: NodeId(0),
+            partition: PartitionId(0),
+        };
+        let modules: [Arc<dyn CommModule>; 4] = [
+            Arc::new(MplModule::new()),
+            Arc::new(UdpModule::new()),
+            Arc::new(RudpModule::new()),
+            Arc::new(TcpModule::new()),
+        ];
+        let cases: [(&[u8], &[u8]); 4] = [
+            (&[7; 20], &[9; 4096]),
+            (&[], &[9; 64]),
+            (&[7; 20], &[]),
+            (&[], &[]),
+        ];
+        for m in modules {
+            let (desc, mut rx) = m.open(&info(1)).unwrap();
+            let obj = m.connect(&info(2), &desc).unwrap();
+            for hlen in [7, 120, 300] {
+                let h = "h".repeat(hlen);
+                for (head, payload) in cases {
+                    let rsr =
+                        |p: Vec<u8>| Rsr::new(ContextId(1), EndpointId(2), &h, Bytes::from(p));
+                    let whole = rsr([head, payload].concat());
+                    obj.transfer(&rsr(payload.to_vec()), &WireFrame::new(), head, None)
+                        .unwrap();
+                    obj.send(&whole, &WireFrame::new()).unwrap();
+                    for how in ["headed", "plain"] {
+                        let got = recv(rx.as_mut());
+                        let what = format!("{} {how}, {hlen}-byte handler", m.name());
+                        assert_eq!(got.handler, h, "{what}");
+                        assert_eq!(
+                            got.payload,
+                            whole.payload,
+                            "{what}, {}-byte head",
+                            head.len()
+                        );
+                    }
+                }
+            }
+            obj.close();
+            rx.close();
+        }
+    }
 
     #[test]
     fn default_registration_order_is_fastest_first() {

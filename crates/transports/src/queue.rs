@@ -10,9 +10,10 @@ use nexus_rt::buffer::Buffer;
 use nexus_rt::context::{ContextId, ContextInfo};
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommObject, CommReceiver};
+use nexus_rt::module::{send_parts_fallback, CommObject, CommReceiver, Staged};
 use nexus_rt::poll::ReadySignal;
 use nexus_rt::rsr::{Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -197,36 +198,28 @@ impl CommObject for QueueObject {
         self.method
     }
 
-    fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        _frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
         // In-process move: no wire bytes, so the shared frame is unused
         // (and thus never encoded when every link is queue-based). The
         // clone is refcount bumps only — interned handler, shared payload.
         // `push` rings the receiver's doorbell after the enqueue.
         self.queue.push(rsr.clone());
-        Ok(())
+        Ok(Staged::Written)
     }
 
     fn supports_region_map(&self) -> bool {
         // The receiver pops the very `Bytes` storage the sender pushed:
         // a pulled bulk region can be borrowed in place, no copies.
         true
-    }
-
-    fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &bytes::Bytes) -> Result<()> {
-        // No wire here either, but the receiver expects one contiguous
-        // payload, so splice head ++ tail into a pooled buffer and push
-        // the combined RSR by value (skips the clone `send` would take).
-        let mut buf = nexus_rt::pool::take(head.len() + tail.len());
-        buf.extend_from_slice(head);
-        buf.extend_from_slice(tail);
-        self.queue.push(Rsr {
-            dest: rsr.dest,
-            endpoint: rsr.endpoint,
-            handler: rsr.handler.clone(),
-            payload: buf.freeze(),
-            ttl: rsr.ttl,
-        });
-        Ok(())
     }
 }
 

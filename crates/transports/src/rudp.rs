@@ -27,12 +27,12 @@
 //!   `max_retries` cap turns a black-holed peer into a dead connection.
 
 use crate::util::XorShift;
-use bytes::Bytes;
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
-use nexus_rt::rsr::{Rsr, WireFrame, HEADER_LEN};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver, Staged};
+use nexus_rt::rsr::{Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::ErrorKind;
@@ -489,28 +489,24 @@ impl CommObject for RudpObject {
         MethodId::RUDP
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
-        self.admit(rsr.wire_len())?;
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        self.admit(rsr.wire_len() + head.len())?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let packet = encode_data_packet(self.shared.conn, seq, &rsr.header(), frame.body(rsr));
+        let (conn, header) = (self.shared.conn, rsr.header());
+        let packet = if head.is_empty() {
+            encode_data_packet(conn, seq, &header, frame.body(rsr))
+        } else {
+            let handler = rsr.handler.as_bytes();
+            encode_data_packet_parts(conn, seq, &header, handler, head, &rsr.payload)
+        };
         self.commit(seq, packet);
-        Ok(())
-    }
-
-    fn send_parts(&self, rsr: &Rsr, head: &[u8], tail: &Bytes) -> Result<()> {
-        let wire = HEADER_LEN + 2 + rsr.handler.len() + 4 + head.len() + tail.len();
-        self.admit(wire)?;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let packet = encode_data_packet_parts(
-            self.shared.conn,
-            seq,
-            &rsr.header(),
-            rsr.handler.as_bytes(),
-            head,
-            tail,
-        );
-        self.commit(seq, packet);
-        Ok(())
+        Ok(Staged::Written)
     }
 
     fn close(&self) {

@@ -16,9 +16,10 @@ use crate::util::XorShift;
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{send_parts_fallback, CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::pool;
 use nexus_rt::rsr::{Rsr, WireFrame, HEADER_LEN};
+use nexus_rt::trace::Trace;
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -150,7 +151,16 @@ impl CommObject for UdpObject {
         MethodId::UDP
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
         let wire = rsr.wire_len();
         if wire > MAX_DATAGRAM {
             return Err(NexusError::BadParam {
@@ -168,7 +178,7 @@ impl CommObject for UdpObject {
             // encode-once accounting independent of loss injection.
             let _ = frame.body(rsr);
             self.injected_drops.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+            return Ok(Staged::Written);
         }
         // Datagrams need one contiguous buffer; assemble header + shared
         // body in pooled scratch so steady-state sends do not allocate.
@@ -179,7 +189,7 @@ impl CommObject for UdpObject {
         let sent = self.socket.send(&dgram);
         pool::give(dgram);
         sent?;
-        Ok(())
+        Ok(Staged::Written)
     }
 }
 

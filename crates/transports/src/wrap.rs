@@ -18,8 +18,9 @@ use nexus_rt::buffer::Buffer;
 use nexus_rt::context::ContextInfo;
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{send_parts_fallback, CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::rsr::{Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,7 +126,16 @@ impl CommObject for WrapObject {
         self.method
     }
 
-    fn send(&self, rsr: &Rsr, _frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        _frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
         // The transform rewrites the payload, so the outer message's
         // shared frame cannot be reused: the wrapped RSR gets a frame of
         // its own (encoded once, reclaimed after the inner send).
@@ -135,7 +145,7 @@ impl CommObject for WrapObject {
             ..rsr.clone()
         };
         let inner_frame = WireFrame::new();
-        let sent = self.inner.send(&wrapped, &inner_frame);
+        let sent = self.inner.transfer(&wrapped, &inner_frame, &[], None);
         inner_frame.reclaim();
         sent
     }

@@ -8,9 +8,9 @@ use nexus_rt::buffer::Buffer;
 use nexus_rt::context::{ContextInfo, Fabric};
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::rsr::{Rsr, WireFrame};
-use nexus_rt::trace::TraceEventKind;
+use nexus_rt::trace::{Trace, TraceEventKind};
 use nexus_transports::queue::{QueueDescriptor, QueueMedium, QueueObject, QueueReceiver};
 use nexus_transports::{ShmemModule, TcpModule};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -103,11 +103,17 @@ impl CommObject for FragileObject {
         self.inner.method()
     }
 
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
         if self.killed.load(Ordering::Relaxed) {
             return Err(NexusError::ConnectionClosed);
         }
-        self.inner.send(rsr, frame)
+        self.inner.transfer(rsr, frame, head, None)
     }
 }
 

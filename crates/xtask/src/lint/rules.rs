@@ -732,10 +732,11 @@ fn rule_hot_path_alloc(ws: &Workspace) -> Vec<Diagnostic> {
     // The TCP data path's own halves (ROADMAP 1b's guard): the framing
     // functions `TcpReceiver::scan` runs per connection — `read_frames`
     // reads the socket, `cut_frames` cuts the window into frames — and
-    // `send_gathered`, the one vectored writer behind `send` and
-    // `send_parts`. They sit behind trait objects and the reactor shell,
-    // so rooting them keeps the "no user-space copy of a payload" path
-    // checked even if the name links from `poll_once` / `rsr` ever break.
+    // `send_gathered`, the one vectored writer behind TCP's `transfer`,
+    // plain sends and chunk sends alike. They sit behind trait objects and
+    // the reactor shell, so rooting them keeps the "no user-space copy of
+    // a payload" path checked even if the name links from `poll_once` /
+    // `rsr` ever break.
     // The writer's staging halves ride along: `stage_frame` copies a frame
     // into the connection's fixed staging buffer, and the flushes that
     // empty it — the owner context's `flush_listed`, TCP's `write_staged`

@@ -166,9 +166,8 @@ fn enquiry_exposes_per_link_latency_and_events_after_traffic() {
     let (a, b, fabric) = drive(30, 100);
 
     // Sender-side: per-(link, method) send latency histograms. Every send
-    // is counted; shmem cannot stage, so its link times sends 1 and 17 of
-    // the 30, while tcp stages and times all of them.
-    for (method, timed) in [(MethodId::SHMEM, 2), (MethodId::TCP, 30)] {
+    // is counted; each link times sends 1 and 17 of the 30.
+    for (method, timed) in [(MethodId::SHMEM, 2), (MethodId::TCP, 2)] {
         assert_eq!(a.trace().snapshot_method(method).sends, 30, "{method}");
         let lat = a
             .link_latency(b.id(), method)
@@ -213,11 +212,11 @@ fn mpl_and_tcp_links() -> (Fabric, Arc<Context>, Arc<Context>, Startpoint, Start
     (fabric, a, b, mpl, tcp)
 }
 
-/// A send is timed only where a reading has a consumer. On a method that
-/// cannot stage, with re-selection off, the `(link, method)` record times
-/// its first send and every `SAMPLE_EVERY`-th one; a method that stages
-/// (tcp) times every send, and so does a context with re-selection
-/// configured. Every send is counted either way.
+/// A send is timed only where a reading has a consumer. With re-selection
+/// off, the `(link, method)` record times its first send and every
+/// `SAMPLE_EVERY`-th one, on every method: tcp's stage rule times the
+/// connection's writes itself. A context with re-selection configured
+/// times every send. Every send is counted either way.
 #[test]
 fn send_timing_is_sampled_unless_a_reader_needs_every_send() {
     const N: u64 = 37;
@@ -242,8 +241,8 @@ fn send_timing_is_sampled_unless_a_reader_needs_every_send() {
     assert_eq!(sends(MethodId::TCP), N);
     assert_eq!(
         timed(MethodId::TCP),
-        N,
-        "a method that stages times every send"
+        N.div_ceil(SAMPLE_EVERY),
+        "a method that stages times its own writes, not the sampled sends"
     );
 
     // Re-selection counts timed sends, so from here on every send is timed

@@ -12,8 +12,9 @@ use nexus_rt::context::{ContextId, ContextInfo, Fabric};
 use nexus_rt::descriptor::{CommDescriptor, MethodId};
 use nexus_rt::error::{NexusError, Result};
 use nexus_rt::module::fault_support::FlakyModule;
-use nexus_rt::module::{CommModule, CommObject, CommReceiver};
+use nexus_rt::module::{send_parts_fallback, CommModule, CommObject, CommReceiver, Staged};
 use nexus_rt::rsr::{body_encode_count, Rsr, WireFrame};
+use nexus_rt::trace::Trace;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +67,16 @@ impl CommObject for WireSimObject {
     fn method(&self) -> MethodId {
         self.id
     }
-    fn send(&self, rsr: &Rsr, frame: &WireFrame) -> Result<()> {
+    fn transfer(
+        &self,
+        rsr: &Rsr,
+        frame: &WireFrame,
+        head: &[u8],
+        _stage: Option<&Trace>,
+    ) -> Result<Staged> {
+        if !head.is_empty() {
+            return send_parts_fallback(self, rsr, head);
+        }
         // Exactly what the socket transports do: per-destination header
         // plus the shared (encoded-at-most-once) body.
         let body = frame.body(rsr);
@@ -78,7 +88,7 @@ impl CommObject for WireSimObject {
         // takes the frame starting at the RSR header.
         let end = wire.len();
         self.queue.push(Bytes::from(wire).slice(4..end));
-        Ok(())
+        Ok(Staged::Written)
     }
 }
 
