@@ -323,7 +323,7 @@ mod tests {
         };
         assert_eq!(BulkHandle::parse(&h.to_bytes()).unwrap(), h);
         assert!(BulkHandle::parse(&h.to_bytes()[..HANDLE_LEN - 1]).is_err());
-        assert!(HANDLE_LEN <= 32, "handle must fit the 32 B wire budget");
+        const { assert!(HANDLE_LEN <= 32, "handle must fit the 32 B wire budget") };
     }
 
     #[test]

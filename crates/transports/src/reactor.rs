@@ -39,7 +39,10 @@
 //! fired since the last scan (only then does TCP `accept`), and a scan
 //! that was told so and leaves the source hot re-arms the listening fds
 //! ([`FdSource::fill_listen_fds`]) right away: a new peer announces
-//! itself however long the hot period lasts.
+//! itself however long the hot period lasts. A socket TCP dials joins its
+//! own context's receiver the same way, announced by the dialling thread
+//! (`Announcer`: `fired`, then the ring) because no kernel event will;
+//! so a re-arm leaves `fired` alone (check `handoff`).
 //!
 //! No wake-up can be missed: a one-shot, level-triggered `MOD`
 //! re-evaluates readiness, so bytes that raced in between the last read
@@ -387,6 +390,20 @@ impl Bell {
     }
 }
 
+/// What the reactor does for a [`ReactorReceiver`]'s readable fd, from any
+/// thread: TCP announces the read side of a socket it dialled this way.
+#[derive(Clone)]
+pub(crate) struct Announcer(Arc<Bell>);
+
+impl Announcer {
+    /// Sets `fired`, then rings the doorbell (none is installed until the
+    /// receiver is armed; an unarmed one scans on every poll anyway).
+    pub(crate) fn announce(&self) {
+        self.0.fired.store(true, Ordering::Release);
+        self.0.ring();
+    }
+}
+
 /// How long a hot source rests after its first empty read before the
 /// read that decides between hot and cold. Bounded by one cold round
 /// (arrival → reactor → doorbell → visit, `mix.bg_delivery_p50_us`
@@ -453,8 +470,8 @@ impl<R: FdSource> ReactorReceiver<R> {
         let Some(reactor) = Reactor::global() else {
             return;
         };
-        // Before the MODs: an event they cause must not be erased.
-        self.bell.fired.store(false, Ordering::Release);
+        // `fired` stays: set since this visit took it, it may announce a
+        // dialled socket, which no MOD re-raises (model check `handoff`).
         self.fds.clear();
         self.inner.fill_fds(&mut self.fds);
         self.heat = if reactor.resume(id, &self.fds) {
@@ -477,6 +494,11 @@ impl<R: FdSource> ReactorReceiver<R> {
             // Refused: the re-arm that ends the hot period asks again.
             reactor.resume(id, &self.fds);
         }
+    }
+
+    /// The handle that announces to this receiver from another thread.
+    pub(crate) fn announcer(&self) -> Announcer {
+        Announcer(Arc::clone(&self.bell))
     }
 
     fn disarm(&mut self) {
@@ -560,14 +582,13 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
         if self.reg.is_none() {
             self.fds.clear();
             self.inner.fill_fds(&mut self.fds);
-            let bell = Arc::clone(&self.bell);
+            let bell = self.announcer();
             self.reg = reactor.watch(
                 &self.fds,
                 Arc::new(move || {
                     #[cfg(test)]
-                    bell.callbacks.fetch_add(1, Ordering::Relaxed);
-                    bell.fired.store(true, Ordering::Release);
-                    bell.ring();
+                    bell.0.callbacks.fetch_add(1, Ordering::Relaxed);
+                    bell.announce();
                 }),
             );
         }
@@ -592,6 +613,7 @@ mod tests {
     use crate::rudp::{RudpModule, RudpReceiver};
     use crate::tcp::{TcpModule, TcpReceiver};
     use crate::udp::{UdpModule, UdpReceiver};
+    use crate::util::parse_socket_addr;
     use nexus_rt::context::{ContextId, ContextInfo, NodeId, PartitionId};
     use nexus_rt::descriptor::{CommDescriptor, MethodId};
     use nexus_rt::endpoint::EndpointId;
@@ -630,6 +652,12 @@ mod tests {
         module.connect(&info(), &desc).unwrap()
     }
 
+    impl<R: FdSource> ReactorReceiver<R> {
+        pub(crate) fn inner_mut(&mut self) -> &mut R {
+            &mut self.inner
+        }
+    }
+
     /// A receiver armed with a hand-held doorbell and visited the way the
     /// engine's ready drain visits it: pop the token, clear the flag,
     /// poll up to the first `None`. Nothing else ever polls it, so every
@@ -642,9 +670,12 @@ mod tests {
 
     impl<R: FdSource> Armed<R> {
         fn new(inner: R) -> Self {
+            Armed::wrap(ReactorReceiver::new(inner))
+        }
+
+        fn wrap(mut rx: ReactorReceiver<R>) -> Self {
             let list = Arc::new(SegQueue::new());
             let signal = ReadySignal::new(0, Arc::clone(&list));
-            let mut rx = ReactorReceiver::new(inner);
             assert!(rx.set_ready_signal(signal.clone()), "reactor starts");
             Armed { rx, list, signal }
         }
@@ -710,12 +741,50 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let armed = Armed::new(TcpReceiver::new(listener));
+        let armed = Armed::new(TcpReceiver::new(listener, Default::default()).unwrap());
         (armed, connect(&TcpModule::new(), addr))
     }
 
     fn send(obj: &Arc<dyn CommObject>, h: &str) {
         obj.send(&msg(h), &WireFrame::new()).unwrap();
+    }
+
+    /// A socket the context dials is handed to its own armed receiver while
+    /// that source is hot, resting or cold (the `handoff` model check, on
+    /// the real code): what the peer writes back on it is delivered once,
+    /// and after the source cools the socket's fd is armed — the peer's
+    /// next frame arrives through the reactor.
+    #[test]
+    fn a_socket_handed_to_a_hot_resting_or_cold_source_is_read_and_armed() {
+        for state in ["hot", "resting", "cold"] {
+            let m = TcpModule::new();
+            let (desc, rx) = m.open_tcp(&info()).unwrap();
+            let mut armed = Armed::wrap(rx);
+            let other = connect(&TcpModule::new(), parse_socket_addr(&desc.data).unwrap());
+            send(&other, "warm");
+            assert_eq!(armed.collect(1)[0].handler, "warm");
+            match state {
+                "hot" => assert!(armed.rx.heat == Heat::Hot),
+                "resting" => drop(armed.rest()),
+                _ => drop(armed.cool()),
+            }
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let peer_desc = CommDescriptor::new(
+                MethodId::TCP,
+                listener.local_addr().unwrap().to_string().into_bytes(),
+            );
+            let _writer = m.dial(&info(), &peer_desc).unwrap();
+            let (mut peer, _) = listener.accept().unwrap();
+            peer.write_all(&crate::tcp::tests::framed(&msg("back")))
+                .unwrap();
+            let got = armed.collect(1);
+            assert_eq!(got[0].handler, "back", "{state}");
+            armed.cool();
+            assert_eq!(armed.rx.inner_mut().conn_count(), 2, "{state}");
+            peer.write_all(&crate::tcp::tests::framed(&msg("armed")))
+                .unwrap();
+            assert_eq!(armed.collect(1)[0].handler, "armed", "{state}");
+        }
     }
 
     #[test]
@@ -966,9 +1035,9 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         peer.set_nodelay(true).unwrap();
-        let mut armed = Armed::new(TcpReceiver::new(listener));
+        let mut armed = Armed::new(TcpReceiver::new(listener, Default::default()).unwrap());
         let write = |bytes: &[u8]| (&peer).write_all(bytes).unwrap();
-        let frame = crate::tcp::framed(&msg("split"));
+        let frame = crate::tcp::tests::framed(&msg("split"));
         let (head, tail) = frame.split_at(frame.len() / 2);
 
         // Across a rest: the half is read (hot, nothing to deliver), the

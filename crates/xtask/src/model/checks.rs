@@ -113,6 +113,13 @@ pub const CHECKS: &[Check] = &[
         run: rearm_dpor,
     },
     Check {
+        name: "handoff",
+        description: "a dialled socket handed to a hot, resting or cold TCP receiver is taken \
+             once, read, and armed",
+        kind: Kind::Systematic,
+        run: handoff,
+    },
+    Check {
         name: "shard-handoff",
         description: "per-shard ready-list handoff strands no token under any interleaving",
         kind: Kind::Systematic,
@@ -689,6 +696,28 @@ fn rearm_dpor(cx: &CheckCtx) -> Result<u64, String> {
             .map(|stats| stats.schedules)
             .map_err(|v| v.to_string()),
     }
+}
+
+/// The dialled-socket hand-off (`transports::tcp`, § Connections) as the
+/// micro-op program in [`super::programs`], from each state the receiving
+/// source can be in: the dialler queues its socket, sets `fired` and
+/// rings; the reply lands on the socket in any gap. The socket must be
+/// taken exactly once, its bytes read, and its fd armed at quiescence.
+/// A replayed schedule runs from every start.
+fn handoff(cx: &CheckCtx) -> Result<u64, String> {
+    use super::programs::{explore_handoff, replay_handoff, Handoff, Start};
+    let mut schedules = 0;
+    for start in [Start::Cold, Start::Hot, Start::Resting] {
+        let tag = |e: String| format!("from {start:?}: {e}");
+        schedules += match &cx.schedule {
+            Some(s) => replay_handoff(start, Handoff::Fixed, s).map(|()| 1),
+            None => explore_handoff(start, Handoff::Fixed)
+                .map(|stats| stats.schedules)
+                .map_err(|v| v.to_string()),
+        }
+        .map_err(tag)?;
+    }
+    Ok(schedules)
 }
 
 /// TCP write staging (`transports::tcp`, `Context::flush_listed`) as the

@@ -30,6 +30,15 @@
 //!   a historical bug but the variant the design rules out: a re-arm
 //!   that only watches for *new* edges strands them; the level-triggered
 //!   `EPOLL_CTL_MOD` the code issues re-evaluates readiness and fires.
+//! * **handoff** — a TCP dialler hands the read side of its socket to its
+//!   own context's receiver (`transports::tcp`, § Connections): it queues
+//!   the socket, sets the receiver's `fired` and rings, and the next
+//!   announced scan takes it into the connections it reads and re-arms.
+//!   No kernel event re-raises that announcement, so two variants strand
+//!   the socket: ringing without `fired` (a cold or hot visit that was
+//!   not announced never looks at the queue), and a re-arm that clears
+//!   `fired` — which the reactor did before dialled sockets existed — in
+//!   the gap after the visit that decided to re-arm.
 //! * **stage-flush** — TCP write staging (`transports::tcp`,
 //!   `Context::flush_listed`): a stager appends a frame under the writer
 //!   lock and, if it took the owner claim (`listed`), puts the connection
@@ -471,7 +480,6 @@ impl RearmState {
                 match self.visit {
                     Visit::RearmListener => self.listener.rearm(&mut self.event, broken),
                     Visit::Rearm => {
-                        self.fired = false;
                         self.heat = Heat::Cold;
                         self.conn.rearm(&mut self.event, broken);
                         self.listener.rearm(&mut self.event, broken);
@@ -563,6 +571,197 @@ pub fn replay_rearm(broken: bool, schedule: &[usize]) -> Result<(), String> {
         &RearmState::new,
         &rearm_step(broken),
         &rearm_check(broken),
+        schedule,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// handoff
+// ---------------------------------------------------------------------------
+
+/// Where the receiving source stands when the dialler hands its socket.
+#[derive(Clone, Copy, Debug)]
+pub enum Start {
+    Cold,
+    Hot,
+    Resting,
+}
+
+/// The hand-off as the code does it, or one of the variants that strand
+/// the socket.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Handoff {
+    Fixed,
+    /// The dialler rings without setting `fired`.
+    RingWithoutFired,
+    /// The re-arm clears `fired` before handing the fds back.
+    RearmClearsFired,
+}
+
+#[derive(Default)]
+struct HandoffState {
+    /// The connection the receiver already reads.
+    conn: Fd,
+    /// The handed socket as the kernel sees it: not armed until a re-arm
+    /// after the receiver took it adds its fd.
+    handed: Fd,
+    /// In the hand-off queue; taken into the receiver's connections.
+    queued: bool,
+    taken: u32,
+    event: bool,
+    fired: bool,
+    rung: bool,
+    heat: Heat,
+    visit: Visit,
+    sent: u64,
+    received: u64,
+}
+
+impl HandoffState {
+    fn new(start: Start) -> Self {
+        let mut st = HandoffState::default();
+        match start {
+            Start::Cold => st.conn.armed = true,
+            // A hot or resting source keeps itself on the ready list.
+            Start::Hot => (st.heat, st.rung) = (Heat::Hot, true),
+            Start::Resting => (st.heat, st.rung) = (Heat::Resting, true),
+        }
+        st
+    }
+
+    /// Drainer: one third of a visit — enter, scan, re-arm.
+    fn drain(&mut self, stage: usize, bug: Handoff) {
+        match stage {
+            0 => {
+                if std::mem::take(&mut self.rung) {
+                    let fired = std::mem::take(&mut self.fired);
+                    if fired || self.heat != Heat::Cold {
+                        self.visit = Visit::Read { fired };
+                    }
+                }
+            }
+            1 => {
+                let Visit::Read { fired } = self.visit else {
+                    return;
+                };
+                // Only an announced scan takes what was handed.
+                let took = fired && std::mem::take(&mut self.queued);
+                self.taken += u32::from(took);
+                let mut n = std::mem::take(&mut self.conn.pending);
+                if self.taken > 0 {
+                    n += std::mem::take(&mut self.handed.pending);
+                }
+                self.received += n;
+                self.visit = if n > 0 || took {
+                    self.heat = Heat::Hot;
+                    self.rung = true;
+                    Visit::Idle
+                } else if self.heat == Heat::Hot && !fired {
+                    self.heat = Heat::Resting;
+                    self.rung = true;
+                    Visit::Idle
+                } else {
+                    Visit::Rearm
+                };
+            }
+            _ => {
+                if self.visit != Visit::Rearm {
+                    return;
+                }
+                if bug == Handoff::RearmClearsFired {
+                    self.fired = false;
+                }
+                self.heat = Heat::Cold;
+                self.conn.rearm(&mut self.event, false);
+                if self.taken > 0 {
+                    self.handed.rearm(&mut self.event, false);
+                }
+                self.visit = Visit::Idle;
+            }
+        }
+    }
+
+    fn dispatch(&mut self) {
+        if std::mem::take(&mut self.event) {
+            self.fired = true;
+            self.rung = true;
+        }
+    }
+}
+
+fn handoff_footprints() -> Vec<Vec<u64>> {
+    // Dialler: queue, `fired`, ring. Kernel: the reply arrives on the
+    // handed socket. Reactor: one dispatch. Drainer: three visits.
+    vec![
+        vec![SHARED; 3],
+        vec![SHARED; 1],
+        vec![SHARED; 1],
+        vec![SHARED; 9],
+    ]
+}
+
+fn handoff_step(bug: Handoff) -> impl Fn(&mut HandoffState, usize, usize) {
+    move |st, t, op| match (t, op) {
+        (0, 0) => st.queued = true,
+        (0, 1) => st.fired |= bug != Handoff::RingWithoutFired,
+        (0, _) => st.rung = true,
+        (1, _) => {
+            st.handed.pending += 1;
+            st.sent += 1;
+            st.handed.raise_if_armed(&mut st.event);
+        }
+        (2, _) => st.dispatch(),
+        _ => st.drain(op % 3, bug),
+    }
+}
+
+fn handoff_check(bug: Handoff) -> impl Fn(&mut HandoffState) -> Result<(), String> {
+    move |st| {
+        // Quiescence, as for `rearm`: run reactor and drainer dry.
+        for stage in 1..3 {
+            st.drain(stage, bug);
+        }
+        while st.event || st.rung {
+            st.dispatch();
+            for stage in 0..3 {
+                st.drain(stage, bug);
+            }
+        }
+        if st.taken == 1 && st.received == st.sent && st.handed.armed {
+            Ok(())
+        } else {
+            Err(format!(
+                "handed socket taken {} times, {} of {} arrivals read, its fd {}",
+                st.taken,
+                st.received,
+                st.sent,
+                if st.handed.armed {
+                    "armed"
+                } else {
+                    "not armed"
+                }
+            ))
+        }
+    }
+}
+
+/// Explores the dialled-socket hand-off from `start` under `bug`.
+pub fn explore_handoff(start: Start, bug: Handoff) -> Result<Explored, Violation> {
+    dpor::explore(
+        &handoff_footprints(),
+        &|| HandoffState::new(start),
+        &handoff_step(bug),
+        &handoff_check(bug),
+    )
+}
+
+/// Replays one schedule of the hand-off model.
+pub fn replay_handoff(start: Start, bug: Handoff, schedule: &[usize]) -> Result<(), String> {
+    dpor::replay(
+        &handoff_footprints(),
+        &|| HandoffState::new(start),
+        &handoff_step(bug),
+        &handoff_check(bug),
         schedule,
     )
 }
@@ -725,6 +924,12 @@ mod tests {
             ("doorbell", explore_doorbell(false)),
             ("rearm", explore_rearm(false)),
             ("stage-flush", explore_stage_flush(false)),
+            ("handoff cold", explore_handoff(Start::Cold, Handoff::Fixed)),
+            ("handoff hot", explore_handoff(Start::Hot, Handoff::Fixed)),
+            (
+                "handoff resting",
+                explore_handoff(Start::Resting, Handoff::Fixed),
+            ),
         ] {
             let stats = got.unwrap_or_else(|v| panic!("{name} fixed variant failed: {v}"));
             assert!(stats.schedules > 0, "{name} explored nothing");
@@ -751,6 +956,24 @@ mod tests {
                 _ => replay_stage_flush(true, &v.schedule),
             };
             replayed.expect_err(name);
+        }
+    }
+
+    /// Each broken hand-off is refuted from some start (ringing without
+    /// `fired` from every one), and its schedule replays the violation.
+    #[test]
+    fn broken_handoffs_are_refuted() {
+        for (bug, starts) in [
+            (
+                Handoff::RingWithoutFired,
+                &[Start::Cold, Start::Hot, Start::Resting][..],
+            ),
+            (Handoff::RearmClearsFired, &[Start::Resting][..]),
+        ] {
+            for &start in starts {
+                let v = explore_handoff(start, bug).expect_err("refuted");
+                replay_handoff(start, bug, &v.schedule).expect_err("replays");
+            }
         }
     }
 }

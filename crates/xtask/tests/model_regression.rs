@@ -93,7 +93,7 @@ const PINNED: &[(&str, &str)] = &[
     ("seq-ring", "0110"),
     ("ewma-first", "001101"),
     ("doorbell", "010111"),
-    ("rearm", "00233133333233"),
+    ("rearm", "01223333333303"),
     ("stage-flush", "001120011112"),
 ];
 

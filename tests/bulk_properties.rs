@@ -208,14 +208,11 @@ proptest! {
         std::thread::scope(|s| {
             for _ in 0..pullers {
                 let reg = Arc::clone(&reg);
-                s.spawn(move || loop {
-                    match reg.begin_pull(id) {
-                        Some(g) => {
-                            assert_eq!(&g.data()[..], b"ticking");
-                            drop(g);
-                        }
-                        // Denied: the deadline has passed.
-                        None => break,
+                // Until a pull is denied: the deadline has passed.
+                s.spawn(move || {
+                    while let Some(g) = reg.begin_pull(id) {
+                        assert_eq!(&g.data()[..], b"ticking");
+                        drop(g);
                     }
                 });
             }
