@@ -1,7 +1,8 @@
-//! Mercury-style eager/rendezvous bulk-data protocol.
+//! Mercury-style eager/rendezvous bulk-data protocol, and the context's
+//! bulk engine.
 //!
 //! Every RSR below a link's rendezvous cutoff ships its payload inline —
-//! the untouched eager path. Above the cutoff, [`crate::context::Context::rsr_bulk`]
+//! the untouched eager path. Above the cutoff, [`Context::rsr_bulk`]
 //! registers the payload in a [`BulkRegistry`] and sends a small eager
 //! RSR carrying a [`BulkHandle`] instead of the body; the receiver pulls
 //! the region on demand with a `#bulk-get` request serviced by the pull
@@ -19,10 +20,15 @@
 //!   bandwidth a striped inline body would.
 //!
 //! Regions have refcounted lifetime (a region auto-releases once every
-//! expected pull has completed), support cancellation, and carry a
-//! per-transfer deadline; expiry on either side is surfaced as a trace
-//! event ([`crate::trace::TraceEventKind::BulkTimeout`]) rather than a
-//! hang.
+//! expected pull has completed), support cancellation
+//! ([`Context::bulk_cancel`]), and expire with the context's transfer
+//! deadline ([`Context::set_transfer_deadline`]); expiry on either side
+//! is surfaced as a trace event ([`TraceEventKind::BulkTimeout`]) by the
+//! progress loop's sweep rather than a hang.
+//!
+//! Everything the engine keeps per context — exposed regions, pending
+//! pulls, the chunk assembler, cached pull routes — is one `BulkState`
+//! extension, created on first use.
 //!
 //! # Wire formats
 //!
@@ -40,15 +46,24 @@
 //! An empty `#bulk-dat` (or any length mismatch) is a denial: the pull
 //! was cancelled, expired, or unknown at the origin.
 
-use crate::context::ContextId;
+use crate::buffer::Buffer;
+use crate::context::{Context, ContextId};
+use crate::descriptor::MethodId;
+use crate::endpoint::EndpointId;
 use crate::error::{NexusError, Result};
-use crate::rsr::HandlerName;
+use crate::module::CommObject;
+use crate::pool;
+use crate::rsr::{HandlerName, Rsr, WireFrame, DEFAULT_TTL};
+use crate::selection;
+use crate::startpoint::Startpoint;
+use crate::stripe::{self, StripeAssembler, StripeRail};
+use crate::trace::{Trace, TraceEventKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reserved handler: the eager announce carrying a [`BulkHandle`].
 pub const BULK_HANDLER: &str = "#bulk";
@@ -305,6 +320,392 @@ impl Drop for PullGuard {
                 state.regions.remove(&self.region);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The context's bulk engine
+// ---------------------------------------------------------------------------
+
+/// One cached pull route to a peer context.
+struct BulkRoute {
+    /// The fastest applicable communication object.
+    best: Arc<dyn CommObject>,
+    /// Whether `best` maps regions in-process (whole-region zero-copy
+    /// responses); when false, responses stream as chunks over `rails`.
+    map: bool,
+    /// One rail per applicable method, fastest first (empty when `map`).
+    rails: Vec<StripeRail>,
+}
+
+/// A pull this context has requested but not yet completed: everything
+/// needed to re-dispatch the region under the application handler the
+/// announce named, plus the deadline after which the sweep gives up.
+struct PendingPull {
+    handler: HandlerName,
+    endpoint: EndpointId,
+    ttl: u8,
+    len: u64,
+    deadline: Instant,
+}
+
+/// Per-context bulk state, attached lazily via [`Context::extension`]:
+/// the exposed-region registry, pulls awaiting responses, a dedicated
+/// assembler for `#bulk-chk` chunks (region ids and stripe transfer ids
+/// are independent namespaces — separate assemblers mean they can never
+/// collide), and cached pull routes.
+#[derive(Default)]
+pub(crate) struct BulkState {
+    registry: BulkRegistry,
+    pulls: Mutex<HashMap<u64, PendingPull>>,
+    chunks: StripeAssembler,
+    routes: Mutex<HashMap<ContextId, Arc<BulkRoute>>>,
+}
+
+impl BulkState {
+    /// The bulk half of the deadline sweep: releases regions and drops
+    /// pending pulls past their deadline, and evicts chunk transfers idle
+    /// for `deadline`, each as a `BulkTimeout` event.
+    pub(crate) fn sweep(&self, trace: &Trace, deadline: Duration) {
+        let now = Instant::now();
+        let mut expired = self.registry.sweep(now);
+        // Collected under the lock, recorded after releasing it (the trace
+        // takes its own lock).
+        self.pulls.lock().retain(|&region, p| {
+            let live = now < p.deadline;
+            if !live {
+                expired.push(region);
+            }
+            live
+        });
+        expired.extend(self.chunks.sweep_idle(deadline));
+        for region in expired {
+            trace.record_event(TraceEventKind::BulkTimeout { region });
+        }
+    }
+}
+
+impl Context {
+    /// Issues a remote service request with the Mercury-style
+    /// eager/rendezvous split: links whose
+    /// [`crate::startpoint::Link::rendezvous_cutoff`] the payload does not
+    /// exceed get the ordinary inline RSR (byte-identical to
+    /// [`Context::rsr`]), while links it does exceed get a small `#bulk`
+    /// announce carrying a [`BulkHandle`] — the payload is registered in
+    /// this context's [`BulkRegistry`] and the receiver pulls it on demand
+    /// (in-place borrow over in-process methods, pipelined chunks over
+    /// wire methods). With no cutoffs configured
+    /// ([`Context::set_rendezvous`]) every link is eager and this is
+    /// exactly `rsr`.
+    pub fn rsr_bulk(&self, sp: &Startpoint, handler: &str, payload: Buffer) -> Result<()> {
+        self.check_request(sp, handler)?;
+        let bytes = payload.into_bytes();
+        let len = bytes.len();
+        let links = sp.links();
+        let pulls = links.iter().filter(|l| len > l.rendezvous_cutoff()).count();
+        if pulls == 0 {
+            return self.rsr(sp, handler, Buffer::from_bytes(bytes));
+        }
+        // Register once for however many links will pull, and build one
+        // announce shared by all of them (dest fields vary per link).
+        let bs = self.bulk_state();
+        let region = bs.registry.register(
+            bytes.clone(),
+            pulls as u32,
+            Some(Instant::now() + self.transfer_deadline()),
+        );
+        self.trace().record_event(TraceEventKind::BulkExpose {
+            region,
+            bytes: len as u64,
+        });
+        let handle = BulkHandle {
+            region,
+            len: len as u64,
+            origin: self.id(),
+            hints: 0,
+        };
+        let mut abuf = pool::take(HANDLE_LEN + handler.len());
+        abuf.extend_from_slice(&handle.to_bytes());
+        abuf.extend_from_slice(handler.as_bytes());
+        let mut announce = Rsr {
+            dest: ContextId(0),
+            endpoint: EndpointId(0),
+            handler: bulk_handler(),
+            ttl: DEFAULT_TTL,
+            payload: abuf.freeze(),
+        };
+        let aframe = WireFrame::new();
+        let mut msg = Rsr::new(ContextId(0), EndpointId(0), handler, bytes);
+        let frame = WireFrame::new();
+        let mut out = Ok(());
+        for link in links {
+            let (m, f) = if len > link.rendezvous_cutoff() {
+                (&mut announce, &aframe)
+            } else {
+                (&mut msg, &frame)
+            };
+            m.dest = link.target.context;
+            m.endpoint = link.target.endpoint;
+            out = self.send_with_failover(link, m, f);
+            if out.is_err() {
+                break;
+            }
+        }
+        frame.reclaim();
+        aframe.reclaim();
+        pool::reclaim(announce.payload);
+        out
+    }
+
+    /// Sets the eager/rendezvous cutoff on every link of `sp`: payloads
+    /// strictly larger than `cutoff` bytes are sent by
+    /// [`Context::rsr_bulk`] as a pull handle instead of an inline body.
+    /// `usize::MAX` restores the all-eager default.
+    pub fn set_rendezvous(&self, sp: &Startpoint, cutoff: usize) {
+        for link in sp.links() {
+            link.rendezvous_cutoff.store(cutoff, Ordering::Relaxed);
+        }
+    }
+
+    /// Cancels an exposed bulk region before its pulls complete. Pending
+    /// pulls at other contexts are denied on request (or expire on their
+    /// own deadline). Returns whether the region was still registered.
+    pub fn bulk_cancel(&self, region: u64) -> bool {
+        let released = self.bulk_state().registry.release(region);
+        if released {
+            self.trace()
+                .record_event(TraceEventKind::BulkAbort { region });
+        }
+        released
+    }
+
+    /// Enquiry: regions this context currently exposes for pull.
+    pub fn bulk_regions(&self) -> usize {
+        self.bulk_state().registry.len()
+    }
+
+    /// Enquiry: pulls this context has requested but not yet completed.
+    pub fn bulk_pulls_pending(&self) -> usize {
+        self.bulk_state().pulls.lock().len()
+    }
+
+    /// Per-context bulk plumbing, created lazily on first use.
+    fn bulk_state(&self) -> Arc<BulkState> {
+        self.extension(BulkState::default)
+    }
+
+    /// Consumes one `#bulk` announce: files a pending pull and requests
+    /// the region from its origin.
+    pub(crate) fn bulk_announce(&self, msg: Rsr) -> Result<()> {
+        let bs = self.bulk_state();
+        let (handle, name) = parse_announce(&msg.payload)?;
+        // Intern before reclaiming the payload `name` borrows; alloc-free
+        // when the handler name repeats.
+        let pending = PendingPull {
+            handler: HandlerName::intern(name),
+            endpoint: msg.endpoint,
+            ttl: msg.ttl,
+            len: handle.len,
+            deadline: Instant::now() + self.transfer_deadline(),
+        };
+        bs.pulls.lock().insert(handle.region, pending);
+        pool::reclaim(msg.payload);
+        // A 4-byte request carrying this context's id, so the origin
+        // knows which connection to serve over.
+        let mut rbuf = pool::take(4);
+        rbuf.extend_from_slice(&self.id().0.to_le_bytes());
+        let req = Rsr {
+            dest: handle.origin,
+            endpoint: EndpointId(handle.region),
+            handler: bulk_get_handler(),
+            ttl: DEFAULT_TTL,
+            payload: rbuf.freeze(),
+        };
+        let out = self.bulk_send_direct(&bs, handle.origin, &req);
+        pool::reclaim(req.payload);
+        out
+    }
+
+    /// Consumes one `#bulk-dat`: a whole-region response (or a denial).
+    pub(crate) fn bulk_data(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
+        let bs = self.bulk_state();
+        self.complete_pull(&bs, arrival, msg.dest, msg.endpoint.0, msg.payload)
+    }
+
+    /// Consumes one `#bulk-chk` chunk; the last one completes the pull
+    /// with the reassembled region.
+    pub(crate) fn bulk_chunk(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
+        let bs = self.bulk_state();
+        let Some(done) = bs.chunks.ingest(msg.payload)? else {
+            return Ok(());
+        };
+        let region = done.transfer_id;
+        let body = bs.chunks.assemble_body(done)?;
+        let out = self.complete_pull(&bs, arrival, msg.dest, region, body.clone());
+        pool::reclaim(body);
+        out
+    }
+
+    /// Completes the pending pull of `region` with `body`: re-dispatches it
+    /// under the application handler the announce named, or records the
+    /// abort when its length says the origin denied the pull. A response
+    /// to a pull the sweep already timed out is dropped.
+    fn complete_pull(
+        &self,
+        bs: &BulkState,
+        arrival: MethodId,
+        dest: ContextId,
+        region: u64,
+        body: Bytes,
+    ) -> Result<()> {
+        let Some(p) = bs.pulls.lock().remove(&region) else {
+            return Ok(());
+        };
+        if body.len() as u64 != p.len {
+            self.trace()
+                .record_event(TraceEventKind::BulkAbort { region });
+            return Ok(());
+        }
+        self.trace().record_event(TraceEventKind::BulkDone {
+            region,
+            bytes: p.len,
+        });
+        let rsr = Rsr {
+            dest,
+            endpoint: p.endpoint,
+            handler: p.handler,
+            ttl: p.ttl,
+            payload: body,
+        };
+        self.dispatch(arrival, rsr)
+    }
+
+    /// The pull engine: services one `#bulk-get` request. Over a
+    /// region-mapping method the response is the registered region
+    /// itself (a zero-copy borrow of the origin's storage); over wire
+    /// methods the region streams as pipelined chunks across every
+    /// applicable rail, reusing the stripe chunk framing. A region that
+    /// is unknown, cancelled, or expired is answered with an empty
+    /// denial so the receiver aborts instead of waiting out its
+    /// deadline.
+    pub(crate) fn bulk_pull_service(&self, msg: Rsr) -> Result<()> {
+        let bs = self.bulk_state();
+        let region = msg.endpoint.0;
+        if msg.payload.len() < 4 {
+            return Err(NexusError::Decode("bulk pull request missing receiver id"));
+        }
+        let receiver = ContextId(u32::from_le_bytes(
+            msg.payload[..4].try_into().expect("length checked"),
+        ));
+        pool::reclaim(msg.payload);
+        let route = self.bulk_route(&bs, receiver)?;
+        let Some(guard) = bs.registry.begin_pull(region) else {
+            self.trace()
+                .record_event(TraceEventKind::BulkAbort { region });
+            let deny = Rsr {
+                dest: receiver,
+                endpoint: EndpointId(region),
+                handler: bulk_dat_handler(),
+                ttl: DEFAULT_TTL,
+                payload: Bytes::new(),
+            };
+            return self.bulk_send_direct(&bs, receiver, &deny);
+        };
+        let data = guard.data().clone();
+        if route.map {
+            self.trace().record_event(TraceEventKind::BulkServe {
+                region,
+                chunked: false,
+            });
+            let resp = Rsr {
+                dest: receiver,
+                endpoint: EndpointId(region),
+                handler: bulk_dat_handler(),
+                ttl: DEFAULT_TTL,
+                payload: data,
+            };
+            return self.bulk_send_direct(&bs, receiver, &resp);
+        }
+        self.trace().record_event(TraceEventKind::BulkServe {
+            region,
+            chunked: true,
+        });
+        let n = route.rails.len();
+        let mut rates = [f64::NAN; stripe::MAX_RAILS];
+        for (i, rail) in route.rails.iter().enumerate() {
+            rates[i] = rail.rate();
+        }
+        let mut shares = [0usize; stripe::MAX_RAILS];
+        stripe::weighted_shares(
+            data.len(),
+            &rates[..n],
+            stripe::DEFAULT_MIN_CHUNK,
+            &mut shares[..n],
+        );
+        // Same floor as striped_send: keeps the chunk count within the
+        // assembler's receipt bitmap.
+        let seg_cap = stripe::MAX_CHUNK_PAYLOAD.max(data.len().div_ceil(stripe::MAX_CHUNKS - n));
+        let chunk = Rsr {
+            dest: receiver,
+            endpoint: EndpointId(region),
+            handler: bulk_chk_handler(),
+            ttl: DEFAULT_TTL,
+            payload: Bytes::new(),
+        };
+        let sent = stripe::send_chunks(
+            &route.rails[..n],
+            chunk,
+            region,
+            &data,
+            &shares[..n],
+            seg_cap,
+        );
+        if sent.is_err() {
+            // Every rail failed: drop the cached route so the next pull
+            // reconnects from scratch.
+            bs.routes.lock().remove(&receiver);
+        }
+        sent
+    }
+
+    /// Returns the (possibly cached) pull route to `target`: the fastest
+    /// applicable communication object, whether it maps regions
+    /// in-process, and — when it does not — one rail per applicable
+    /// method for streaming chunks.
+    fn bulk_route(&self, bs: &BulkState, target: ContextId) -> Result<Arc<BulkRoute>> {
+        if let Some(r) = bs.routes.lock().get(&target) {
+            return Ok(Arc::clone(r));
+        }
+        let table = self.lookup_descriptor_table(target)?;
+        let reg = self.registry()?;
+        let methods = selection::applicable_methods(&self.info(), &table, &reg);
+        let Some(&first) = methods.first() else {
+            return Err(NexusError::NoApplicableMethod { target });
+        };
+        let best = self.connect_cached(target, first, &table)?;
+        let map = best.supports_region_map();
+        let rails = if map {
+            // lint:allow(hot-path-alloc) empty Vec never allocates; route construction runs once per cache miss (connect time)
+            Vec::new()
+        } else {
+            self.rails_to(target, methods, &table)?
+        };
+        let route = Arc::new(BulkRoute { best, map, rails });
+        bs.routes.lock().insert(target, Arc::clone(&route));
+        Ok(route)
+    }
+
+    /// Sends one protocol RSR over the cached best route to `target`,
+    /// evicting the route on error so the next exchange reconnects.
+    fn bulk_send_direct(&self, bs: &BulkState, target: ContextId, msg: &Rsr) -> Result<()> {
+        let route = self.bulk_route(bs, target)?;
+        let frame = WireFrame::new();
+        let sent = route.best.send(msg, &frame);
+        frame.reclaim();
+        if sent.is_err() {
+            bs.routes.lock().remove(&target);
+        }
+        sent
     }
 }
 

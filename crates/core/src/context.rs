@@ -14,20 +14,19 @@
 //! statistics for the enquiry functions.
 
 use crate::buffer::Buffer;
-use crate::bulk::{self, BulkHandle, BulkRegistry};
+use crate::bulk::{self, BulkState};
 use crate::descriptor::{DescriptorTable, MethodId};
 use crate::endpoint::{Attached, EndpointId};
 use crate::error::{NexusError, Result};
 use crate::handler::{self, HandlerArgs, HandlerRegistry, Versioned};
 use crate::module::{CommObject, CommReceiver, ModuleRegistry, Staged};
 use crate::poll::{BlockingPoller, PollEngine, PollOutcome};
-use crate::pool;
-use crate::rsr::{HandlerName, Rsr, WireFrame};
+use crate::rsr::{Rsr, WireFrame};
 use crate::selection::{
     self, ExcludeMethods, FirstApplicable, MethodCostEstimate, ReselectConfig, SelectionPolicy,
 };
 use crate::startpoint::{Link, SelectedMethod, Startpoint, Target};
-use crate::stripe::{self, gather_handler, StripeAssembler, StripeMeta, StripeRail, StripedObject};
+use crate::stripe::{self, StripeState};
 use crate::trace::{HistogramSummary, LinkMethodTrace, Trace, TraceEventKind};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -239,6 +238,7 @@ impl Fabric {
             trace,
             shutdown: AtomicBool::new(false),
             rounds: AtomicU64::new(0),
+            transfer_deadline_ns: AtomicU64::new(DEFAULT_TRANSFER_DEADLINE.as_nanos() as u64),
             flush_list: Mutex::new(Vec::new()),
             flush_pending: AtomicBool::new(false),
             workers: Mutex::new(None),
@@ -318,9 +318,11 @@ pub struct Context {
     /// Dispatch rounds begun: progress passes and worker token services.
     /// A link that has not seen a new round since its last send may stage
     /// (see [`Context::send_with_failover`]); every 64th progress pass
-    /// runs the deadline/idle sweep over bulk pulls, stripe assemblies,
-    /// and gather rounds.
+    /// runs the deadline sweep over stripe assemblies and bulk transfers.
     rounds: AtomicU64,
+    /// How long an incomplete transfer may sit, nanoseconds
+    /// ([`Context::set_transfer_deadline`]).
+    transfer_deadline_ns: AtomicU64,
     /// Connections holding frames this context staged, each listed once
     /// per owner claim (a `Staged::NeedsOwner` answer); flushed by the
     /// next dispatch round. A container lock: an entry is popped before
@@ -334,7 +336,7 @@ pub struct Context {
     /// progress thread (or inline `progress` calls) does everything.
     workers: Mutex<Option<crate::shard::WorkerPool>>,
     /// Typed extension storage for protocol layers built on the context
-    /// (e.g. the global-pointer reply plumbing).
+    /// (the stripe assembler, the bulk engine's state).
     extensions: Mutex<HashMap<std::any::TypeId, Arc<dyn std::any::Any + Send + Sync>>>,
 }
 
@@ -542,8 +544,7 @@ impl Context {
         self.select_into_link(link, method, &table)
     }
 
-    /// Connects `method` for a link, stores the selection (with its cached
-    /// recording handle) on the link, and traces the method switch.
+    /// Connects `method` for a link and installs it as the link's selection.
     fn select_into_link(
         &self,
         link: &Link,
@@ -551,17 +552,27 @@ impl Context {
         table: &DescriptorTable,
     ) -> Result<Arc<SelectedMethod>> {
         let obj = self.connect_cached(link.target.context, method, table)?;
+        Ok(self.install_selection(link, method, obj))
+    }
+
+    /// Stores `obj` as the link's selection for `method` (with its cached
+    /// recording handle) and traces the method switch.
+    pub(crate) fn install_selection(
+        &self,
+        link: &Link,
+        method: MethodId,
+        obj: Arc<dyn CommObject>,
+    ) -> Arc<SelectedMethod> {
         let sel = Arc::new(SelectedMethod {
             method,
             obj,
             ltrace: self.trace.link(link.target.context, method),
         });
-        let prev = {
-            let mut chosen = link.chosen.lock();
-            let prev = chosen.as_ref().map(|s| s.method);
-            *chosen = Some(Arc::clone(&sel));
-            prev
-        };
+        let prev = link
+            .chosen
+            .lock()
+            .replace(Arc::clone(&sel))
+            .map(|s| s.method);
         if prev != Some(method) {
             self.trace.record_event(TraceEventKind::MethodSwitch {
                 target: link.target.context,
@@ -569,12 +580,12 @@ impl Context {
                 to: method,
             });
         }
-        Ok(sel)
+        sel
     }
 
     /// Returns the (possibly cached) communication object for
     /// (`target`, `method`), connecting if necessary.
-    fn connect_cached(
+    pub(crate) fn connect_cached(
         &self,
         target: ContextId,
         method: MethodId,
@@ -635,79 +646,10 @@ impl Context {
         Ok(())
     }
 
-    /// Issues a remote service request with the Mercury-style
-    /// eager/rendezvous split: links whose
-    /// [`Link::rendezvous_cutoff`] the payload does not exceed get the
-    /// ordinary inline RSR (byte-identical to [`Context::rsr`]), while
-    /// links it does exceed get a small `#bulk` announce carrying a
-    /// [`BulkHandle`] — the payload is registered in this context's
-    /// [`BulkRegistry`] and the receiver pulls it on demand (in-place
-    /// borrow over in-process methods, pipelined chunks over wire
-    /// methods). With no cutoffs configured ([`Context::set_rendezvous`])
-    /// every link is eager and this is exactly `rsr`.
-    pub fn rsr_bulk(&self, sp: &Startpoint, handler: &str, payload: Buffer) -> Result<()> {
-        self.check_request(sp, handler)?;
-        let bytes = payload.into_bytes();
-        let len = bytes.len();
-        let links = sp.links();
-        let pulls = links.iter().filter(|l| len > l.rendezvous_cutoff()).count();
-        if pulls == 0 {
-            return self.rsr(sp, handler, Buffer::from_bytes(bytes));
-        }
-        // Register once for however many links will pull, and build one
-        // announce shared by all of them (dest fields vary per link).
-        let bs = self.bulk_state();
-        let region = bs.registry.register(
-            bytes.clone(),
-            pulls as u32,
-            Some(Instant::now() + bs.deadline()),
-        );
-        self.trace.record_event(TraceEventKind::BulkExpose {
-            region,
-            bytes: len as u64,
-        });
-        let handle = BulkHandle {
-            region,
-            len: len as u64,
-            origin: self.info.id,
-            hints: 0,
-        };
-        let mut abuf = pool::take(bulk::HANDLE_LEN + handler.len());
-        abuf.extend_from_slice(&handle.to_bytes());
-        abuf.extend_from_slice(handler.as_bytes());
-        let mut announce = Rsr {
-            dest: ContextId(0),
-            endpoint: EndpointId(0),
-            handler: bulk::bulk_handler(),
-            ttl: crate::rsr::DEFAULT_TTL,
-            payload: abuf.freeze(),
-        };
-        let aframe = WireFrame::new();
-        let mut msg = Rsr::new(ContextId(0), EndpointId(0), handler, bytes);
-        let frame = WireFrame::new();
-        let mut out = Ok(());
-        for link in links {
-            let (m, f) = if len > link.rendezvous_cutoff() {
-                (&mut announce, &aframe)
-            } else {
-                (&mut msg, &frame)
-            };
-            m.dest = link.target.context;
-            m.endpoint = link.target.endpoint;
-            out = self.send_with_failover(link, m, f);
-            if out.is_err() {
-                break;
-            }
-        }
-        frame.reclaim();
-        aframe.reclaim();
-        pool::reclaim(announce.payload);
-        out
-    }
-
-    /// What `rsr` and `rsr_bulk` refuse before sending anything: a shut-down
-    /// context, an unbound startpoint, and a reserved (`#`) handler name.
-    fn check_request(&self, sp: &Startpoint, handler: &str) -> Result<()> {
+    /// What `rsr`, `rsr_bulk` and `scatter` refuse before sending anything:
+    /// a shut-down context, an unbound startpoint, and a reserved (`#`)
+    /// handler name.
+    pub(crate) fn check_request(&self, sp: &Startpoint, handler: &str) -> Result<()> {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err(NexusError::ShutDown);
         }
@@ -718,16 +660,6 @@ impl Context {
             return Err(NexusError::UnknownHandler(handler.to_owned()));
         }
         Ok(())
-    }
-
-    /// Sets the eager/rendezvous cutoff on every link of `sp`: payloads
-    /// strictly larger than `cutoff` bytes are sent by
-    /// [`Context::rsr_bulk`] as a pull handle instead of an inline body.
-    /// `usize::MAX` restores the all-eager default.
-    pub fn set_rendezvous(&self, sp: &Startpoint, cutoff: usize) {
-        for link in sp.links() {
-            link.rendezvous_cutoff.store(cutoff, Ordering::Relaxed);
-        }
     }
 
     /// Sends one RSR over a link's selected method, failing over to the
@@ -750,7 +682,12 @@ impl Context {
     /// consumer of the reading: re-selection's checks (if configured) or
     /// the `(link, method)` record's sample ([`LinkMethodTrace::sample`]);
     /// else it counts its size.
-    fn send_with_failover(&self, link: &Link, msg: &Rsr, frame: &WireFrame) -> Result<()> {
+    pub(crate) fn send_with_failover(
+        &self,
+        link: &Link,
+        msg: &Rsr,
+        frame: &WireFrame,
+    ) -> Result<()> {
         let wire = msg.wire_len();
         // One pin read serves the send loop, selection, and the
         // re-selection check below.
@@ -1210,21 +1147,26 @@ impl Context {
     /// Dispatches one received RSR: runs the named handler if the RSR is
     /// addressed to this context, otherwise acts as a forwarding node and
     /// re-sends it to its destination over a different method.
-    fn dispatch(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
+    pub(crate) fn dispatch(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
         if msg.dest != self.info.id {
             return self.forward(arrival, msg);
         }
-        // Reserved runtime handlers ('#'-prefixed: stripe chunks, gather
-        // contributions, bulk protocol traffic) are intercepted before
-        // endpoint lookup — a chunk is addressed to whatever endpoint the
-        // original RSR targeted, but it is the *reassembled* message that
-        // must resolve there (and the bulk handlers repurpose the
-        // endpoint field as protocol state outright).
+        // Reserved runtime handlers ('#'-prefixed: stripe chunks and bulk
+        // protocol traffic) are intercepted before endpoint lookup — a
+        // chunk is addressed to whatever endpoint the original RSR
+        // targeted, but it is the *reassembled* message that must resolve
+        // there (and the bulk handlers repurpose the endpoint field as
+        // protocol state outright). Any other reserved name is refused
+        // before a protocol's state exists.
         if msg.handler.as_bytes().first() == Some(&b'#') {
-            if msg.handler.as_bytes().starts_with(b"#bulk") {
-                return self.bulk_ingest(arrival, msg);
-            }
-            return self.stripe_ingest(arrival, msg);
+            return match msg.handler.as_str() {
+                stripe::STRIPE_HANDLER => self.stripe_ingest(arrival, msg),
+                bulk::BULK_HANDLER => self.bulk_announce(msg),
+                bulk::BULK_GET_HANDLER => self.bulk_pull_service(msg),
+                bulk::BULK_DAT_HANDLER => self.bulk_data(arrival, msg),
+                bulk::BULK_CHK_HANDLER => self.bulk_chunk(arrival, msg),
+                _ => Err(NexusError::UnknownHandler(msg.handler.to_string())),
+            };
         }
         let (ep, handler) =
             handler::resolve(&self.endpoints, &self.handlers, msg.endpoint, &msg.handler)?;
@@ -1269,449 +1211,34 @@ impl Context {
         Ok(())
     }
 
-    // -- striping / collectives ----------------------------------------------------
+    // -- transfer deadlines -------------------------------------------------------
 
-    /// Per-context stripe plumbing, created lazily on first use.
-    fn stripe_state(&self) -> Arc<StripeState> {
-        self.extension(StripeState::default)
-    }
-
-    /// Consumes one reserved-handler RSR: files the chunk with the
-    /// appropriate assembler and, when it completes a transfer, either
-    /// re-dispatches the reassembled message (stripe) or invokes the
-    /// registered collective callback (gather).
-    fn stripe_ingest(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
-        if msg.handler != stripe::STRIPE_HANDLER && msg.handler != stripe::GATHER_HANDLER {
-            return Err(NexusError::UnknownHandler(msg.handler.to_string()));
-        }
-        let st = self.stripe_state();
-        if msg.handler == stripe::STRIPE_HANDLER {
-            let Some(done) = st.stripes.ingest(msg.payload)? else {
-                return Ok(());
-            };
-            let body = st.stripes.assemble_body(done)?;
-            let inner = Rsr::decode_body(msg.dest, msg.endpoint, msg.ttl, body.clone())?;
-            if inner.handler.as_bytes().first() == Some(&b'#') {
-                // A reassembled body must carry an application handler;
-                // permitting nesting would allow unbounded recursion.
-                return Err(NexusError::Decode("stripe body nests a reserved handler"));
-            }
-            let out = self.dispatch(arrival, inner);
-            // The handler has run and the payload view is dropped: the
-            // reassembled body storage goes back to the pool.
-            pool::reclaim(body);
-            out
-        } else {
-            let Some(done) = st.gather_chunks.ingest(msg.payload)? else {
-                return Ok(());
-            };
-            let mixed = done.transfer_id;
-            let (round, mut parts) = st.gather_chunks.take_parts(done)?;
-            let reg = {
-                let gathers = st.gathers.lock();
-                gathers.get(&(mixed ^ gather_round_mix(round))).cloned()
-            };
-            let Some(reg) = reg else {
-                return Err(NexusError::Decode("gather completion with no registration"));
-            };
-            if reg.parts as usize != parts.len() {
-                return Err(NexusError::Decode("gather arity mismatch"));
-            }
-            (reg.callback)(round, &mut parts);
-            Ok(())
-        }
-    }
-
-    // -- bulk pull engine ---------------------------------------------------------
-
-    /// Per-context bulk plumbing, created lazily on first use.
-    fn bulk_state(&self) -> Arc<BulkState> {
-        self.extension(BulkState::default)
-    }
-
-    /// Consumes one `#bulk*` RSR (see [`crate::bulk`] for the wire
-    /// formats): an announce files a pending pull and requests the
-    /// region; a pull request is served by the pull engine; a
-    /// whole-region or chunked response completes the pending pull and
-    /// re-dispatches the payload under the application handler the
-    /// announce named.
-    fn bulk_ingest(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
-        let bs = self.bulk_state();
-        if msg.handler == bulk::BULK_HANDLER {
-            let (handle, name) = bulk::parse_announce(&msg.payload)?;
-            // Intern before reclaiming the payload `name` borrows;
-            // alloc-free when the handler name repeats.
-            let pending = PendingPull {
-                handler: HandlerName::intern(name),
-                endpoint: msg.endpoint,
-                ttl: msg.ttl,
-                len: handle.len,
-                deadline: Instant::now() + bs.deadline(),
-            };
-            bs.pulls.lock().insert(handle.region, pending);
-            pool::reclaim(msg.payload);
-            // Pull immediately: a 4-byte request carrying this context's
-            // id, so the origin knows which connection to serve over.
-            let mut rbuf = pool::take(4);
-            rbuf.extend_from_slice(&self.info.id.0.to_le_bytes());
-            let req = Rsr {
-                dest: handle.origin,
-                endpoint: EndpointId(handle.region),
-                handler: bulk::bulk_get_handler(),
-                ttl: crate::rsr::DEFAULT_TTL,
-                payload: rbuf.freeze(),
-            };
-            let out = self.bulk_send_direct(&bs, handle.origin, &req);
-            pool::reclaim(req.payload);
-            out
-        } else if msg.handler == bulk::BULK_GET_HANDLER {
-            self.bulk_pull_service(msg)
-        } else if msg.handler == bulk::BULK_DAT_HANDLER {
-            let region = msg.endpoint.0;
-            let pending = bs.pulls.lock().remove(&region);
-            let Some(p) = pending else {
-                // Late response to a pull the sweep already timed out.
-                return Ok(());
-            };
-            if msg.payload.len() as u64 != p.len {
-                // Empty (or truncated) response: the origin denied the
-                // pull — cancelled, expired, or unknown region.
-                self.trace
-                    .record_event(TraceEventKind::BulkAbort { region });
-                return Ok(());
-            }
-            self.trace.record_event(TraceEventKind::BulkDone {
-                region,
-                bytes: p.len,
-            });
-            self.dispatch(
-                arrival,
-                Rsr {
-                    dest: msg.dest,
-                    endpoint: p.endpoint,
-                    handler: p.handler,
-                    ttl: p.ttl,
-                    payload: msg.payload,
-                },
-            )
-        } else if msg.handler == bulk::BULK_CHK_HANDLER {
-            let Some(done) = bs.chunks.ingest(msg.payload)? else {
-                return Ok(());
-            };
-            let region = done.transfer_id;
-            let body = bs.chunks.assemble_body(done)?;
-            let pending = bs.pulls.lock().remove(&region);
-            let Some(p) = pending else {
-                pool::reclaim(body);
-                return Ok(());
-            };
-            if body.len() as u64 != p.len {
-                self.trace
-                    .record_event(TraceEventKind::BulkAbort { region });
-                pool::reclaim(body);
-                return Ok(());
-            }
-            self.trace.record_event(TraceEventKind::BulkDone {
-                region,
-                bytes: p.len,
-            });
-            let out = self.dispatch(
-                arrival,
-                Rsr {
-                    dest: msg.dest,
-                    endpoint: p.endpoint,
-                    handler: p.handler,
-                    ttl: p.ttl,
-                    payload: body.clone(),
-                },
-            );
-            pool::reclaim(body);
-            out
-        } else {
-            Err(NexusError::UnknownHandler(msg.handler.to_string()))
-        }
-    }
-
-    /// The pull engine: services one `#bulk-get` request. Over a
-    /// region-mapping method the response is the registered region
-    /// itself (a zero-copy borrow of the origin's storage); over wire
-    /// methods the region streams as pipelined chunks across every
-    /// applicable rail, reusing the stripe chunk framing. A region that
-    /// is unknown, cancelled, or expired is answered with an empty
-    /// denial so the receiver aborts instead of waiting out its
-    /// deadline.
-    fn bulk_pull_service(&self, msg: Rsr) -> Result<()> {
-        let bs = self.bulk_state();
-        let region = msg.endpoint.0;
-        if msg.payload.len() < 4 {
-            return Err(NexusError::Decode("bulk pull request missing receiver id"));
-        }
-        let receiver = ContextId(u32::from_le_bytes(
-            msg.payload[..4].try_into().expect("length checked"),
-        ));
-        pool::reclaim(msg.payload);
-        let route = self.bulk_route(&bs, receiver)?;
-        let Some(guard) = bs.registry.begin_pull(region) else {
-            self.trace
-                .record_event(TraceEventKind::BulkAbort { region });
-            let deny = Rsr {
-                dest: receiver,
-                endpoint: EndpointId(region),
-                handler: bulk::bulk_dat_handler(),
-                ttl: crate::rsr::DEFAULT_TTL,
-                payload: Bytes::new(),
-            };
-            return self.bulk_send_direct(&bs, receiver, &deny);
-        };
-        let data = guard.data().clone();
-        if route.map {
-            self.trace.record_event(TraceEventKind::BulkServe {
-                region,
-                chunked: false,
-            });
-            let resp = Rsr {
-                dest: receiver,
-                endpoint: EndpointId(region),
-                handler: bulk::bulk_dat_handler(),
-                ttl: crate::rsr::DEFAULT_TTL,
-                payload: data,
-            };
-            return self.bulk_send_direct(&bs, receiver, &resp);
-        }
-        self.trace.record_event(TraceEventKind::BulkServe {
-            region,
-            chunked: true,
-        });
-        let n = route.rails.len();
-        let mut rates = [f64::NAN; stripe::MAX_RAILS];
-        for (i, rail) in route.rails.iter().enumerate() {
-            rates[i] = rail.rate();
-        }
-        let mut shares = [0usize; stripe::MAX_RAILS];
-        stripe::weighted_shares(
-            data.len(),
-            &rates[..n],
-            stripe::DEFAULT_MIN_CHUNK,
-            &mut shares[..n],
-        );
-        // Same floor as striped_send: keeps the chunk count within the
-        // assembler's receipt bitmap.
-        let seg_cap = stripe::MAX_CHUNK_PAYLOAD.max(data.len().div_ceil(stripe::MAX_CHUNKS - n));
-        let chunk = Rsr {
-            dest: receiver,
-            endpoint: EndpointId(region),
-            handler: bulk::bulk_chk_handler(),
-            ttl: crate::rsr::DEFAULT_TTL,
-            payload: Bytes::new(),
-        };
-        let sent = stripe::send_chunks(
-            &route.rails[..n],
-            chunk,
-            region,
-            &data,
-            &shares[..n],
-            seg_cap,
-        );
-        if sent.is_err() {
-            // Every rail failed: drop the cached route so the next pull
-            // reconnects from scratch.
-            bs.routes.lock().remove(&receiver);
-        }
-        sent
-    }
-
-    /// Returns the (possibly cached) pull route to `target`: the fastest
-    /// applicable communication object, whether it maps regions
-    /// in-process, and — when it does not — one rail per applicable
-    /// method for streaming chunks.
-    fn bulk_route(&self, bs: &BulkState, target: ContextId) -> Result<Arc<BulkRoute>> {
-        if let Some(r) = bs.routes.lock().get(&target) {
-            return Ok(Arc::clone(r));
-        }
-        let table = self.lookup_descriptor_table(target)?;
-        let reg = self.registry()?;
-        let methods = selection::applicable_methods(&self.info, &table, &reg);
-        let Some(&first) = methods.first() else {
-            return Err(NexusError::NoApplicableMethod { target });
-        };
-        let best = self.connect_cached(target, first, &table)?;
-        let map = best.supports_region_map();
-        // lint:allow(hot-path-alloc) route construction runs once per cache miss (connect time), then every pull reuses the cached Arc
-        let mut rails = Vec::new();
-        if !map {
-            rails.reserve(methods.len().min(stripe::MAX_RAILS));
-            for m in methods.into_iter().take(stripe::MAX_RAILS) {
-                rails.push(StripeRail {
-                    obj: self.connect_cached(target, m, &table)?,
-                    ltrace: Some(self.trace.link(target, m)),
-                    weight: None,
-                });
-            }
-        }
-        let route = Arc::new(BulkRoute { best, map, rails });
-        bs.routes.lock().insert(target, Arc::clone(&route));
-        Ok(route)
-    }
-
-    /// Sends one protocol RSR over the cached best route to `target`,
-    /// evicting the route on error so the next exchange reconnects.
-    fn bulk_send_direct(&self, bs: &BulkState, target: ContextId, msg: &Rsr) -> Result<()> {
-        let route = self.bulk_route(bs, target)?;
-        let frame = WireFrame::new();
-        let sent = route.best.send(msg, &frame);
-        frame.reclaim();
-        if sent.is_err() {
-            bs.routes.lock().remove(&target);
-        }
-        sent
-    }
-
-    /// Cancels an exposed bulk region before its pulls complete. Pending
-    /// pulls at other contexts are denied on request (or expire on their
-    /// own deadline). Returns whether the region was still registered.
-    pub fn bulk_cancel(&self, region: u64) -> bool {
-        let bs = self.bulk_state();
-        let released = bs.registry.release(region);
-        if released {
-            self.trace
-                .record_event(TraceEventKind::BulkAbort { region });
-        }
-        released
-    }
-
-    /// Enquiry: regions this context currently exposes for pull.
-    pub fn bulk_regions(&self) -> usize {
-        self.bulk_state().registry.len()
-    }
-
-    /// Enquiry: pulls this context has requested but not yet completed.
-    pub fn bulk_pulls_pending(&self) -> usize {
-        self.bulk_state().pulls.lock().len()
-    }
-
-    /// Sets the per-transfer deadline for bulk regions this context
-    /// exposes and pulls it requests (default 5 s). Expiry surfaces as
-    /// [`TraceEventKind::BulkTimeout`] events, never a hang.
-    pub fn set_bulk_deadline(&self, deadline: Duration) {
-        self.bulk_state()
-            .deadline_ns
+    /// Sets how long an incomplete transfer may sit (default 5 s): a stripe
+    /// or bulk-chunk transfer whose sender goes quiet that long is evicted,
+    /// and a bulk region this context exposes, or a pull it requests,
+    /// expires that long after it began. Each surfaces as a trace event
+    /// ([`TraceEventKind::StripeIdleEvict`], [`TraceEventKind::BulkTimeout`]),
+    /// never a hang.
+    pub fn set_transfer_deadline(&self, deadline: Duration) {
+        self.transfer_deadline_ns
             .store(deadline.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Sets the idle-transfer timeout (default 5 s) for incomplete
-    /// stripe and gather chunk transfers: a transfer whose sender goes
-    /// quiet that long is evicted and its slots reclaimed — the fate of
-    /// a gather round with a dead contributor or a stripe whose rail
-    /// died mid-stream.
-    pub fn set_idle_timeout(&self, timeout: Duration) {
-        self.stripe_state()
-            .idle_timeout_ns
-            .store(timeout.as_nanos() as u64, Ordering::Relaxed);
+    /// The deadline [`Context::set_transfer_deadline`] set.
+    pub(crate) fn transfer_deadline(&self) -> Duration {
+        Duration::from_nanos(self.transfer_deadline_ns.load(Ordering::Relaxed))
     }
 
-    /// Every 64th progress pass: evict idle incomplete chunk transfers
-    /// (stripe, gather, bulk) and expire bulk regions and pending pulls
-    /// past their deadline, surfacing each as a trace event. Touches
-    /// only subsystems this context has actually used.
+    /// Every 64th progress pass: the stripe and bulk halves of the deadline
+    /// sweep, for the protocols this context has actually used.
     fn sweep_deadlines(&self) {
+        let deadline = self.transfer_deadline();
         if let Some(st) = self.try_extension::<StripeState>() {
-            let idle = st.idle_timeout();
-            for ev in st.stripes.sweep_idle(idle) {
-                self.trace.record_event(TraceEventKind::StripeIdleEvict {
-                    transfer_id: ev.transfer_id,
-                });
-            }
-            for ev in st.gather_chunks.sweep_idle(idle) {
-                self.trace.record_event(TraceEventKind::GatherTimeout {
-                    transfer_id: ev.transfer_id,
-                    received: ev.received,
-                    expected: ev.total,
-                });
-            }
+            st.sweep(&self.trace, deadline);
         }
         if let Some(bs) = self.try_extension::<BulkState>() {
-            let now = Instant::now();
-            for region in bs.registry.sweep(now) {
-                self.trace
-                    .record_event(TraceEventKind::BulkTimeout { region });
-            }
-            // Collect expired pulls under the lock, record the events
-            // after releasing it (the trace takes its own lock).
-            let expired: Vec<u64> = {
-                let mut pulls = bs.pulls.lock();
-                let ids: Vec<u64> = pulls
-                    .iter()
-                    .filter(|(_, p)| now >= p.deadline)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in &ids {
-                    pulls.remove(id);
-                }
-                ids
-            };
-            for region in expired {
-                self.trace
-                    .record_event(TraceEventKind::BulkTimeout { region });
-            }
-            for ev in bs.chunks.sweep_idle(bs.deadline()) {
-                self.trace.record_event(TraceEventKind::BulkTimeout {
-                    region: ev.transfer_id,
-                });
-            }
+            bs.sweep(&self.trace, deadline);
         }
-    }
-
-    /// Installs a [`StripedObject`] on each of `sp`'s links that has at
-    /// least two applicable methods: subsequent `rsr` calls on those links
-    /// transparently stripe bodies larger than `cutoff` bytes across every
-    /// applicable method at once (weighted by measured bandwidth), while
-    /// smaller messages pass through whole on the fastest method. Links
-    /// with fewer than two applicable methods are left untouched. Returns
-    /// the number of links striped.
-    ///
-    /// The stripe selection is installed unpinned, so transport failures
-    /// still trigger the normal failover path (the stripe object retries
-    /// chunks over surviving rails internally first), and a later
-    /// [`Context::set_method`]/policy change simply replaces it.
-    pub fn set_striped(&self, sp: &Startpoint, cutoff: usize) -> Result<usize> {
-        let reg = self.registry()?;
-        let mut striped = 0usize;
-        for link in sp.links() {
-            let table = link.table();
-            let methods = selection::applicable_methods(&self.info, &table, &reg);
-            if methods.len() < 2 {
-                continue;
-            }
-            let mut rails = Vec::with_capacity(methods.len().min(stripe::MAX_RAILS));
-            for m in methods.into_iter().take(stripe::MAX_RAILS) {
-                rails.push(StripeRail {
-                    obj: self.connect_cached(link.target.context, m, &table)?,
-                    ltrace: Some(self.trace.link(link.target.context, m)),
-                    weight: None,
-                });
-            }
-            let obj: Arc<dyn CommObject> = Arc::new(StripedObject::new(rails).with_cutoff(cutoff));
-            let sel = Arc::new(SelectedMethod {
-                method: MethodId::STRIPE,
-                obj,
-                ltrace: self.trace.link(link.target.context, MethodId::STRIPE),
-            });
-            let prev = {
-                let mut chosen = link.chosen.lock();
-                let prev = chosen.as_ref().map(|s| s.method);
-                *chosen = Some(sel);
-                prev
-            };
-            if prev != Some(MethodId::STRIPE) {
-                self.trace.record_event(TraceEventKind::MethodSwitch {
-                    target: link.target.context,
-                    from: prev,
-                    to: MethodId::STRIPE,
-                });
-            }
-            striped += 1;
-        }
-        Ok(striped)
     }
 
     /// Scatter collective (CommBench's striped-scatter root half): splits
@@ -1721,12 +1248,7 @@ impl Context {
     /// the payload; combined with [`Context::set_striped`] each piece is
     /// itself striped across that link's rails.
     pub fn scatter(&self, sp: &Startpoint, handler: &str, payload: Buffer) -> Result<()> {
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(NexusError::ShutDown);
-        }
-        if sp.is_unbound() {
-            return Err(NexusError::UnboundStartpoint);
-        }
+        self.check_request(sp, handler)?;
         let bytes = payload.into_bytes();
         let links = sp.links();
         let each = bytes.len() / links.len();
@@ -1747,92 +1269,6 @@ impl Context {
             sent?;
         }
         Ok(())
-    }
-
-    /// Registers this context as the root of the gather collective
-    /// `name` over `parts` contributors (at most
-    /// [`stripe::MAX_CHUNKS`]). Each time all `parts` contributions of a
-    /// round have arrived — in any order, over any mix of methods —
-    /// `callback(round, parts)` runs with the contributions in
-    /// contributor-index order.
-    pub fn register_gather<F>(&self, name: &str, parts: u16, callback: F) -> Result<()>
-    where
-        F: Fn(u32, &mut [Bytes]) + Send + Sync + 'static,
-    {
-        if parts == 0 || parts as usize > stripe::MAX_CHUNKS {
-            return Err(NexusError::BadParam {
-                key: "parts".to_owned(),
-                reason: format!("gather arity must be 1..={}", stripe::MAX_CHUNKS),
-            });
-        }
-        let st = self.stripe_state();
-        st.gathers.lock().insert(
-            gather_id(name),
-            Arc::new(GatherReg {
-                parts,
-                callback: Box::new(callback),
-            }),
-        );
-        Ok(())
-    }
-
-    /// Contributes this context's piece to round `round` of the gather
-    /// collective `name` rooted at `sp`'s target: contributor `index` of
-    /// `parts`. The root must have called [`Context::register_gather`]
-    /// with the same name and arity.
-    pub fn gather(
-        &self,
-        sp: &Startpoint,
-        name: &str,
-        parts: u16,
-        index: u16,
-        round: u32,
-        payload: Buffer,
-    ) -> Result<()> {
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(NexusError::ShutDown);
-        }
-        if sp.is_unbound() {
-            return Err(NexusError::UnboundStartpoint);
-        }
-        if parts == 0 || parts as usize > stripe::MAX_CHUNKS || index >= parts {
-            return Err(NexusError::BadParam {
-                key: "index".to_owned(),
-                reason: format!("need index < parts <= {}", stripe::MAX_CHUNKS),
-            });
-        }
-        let bytes = payload.into_bytes();
-        let meta = StripeMeta {
-            transfer_id: gather_id(name) ^ gather_round_mix(round),
-            index,
-            total: parts,
-            body_len: 0, // slot mode: parts stay separate
-            offset: round,
-        }
-        .to_bytes();
-        let mut buf = pool::take(meta.len() + bytes.len());
-        buf.extend_from_slice(&meta);
-        buf.extend_from_slice(&bytes);
-        let mut msg = Rsr {
-            dest: ContextId(0),
-            endpoint: EndpointId(0),
-            handler: gather_handler(),
-            ttl: crate::rsr::DEFAULT_TTL,
-            payload: buf.freeze(),
-        };
-        let frame = WireFrame::new();
-        let mut out = Ok(());
-        for link in sp.links() {
-            msg.dest = link.target.context;
-            msg.endpoint = link.target.endpoint;
-            out = self.send_with_failover(link, &msg, &frame);
-            if out.is_err() {
-                break;
-            }
-        }
-        frame.reclaim();
-        pool::reclaim(msg.payload);
-        out
     }
 
     // -- sharded workers ----------------------------------------------------------
@@ -1946,8 +1382,8 @@ impl Context {
     }
 
     /// Returns this context's extension of type `T`, creating it with
-    /// `init` on first use. Protocol layers (e.g. global pointers) use
-    /// this for per-context plumbing without a global registry.
+    /// `init` on first use. Protocol layers (the stripe and bulk engines)
+    /// use this for per-context plumbing without a global registry.
     pub fn extension<T, F>(&self, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
@@ -1969,7 +1405,7 @@ impl Context {
     /// Returns this context's extension of type `T` only if it already
     /// exists. The periodic sweep uses this so contexts that never
     /// touched a subsystem pay nothing for it.
-    fn try_extension<T>(&self) -> Option<Arc<T>>
+    pub(crate) fn try_extension<T>(&self) -> Option<Arc<T>>
     where
         T: Send + Sync + 'static,
     {
@@ -2048,123 +1484,8 @@ impl Drop for ProgressGuard {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stripe / collective plumbing (context extension)
-// ---------------------------------------------------------------------------
-
-/// One registered gather root: expected arity and the completion callback.
-struct GatherReg {
-    parts: u16,
-    #[allow(clippy::type_complexity)]
-    callback: Box<dyn Fn(u32, &mut [Bytes]) + Send + Sync>,
-}
-
-/// Default idle-transfer timeout: how long an incomplete chunk transfer
-/// may go without a new chunk before the sweep evicts it.
-const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Default per-transfer deadline for bulk regions and pending pulls.
-const DEFAULT_BULK_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Per-context stripe state, attached lazily via [`Context::extension`]:
-/// separate assemblers for stripe and gather chunks (their transfer-id
-/// spaces are independent) and the gather registrations.
-struct StripeState {
-    stripes: StripeAssembler,
-    gather_chunks: StripeAssembler,
-    gathers: Mutex<HashMap<u64, Arc<GatherReg>>>,
-    /// Idle-transfer eviction threshold, nanoseconds.
-    idle_timeout_ns: AtomicU64,
-}
-
-impl Default for StripeState {
-    fn default() -> Self {
-        StripeState {
-            stripes: StripeAssembler::new(),
-            gather_chunks: StripeAssembler::new(),
-            gathers: Mutex::new(HashMap::new()),
-            idle_timeout_ns: AtomicU64::new(DEFAULT_IDLE_TIMEOUT.as_nanos() as u64),
-        }
-    }
-}
-
-impl StripeState {
-    fn idle_timeout(&self) -> Duration {
-        Duration::from_nanos(self.idle_timeout_ns.load(Ordering::Relaxed))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bulk pull plumbing (context extension)
-// ---------------------------------------------------------------------------
-
-/// One cached pull route to a peer context.
-struct BulkRoute {
-    /// The fastest applicable communication object.
-    best: Arc<dyn CommObject>,
-    /// Whether `best` maps regions in-process (whole-region zero-copy
-    /// responses); when false, responses stream as chunks over `rails`.
-    map: bool,
-    /// One rail per applicable method, fastest first (empty when `map`).
-    rails: Vec<StripeRail>,
-}
-
-/// A pull this context has requested but not yet completed: everything
-/// needed to re-dispatch the region under the application handler the
-/// announce named, plus the deadline after which the sweep gives up.
-struct PendingPull {
-    handler: HandlerName,
-    endpoint: EndpointId,
-    ttl: u8,
-    len: u64,
-    deadline: Instant,
-}
-
-/// Per-context bulk state, attached lazily via [`Context::extension`]:
-/// the exposed-region registry, pulls awaiting responses, a dedicated
-/// assembler for `#bulk-chk` chunks (region ids and stripe transfer ids
-/// are independent namespaces — separate assemblers mean they can never
-/// collide), cached pull routes, and the transfer deadline.
-struct BulkState {
-    registry: BulkRegistry,
-    pulls: Mutex<HashMap<u64, PendingPull>>,
-    chunks: StripeAssembler,
-    routes: Mutex<HashMap<ContextId, Arc<BulkRoute>>>,
-    /// Per-transfer deadline, nanoseconds.
-    deadline_ns: AtomicU64,
-}
-
-impl Default for BulkState {
-    fn default() -> Self {
-        BulkState {
-            registry: BulkRegistry::new(),
-            pulls: Mutex::new(HashMap::new()),
-            chunks: StripeAssembler::new(),
-            routes: Mutex::new(HashMap::new()),
-            deadline_ns: AtomicU64::new(DEFAULT_BULK_DEADLINE.as_nanos() as u64),
-        }
-    }
-}
-
-impl BulkState {
-    fn deadline(&self) -> Duration {
-        Duration::from_nanos(self.deadline_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// Transfer-id namespace for the gather collective `name` (FNV-1a: a fixed
-/// function of the name, so every process computes the same id).
-fn gather_id(name: &str) -> u64 {
-    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    name.bytes().fold(0xcbf2_9ce4_8422_2325, step)
-}
-
-/// Mixes a gather round into the transfer id, so consecutive rounds of one
-/// collective never share an in-flight transfer (XOR-invertible: the
-/// completion path recovers the registration id from the round tag).
-fn gather_round_mix(round: u32) -> u64 {
-    (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
+/// Default for [`Context::set_transfer_deadline`].
+const DEFAULT_TRANSFER_DEADLINE: Duration = Duration::from_secs(5);
 
 #[cfg(test)]
 mod tests {
@@ -2797,7 +2118,7 @@ mod tests {
         assert_eq!(b.trace().snapshot_method(MethodId::LOCAL).polls, polls);
     }
 
-    // -- striping / collectives -----------------------------------------
+    // -- striping / scatter ----------------------------------------------
 
     fn patterned(len: usize) -> Buffer {
         let mut b = Buffer::new();
@@ -2901,51 +2222,6 @@ mod tests {
         assert_eq!(got[0], want[0..4]);
         assert_eq!(got[1], want[4..7]);
         assert_eq!(got[2], want[7..10]);
-    }
-
-    #[test]
-    fn gather_collects_parts_in_index_order_per_round() {
-        let f = fabric();
-        let root = f.create_context().unwrap();
-        let w1 = f.create_context().unwrap();
-        let w2 = f.create_context().unwrap();
-        let rounds = Arc::new(Mutex::new(Vec::new()));
-        let r = Arc::clone(&rounds);
-        root.register_gather("sum", 2, move |round, parts| {
-            let vals: Vec<Vec<u8>> = parts.iter().map(|p| p.to_vec()).collect();
-            r.lock().push((round, vals));
-        })
-        .unwrap();
-        let ep = root.create_endpoint();
-        let sp1 = root.startpoint_to(ep).unwrap();
-        let sp2 = root.startpoint_to(ep).unwrap();
-        let part = |byte: u8| {
-            let mut b = Buffer::new();
-            b.put_raw(&[byte, byte]);
-            b
-        };
-        // Round 7 arrives out of contributor order; round 8 interleaves.
-        w2.gather(&sp2, "sum", 2, 1, 7, part(0xB)).unwrap();
-        w1.gather(&sp1, "sum", 2, 0, 8, part(0xC)).unwrap();
-        w1.gather(&sp1, "sum", 2, 0, 7, part(0xA)).unwrap();
-        w2.gather(&sp2, "sum", 2, 1, 8, part(0xD)).unwrap();
-        assert!(root.progress_until(|| rounds.lock().len() == 2, Duration::from_secs(2)));
-        let done = rounds.lock().clone();
-        assert!(done.contains(&(7, vec![vec![0xA, 0xA], vec![0xB, 0xB]])));
-        assert!(done.contains(&(8, vec![vec![0xC, 0xC], vec![0xD, 0xD]])));
-    }
-
-    #[test]
-    fn gather_validates_arity_and_index() {
-        let f = fabric();
-        let root = f.create_context().unwrap();
-        let w = f.create_context().unwrap();
-        let ep = root.create_endpoint();
-        let sp = root.startpoint_to(ep).unwrap();
-        assert!(root.register_gather("g", 0, |_, _| {}).is_err());
-        assert!(root.register_gather("g", 65, |_, _| {}).is_err());
-        assert!(w.gather(&sp, "g", 2, 2, 0, Buffer::new()).is_err());
-        assert!(w.gather(&sp, "g", 0, 0, 0, Buffer::new()).is_err());
     }
 
     // -- bulk protocol -------------------------------------------------------
@@ -3080,7 +2356,7 @@ mod tests {
         let sp = b.startpoint_to(ep).unwrap();
         a.set_rendezvous(&sp, 1024);
         // A zero deadline expires the region before the pull arrives.
-        a.set_bulk_deadline(Duration::ZERO);
+        a.set_transfer_deadline(Duration::ZERO);
         a.rsr_bulk(&sp, "late", patterned(8 * 1024)).unwrap();
         // The receiver's pull is denied with an empty response: its
         // pending entry drains and it records the abort — no hang, no
@@ -3127,52 +2403,33 @@ mod tests {
     }
 
     #[test]
-    fn gather_with_dead_contributor_times_out_with_event() {
+    fn a_stripe_transfer_past_the_deadline_is_evicted_with_an_event() {
         let f = fabric();
-        let root = f.create_context().unwrap();
-        let w1 = f.create_context().unwrap();
-        let fired = Arc::new(AtomicU32::new(0));
-        let fc = Arc::clone(&fired);
-        root.register_gather("halfd", 2, move |_, _| {
-            fc.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        let ep = root.create_endpoint();
-        let sp = root.startpoint_to(ep).unwrap();
-        // Contributor 0 reports; contributor 1 is dead and never will.
-        w1.gather(&sp, "halfd", 2, 0, 0, patterned(16)).unwrap();
-        root.set_idle_timeout(Duration::ZERO);
-        // The periodic sweep (every 64th pass) evicts the half-complete
-        // round and surfaces the timeout instead of leaking the slots.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let timed_out = loop {
-            let found = event_kinds(&root).iter().any(|k| {
-                matches!(
-                    k,
-                    TraceEventKind::GatherTimeout {
-                        received: 1,
-                        expected: 2,
-                        ..
-                    }
-                )
-            });
-            if found {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            let _ = root.progress();
+        let b = f.create_context().unwrap();
+        let ep = b.create_endpoint();
+        // Chunk 0 of a two-chunk transfer; its sender dies before chunk 1.
+        let meta = stripe::StripeMeta {
+            transfer_id: 5,
+            index: 0,
+            total: 2,
+            body_len: 32,
+            offset: 0,
         };
-        assert!(timed_out, "expected a GatherTimeout event");
-        assert_eq!(fired.load(Ordering::Relaxed), 0, "callback must not run");
-        // A full late round still works: registration survives eviction.
-        w1.gather(&sp, "halfd", 2, 0, 1, patterned(16)).unwrap();
-        w1.gather(&sp, "halfd", 2, 1, 1, patterned(16)).unwrap();
-        assert!(root.progress_until(
-            || fired.load(Ordering::Relaxed) == 1,
-            Duration::from_secs(2)
-        ));
+        let mut chunk = meta.to_bytes().to_vec();
+        chunk.extend_from_slice(&[0u8; 16]);
+        let msg = Rsr::new(b.id(), ep, stripe::STRIPE_HANDLER, Bytes::from(chunk));
+        b.deliver(MethodId::MPL, msg).unwrap();
+        let st = b.try_extension::<StripeState>().expect("stripe state");
+        assert_eq!(st.stripes.pending(), 1);
+        b.set_transfer_deadline(Duration::ZERO);
+        // The sweep rides every 64th progress pass.
+        for _ in 0..64 {
+            b.progress().unwrap();
+        }
+        assert!(event_kinds(&b)
+            .iter()
+            .any(|k| matches!(k, TraceEventKind::StripeIdleEvict { transfer_id: 5 })));
+        assert_eq!(st.stripes.pending(), 0);
     }
 
     #[test]
@@ -3182,11 +2439,15 @@ mod tests {
         let b = f.create_context().unwrap();
         let sp = b.startpoint_to(b.create_endpoint()).unwrap();
         for name in ["#stripe", "#gather", "#bulk-get", "#nope"] {
-            let out = a.rsr(&sp, name, Buffer::new());
-            assert!(
-                matches!(&out, Err(NexusError::UnknownHandler(h)) if h == name),
-                "{name}: {out:?}"
-            );
+            for out in [
+                a.rsr(&sp, name, Buffer::new()),
+                a.scatter(&sp, name, Buffer::new()),
+            ] {
+                assert!(
+                    matches!(&out, Err(NexusError::UnknownHandler(h)) if h == name),
+                    "{name}: {out:?}"
+                );
+            }
         }
         for _ in 0..8 {
             b.progress().unwrap();
@@ -3200,12 +2461,17 @@ mod tests {
         let f = fabric();
         let b = f.create_context().unwrap();
         let ep = b.create_endpoint();
-        let out = b.deliver(MethodId::MPL, Rsr::new(b.id(), ep, "#nope", Bytes::new()));
-        assert!(
-            matches!(&out, Err(NexusError::UnknownHandler(h)) if h == "#nope"),
-            "{out:?}"
-        );
+        // `#gather` was a reserved name once; `#bulk-nope` shares the bulk
+        // handlers' prefix. Neither creates a protocol's state.
+        for name in ["#nope", "#gather", "#bulk-nope"] {
+            let out = b.deliver(MethodId::MPL, Rsr::new(b.id(), ep, name, Bytes::new()));
+            assert!(
+                matches!(&out, Err(NexusError::UnknownHandler(h)) if h == name),
+                "{name}: {out:?}"
+            );
+        }
         assert!(b.try_extension::<StripeState>().is_none());
+        assert!(b.try_extension::<BulkState>().is_none());
     }
 
     /// Delivers one `h` RSR to `ep` and reports what ran (see

@@ -54,8 +54,8 @@
 //! | module | role |
 //! |--------|------|
 //! | [`buffer`] | typed put/get data buffers (the RSR payload) |
-//! | [`bulk`] | eager/rendezvous bulk protocol: pull-based zero-copy handles |
-//! | [`context`] | contexts, the fabric, RSR issue/dispatch, forwarding |
+//! | [`bulk`] | eager/rendezvous bulk protocol and its engine: pull-based zero-copy handles, `rsr_bulk`, the pull service |
+//! | [`context`] | contexts, the fabric, selection, failover, progress, RSR issue/dispatch, forwarding, scatter |
 //! | [`descriptor`] | method ids, communication descriptors, mobile tables |
 //! | [`endpoint`] | receive side of links, attached local objects |
 //! | [`startpoint`] | mobile send side: links, multicast, manual selection |
@@ -66,7 +66,7 @@
 //! | [`pool`] | thread-local frame-buffer reuse for the send path |
 //! | [`rsr`] | RSR wire format: encode-once frames, zero-copy decode |
 //! | [`handler`] | handler registration and dispatch |
-//! | [`stripe`] | multi-link striped bulk transfer (rail pattern) |
+//! | [`stripe`] | multi-link striped transfer (rail pattern): chunk format, assembler, `set_striped` |
 //! | [`trace`] | the enquiry instrument: per-method counters, per-link histograms, measured poll-cost EWMAs, event ring |
 //! | [`config`] | resource database + command-line overrides |
 

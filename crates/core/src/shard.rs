@@ -8,7 +8,7 @@
 //!
 //! * every adopted source gets a pool-owned token; its doorbell queues
 //!   the token on the token's home shard (a stride-mixing hash of the
-//!   token — see [`home_of`]) and wakes a parked worker;
+//!   token — see `home_of`) and wakes a parked worker;
 //! * worker `i` drains shard `i` (`pop_local`) as its fast path and
 //!   steals from other shards (`pop_any`) when its own is empty, so a
 //!   retired or slow worker can never strand traffic;

@@ -23,9 +23,8 @@
 //!
 //! Because chunks ride the normal RSR path, every transport — and every
 //! recovery mechanism (failover, forwarding) — works for them unchanged.
-//! `body_len == 0` selects *slot mode* (used by gather): chunks are
-//! collected by index without byte-offset accounting and handed back as
-//! separate parts rather than one contiguous body.
+//! The data sections must tile `body_len` exactly; a chunk claiming an
+//! empty body is refused.
 //!
 //! # Weighted striping
 //!
@@ -46,13 +45,25 @@
 //! storage can be reclaimed), appends the data sections in index order
 //! into a pooled buffer at completion, and recycles its per-transfer slot
 //! vectors through a free list.
+//!
+//! # The context's stripe engine
+//!
+//! [`Context::set_striped`] installs a [`StripedObject`] on a link; the
+//! receiving context files each `#stripe` chunk with its assembler (a
+//! context extension) and re-dispatches the reassembled RSR. Transfers
+//! idle past [`Context::set_transfer_deadline`] are evicted by the
+//! progress loop's sweep, each as a
+//! [`TraceEventKind::StripeIdleEvict`] event.
 
-use crate::descriptor::MethodId;
+use crate::context::{Context, ContextId};
+use crate::descriptor::{DescriptorTable, MethodId};
 use crate::error::{NexusError, Result};
 use crate::module::{send_parts_fallback, CommObject, Staged};
 use crate::pool;
 use crate::rsr::{HandlerName, Rsr, WireFrame};
-use crate::trace::{LinkMethodTrace, Trace};
+use crate::selection;
+use crate::startpoint::Startpoint;
+use crate::trace::{LinkMethodTrace, Trace, TraceEventKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -64,9 +75,6 @@ use std::time::{Duration, Instant};
 /// `'#'` are intercepted by `Context::dispatch` before endpoint lookup and
 /// cannot be registered by applications.
 pub const STRIPE_HANDLER: &str = "#stripe";
-
-/// Reserved handler name carrying gather contributions (slot mode).
-pub const GATHER_HANDLER: &str = "#gather";
 
 /// Encoded size of [`StripeMeta`].
 pub const META_LEN: usize = 8 + 2 + 2 + 4 + 4;
@@ -108,12 +116,6 @@ pub fn stripe_handler() -> HandlerName {
     interned(&H, STRIPE_HANDLER)
 }
 
-/// The interned [`GATHER_HANDLER`].
-pub fn gather_handler() -> HandlerName {
-    static H: OnceLock<HandlerName> = OnceLock::new();
-    interned(&H, GATHER_HANDLER)
-}
-
 // ---------------------------------------------------------------------------
 // Chunk metadata
 // ---------------------------------------------------------------------------
@@ -122,16 +124,15 @@ pub fn gather_handler() -> HandlerName {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeMeta {
     /// Identifies the transfer this chunk belongs to. Unique per sending
-    /// process; gather mixes a collective name hash with the round.
+    /// process.
     pub transfer_id: u64,
     /// This chunk's position, `0..total`.
     pub index: u16,
     /// Total chunks in the transfer (≤ [`MAX_CHUNKS`]).
     pub total: u16,
-    /// Reassembled body length in bytes, or 0 for slot mode (gather).
+    /// Reassembled body length in bytes (never 0).
     pub body_len: u32,
-    /// Byte offset of this chunk's data within the body; in slot mode the
-    /// field is repurposed as an application tag (gather: the round).
+    /// Byte offset of this chunk's data within the body.
     pub offset: u32,
 }
 
@@ -515,8 +516,7 @@ struct AssemblerState {
 }
 
 /// A fully received transfer, ready to be turned into a contiguous body
-/// ([`StripeAssembler::assemble_body`]) or per-chunk parts
-/// ([`StripeAssembler::take_parts`]).
+/// ([`StripeAssembler::assemble_body`]).
 pub struct CompleteTransfer {
     /// The transfer id the chunks carried.
     pub transfer_id: u64,
@@ -554,15 +554,12 @@ impl StripeAssembler {
         self.inner.lock().transfers.len()
     }
 
-    /// Concatenates a stripe-mode transfer's data sections, in index
-    /// order, into one pooled contiguous body. Validates that the chunk
-    /// offsets tile `body_len` exactly (no gaps, no overlap) and recycles
-    /// the chunk payload storage and the slot vector.
+    /// Concatenates a transfer's data sections, in index order, into one
+    /// pooled contiguous body. Validates that the chunk offsets tile
+    /// `body_len` exactly (no gaps, no overlap) and recycles the chunk
+    /// payload storage and the slot vector.
     pub fn assemble_body(&self, mut t: CompleteTransfer) -> Result<Bytes> {
         let run = |t: &mut CompleteTransfer| -> Result<Bytes> {
-            if t.body_len == 0 {
-                return Err(NexusError::Decode("slot-mode transfer has no body"));
-            }
             let mut buf = pool::take(t.body_len as usize);
             let mut expect = 0u32;
             for slot in t.slots.iter_mut() {
@@ -587,23 +584,6 @@ impl StripeAssembler {
         out
     }
 
-    /// Takes a slot-mode (gather) transfer apart: returns the shared
-    /// application tag ([`StripeMeta::offset`] of chunk 0) and one data
-    /// view per chunk, in index order.
-    pub fn take_parts(&self, mut t: CompleteTransfer) -> Result<(u32, Vec<Bytes>)> {
-        let mut parts = Vec::with_capacity(t.slots.len());
-        let mut tag = 0u32;
-        for (i, slot) in t.slots.iter_mut().enumerate() {
-            let payload = slot.take().ok_or(NexusError::Decode("missing chunk"))?;
-            if i == 0 {
-                tag = StripeMeta::parse(&payload)?.offset;
-            }
-            parts.push(payload.slice(META_LEN..payload.len()));
-        }
-        self.give_slots(t.slots);
-        Ok((tag, parts))
-    }
-
     fn give_slots(&self, mut slots: Vec<Option<Bytes>>) {
         slots.clear();
         let mut state = self.inner.lock();
@@ -615,41 +595,24 @@ impl StripeAssembler {
     /// Evicts incomplete transfers whose most recent chunk arrived more
     /// than `max_idle` ago — the remains of a sender (or rail) that died
     /// mid-stream — recycling their slot storage. Returns the evicted
-    /// transfers' identity and progress so the caller can surface trace
-    /// events. Intended to be called from a periodic progress sweep, not
-    /// the ingest path.
-    pub fn sweep_idle(&self, max_idle: Duration) -> Vec<EvictedTransfer> {
+    /// transfer ids so the caller can surface trace events. Intended to be
+    /// called from a periodic progress sweep, not the ingest path.
+    pub fn sweep_idle(&self, max_idle: Duration) -> Vec<u64> {
         let now = Instant::now();
         let mut state = self.inner.lock();
-        let stale: Vec<EvictedTransfer> = state
+        let stale: Vec<u64> = state
             .transfers
             .iter()
             .filter(|(_, t)| now.duration_since(t.last_arrival) >= max_idle)
-            .map(|(&id, t)| EvictedTransfer {
-                transfer_id: id,
-                received: t.received.count_ones() as u16,
-                total: t.total,
-            })
+            .map(|(&id, _)| id)
             .collect();
-        for ev in &stale {
-            if let Some(t) = state.transfers.remove(&ev.transfer_id) {
+        for id in &stale {
+            if let Some(t) = state.transfers.remove(id) {
                 recycle(&mut state, t.slots);
             }
         }
         stale
     }
-}
-
-/// Identity and progress of a transfer evicted by
-/// [`StripeAssembler::sweep_idle`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictedTransfer {
-    /// The transfer id the chunks carried.
-    pub transfer_id: u64,
-    /// Chunks that had arrived before the eviction.
-    pub received: u16,
-    /// Chunks the transfer was waiting for.
-    pub total: u16,
 }
 
 /// The assembler ingest path (a registered `hot-path-alloc` and
@@ -663,12 +626,14 @@ fn stripe_drain(state: &mut AssemblerState, payload: Bytes) -> Result<Option<Com
     if meta.index >= meta.total {
         return Err(NexusError::Decode("stripe chunk index out of range"));
     }
-    let data_len = (payload.len() - META_LEN) as u32;
-    if meta.body_len > 0 {
-        match meta.offset.checked_add(data_len) {
-            Some(end) if end <= meta.body_len => {}
-            _ => return Err(NexusError::Decode("stripe chunk exceeds body length")),
-        }
+    if meta.body_len == 0 {
+        return Err(NexusError::Decode("stripe chunk claims an empty body"));
+    }
+    let data_len = u32::try_from(payload.len() - META_LEN)
+        .map_err(|_| NexusError::Decode("stripe chunk exceeds body length"))?;
+    match meta.offset.checked_add(data_len) {
+        Some(end) if end <= meta.body_len => {}
+        _ => return Err(NexusError::Decode("stripe chunk exceeds body length")),
     }
     // Lazily drop arrival-order entries for transfers that already
     // completed (or were evicted), so the deque stays bounded by the
@@ -717,7 +682,7 @@ fn stripe_drain(state: &mut AssemblerState, payload: Bytes) -> Result<Option<Com
         pool::reclaim(payload);
         return Ok(None);
     }
-    if t.body_len > 0 && t.filled + data_len > t.body_len {
+    if u64::from(t.filled) + u64::from(data_len) > u64::from(t.body_len) {
         let t = state.transfers.remove(&meta.transfer_id).expect("present");
         recycle(state, t.slots);
         return Err(NexusError::Decode("stripe transfer overflows its body"));
@@ -731,6 +696,12 @@ fn stripe_drain(state: &mut AssemblerState, payload: Bytes) -> Result<Option<Com
         return Ok(None);
     }
     let t = state.transfers.remove(&meta.transfer_id).expect("present");
+    if t.filled != t.body_len {
+        // Every chunk arrived but the data falls short of the claimed
+        // body: refused here, so no body is ever sized from the claim.
+        recycle(state, t.slots);
+        return Err(NexusError::Decode("stripe chunks fall short of their body"));
+    }
     Ok(Some(CompleteTransfer {
         transfer_id: meta.transfer_id,
         body_len: t.body_len,
@@ -749,6 +720,99 @@ fn recycle(state: &mut AssemblerState, mut slots: Vec<Option<Bytes>>) {
     slots.clear();
     if state.free_slots.len() < 8 {
         state.free_slots.push(slots);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The context's stripe engine
+// ---------------------------------------------------------------------------
+
+/// Per-context stripe state, attached lazily via [`Context::extension`]:
+/// the assembler for `#stripe` chunks.
+#[derive(Default)]
+pub(crate) struct StripeState {
+    pub(crate) stripes: StripeAssembler,
+}
+
+impl StripeState {
+    /// The stripe half of the deadline sweep: evicts transfers whose
+    /// sender (or rail) went quiet for `deadline`, each as a
+    /// `StripeIdleEvict` event.
+    pub(crate) fn sweep(&self, trace: &Trace, deadline: Duration) {
+        for transfer_id in self.stripes.sweep_idle(deadline) {
+            trace.record_event(TraceEventKind::StripeIdleEvict { transfer_id });
+        }
+    }
+}
+
+impl Context {
+    /// Installs a [`StripedObject`] on each of `sp`'s links that has at
+    /// least two applicable methods: subsequent `rsr` calls on those links
+    /// transparently stripe bodies larger than `cutoff` bytes across every
+    /// applicable method at once (weighted by measured bandwidth), while
+    /// smaller messages pass through whole on the fastest method. Links
+    /// with fewer than two applicable methods are left untouched. Returns
+    /// the number of links striped.
+    ///
+    /// The stripe selection is installed unpinned, so transport failures
+    /// still trigger the normal failover path (the stripe object retries
+    /// chunks over surviving rails internally first), and a later
+    /// [`Startpoint::set_method`]/policy change simply replaces it.
+    pub fn set_striped(&self, sp: &Startpoint, cutoff: usize) -> Result<usize> {
+        let reg = self.registry()?;
+        let mut striped = 0usize;
+        for link in sp.links() {
+            let table = link.table();
+            let methods = selection::applicable_methods(&self.info(), &table, &reg);
+            if methods.len() < 2 {
+                continue;
+            }
+            let rails = self.rails_to(link.target.context, methods, &table)?;
+            let obj = Arc::new(StripedObject::new(rails).with_cutoff(cutoff));
+            self.install_selection(link, MethodId::STRIPE, obj);
+            striped += 1;
+        }
+        Ok(striped)
+    }
+
+    /// One measured rail per method in `methods` (at most [`MAX_RAILS`],
+    /// fastest first), each over the cached connection to `target`.
+    pub(crate) fn rails_to(
+        &self,
+        target: ContextId,
+        methods: Vec<MethodId>,
+        table: &DescriptorTable,
+    ) -> Result<Vec<StripeRail>> {
+        let mut rails = Vec::with_capacity(methods.len().min(MAX_RAILS));
+        for m in methods.into_iter().take(MAX_RAILS) {
+            rails.push(StripeRail {
+                obj: self.connect_cached(target, m, table)?,
+                ltrace: Some(self.trace().link(target, m)),
+                weight: None,
+            });
+        }
+        Ok(rails)
+    }
+
+    /// Consumes one `#stripe` chunk: files it with the assembler and, when
+    /// it completes a transfer, re-dispatches the reassembled message.
+    pub(crate) fn stripe_ingest(&self, arrival: MethodId, msg: Rsr) -> Result<()> {
+        let st = self.extension(StripeState::default);
+        let Some(done) = st.stripes.ingest(msg.payload)? else {
+            return Ok(());
+        };
+        let body = st.stripes.assemble_body(done)?;
+        let inner = Rsr::decode_body(msg.dest, msg.endpoint, msg.ttl, body.clone())?;
+        if inner.handler.as_bytes().first() == Some(&b'#') {
+            // A reassembled body must carry an application handler;
+            // permitting nesting would allow unbounded recursion.
+            return Err(NexusError::Decode("stripe body nests a reserved handler"));
+        }
+        let out = self.dispatch(arrival, inner);
+        // The handler has run and the payload view is dropped: the
+        // reassembled body storage goes back to the pool.
+        pool::reclaim(body);
+        out
     }
 }
 
@@ -1015,11 +1079,7 @@ mod tests {
         assert!(asm.sweep_idle(Duration::from_secs(3600)).is_empty());
         assert_eq!(asm.pending(), 1);
         // A zero timeout treats it as idle: slots reclaimed, id reported.
-        let evicted = asm.sweep_idle(Duration::ZERO);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].transfer_id, 21);
-        assert_eq!(evicted[0].received, 2);
-        assert_eq!(evicted[0].total, 3);
+        assert_eq!(asm.sweep_idle(Duration::ZERO), vec![21]);
         assert_eq!(asm.pending(), 0);
         // The late final chunk now starts a fresh (incomplete) transfer
         // instead of resurrecting freed slots.
@@ -1035,27 +1095,6 @@ mod tests {
         assert_eq!(&asm.assemble_body(t).unwrap()[..], &body[..]);
         // Completed transfers are gone already; nothing for the sweep.
         assert!(asm.sweep_idle(Duration::ZERO).is_empty());
-    }
-
-    #[test]
-    fn slot_mode_returns_parts_and_tag() {
-        let asm = StripeAssembler::new();
-        let meta = |index, offset| StripeMeta {
-            transfer_id: 77,
-            index,
-            total: 3,
-            body_len: 0,
-            offset,
-        };
-        asm.ingest(chunk(meta(2, 5), b"cc")).unwrap();
-        asm.ingest(chunk(meta(0, 5), b"a")).unwrap();
-        let done = asm.ingest(chunk(meta(1, 5), b"bb")).unwrap().unwrap();
-        let (tag, parts) = asm.take_parts(done).unwrap();
-        assert_eq!(tag, 5);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(&parts[0][..], b"a");
-        assert_eq!(&parts[1][..], b"bb");
-        assert_eq!(&parts[2][..], b"cc");
     }
 
     // -- StripedObject ------------------------------------------------------

@@ -387,21 +387,12 @@ pub enum TraceEventKind {
         /// Registry id of the cancelled region.
         region: u64,
     },
-    /// A partially assembled striped transfer idled past the sweep
-    /// timeout (sender died mid-stream) and its slots were reclaimed.
+    /// A partially assembled striped transfer idled past the context's
+    /// transfer deadline (sender died mid-stream) and its slots were
+    /// reclaimed.
     StripeIdleEvict {
         /// Transfer id of the evicted assembly.
         transfer_id: u64,
-    },
-    /// A slot-mode gather round timed out with contributions missing and
-    /// was evicted instead of blocking forever.
-    GatherTimeout {
-        /// Mixed transfer id of the abandoned round.
-        transfer_id: u64,
-        /// Contributions received before the deadline.
-        received: u16,
-        /// Contributions the round was waiting for.
-        expected: u16,
     },
 }
 
@@ -453,16 +444,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEventKind::StripeIdleEvict { transfer_id } => {
                 write!(f, "idle stripe transfer {transfer_id:#x} evicted")
-            }
-            TraceEventKind::GatherTimeout {
-                transfer_id,
-                received,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "gather round {transfer_id:#x} timed out ({received}/{expected} contributions)"
-                )
             }
         }
     }

@@ -26,7 +26,7 @@
 //!   delivering hot visit is one `read`;
 //! * the first visit of a hot source that comes back empty-handed puts
 //!   it to **rest**: it still keeps itself on the ready list, but for
-//!   [`REST`] — one cold round — its visits make no syscall at all;
+//!   `REST` (10 µs, one cold round) its visits make no syscall at all;
 //! * the first visit after the rest reads once more: bytes make the
 //!   source hot again, nothing re-arms every fd with `EPOLL_CTL_MOD`
 //!   (`ADD` for fds the kernel has not seen — freshly accepted

@@ -1,6 +1,6 @@
 //! `nexus-lint`: machine-checked invariants for the multimethod runtime.
 //!
-//! Two engines, both free of external dependencies:
+//! Three engines, all free of external dependencies:
 //!
 //! * [`lint`] — a source-level analyzer that enforces the domain
 //!   invariants `clippy` cannot see: `// SAFETY:` comments on `unsafe`,
@@ -14,6 +14,9 @@
 //!   `Ewma`, the event ring) with exhaustive two-thread schedules and
 //!   seeded randomized N-thread schedules, failing with a replayable
 //!   seed.
+//! * [`size`] — the size ratchet: counts the library's non-test lines and
+//!   the other tracked sizes against a committed budget.
 
 pub mod lint;
 pub mod model;
+pub mod size;

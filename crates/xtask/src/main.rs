@@ -5,6 +5,7 @@
 //!                             [--list-rules]
 //! cargo run -p xtask -- model [--schedules N] [--seed S] [--threads T]
 //!                             [--check NAME] [--schedule DIGITS] [--list-checks]
+//! cargo run -p xtask -- size
 //! ```
 
 use std::path::PathBuf;
@@ -15,6 +16,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
         Some("model") => run_model(&args[1..]),
+        Some("size") => run_size(),
         Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -28,13 +30,15 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-nexus-lint: workspace invariant checker + bounded-interleaving model checker
+nexus-lint: workspace invariant checker, bounded-interleaving model checker
+and size ratchet
 
 USAGE:
     cargo run -p xtask -- lint  [--root PATH] [--rule NAME] [--json] [--github]
                                 [--list-rules]
     cargo run -p xtask -- model [--schedules N] [--seed S] [--threads T]
                                 [--check NAME] [--schedule DIGITS] [--list-checks]
+    cargo run -p xtask -- size
 
 Exit code is non-zero when any invariant is violated.
 ";
@@ -206,5 +210,47 @@ fn run_model(args: &[String]) -> ExitCode {
             eprintln!("{failure}");
             ExitCode::FAILURE
         }
+    }
+}
+
+fn run_size() -> ExitCode {
+    use xtask::size;
+    let root = default_root();
+    let budget = std::fs::read_to_string(root.join(size::BUDGET_FILE))
+        .map_err(|e| e.to_string())
+        .and_then(|text| size::parse_budget(&text));
+    let (budget, counts) = match (budget, size::measure(&root)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) => {
+            eprintln!("xtask size: cannot read {}: {e}", size::BUDGET_FILE);
+            return ExitCode::FAILURE;
+        }
+        (_, Err(e)) => {
+            eprintln!("xtask size: cannot scan {}: {e}", root.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    for c in &counts {
+        let b = budget.iter().find(|(k, _)| k == c.name).map(|&(_, b)| b);
+        println!(
+            "{:<24} {:>7}  budget {:>7}",
+            c.name,
+            c.value,
+            b.unwrap_or(0)
+        );
+    }
+    let failures = size::check(&counts, &budget);
+    for f in &failures {
+        println!("size: {f}");
+    }
+    println!(
+        "size: {} count(s), {} failure(s)",
+        counts.len(),
+        failures.len()
+    );
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -233,3 +233,32 @@ fn partial_function_table_is_flagged_with_the_missing_fns() {
         );
     }
 }
+
+/// The call-graph roots the `poll-blocking` and `hot-path-alloc` rules
+/// name for the stripe and bulk engines exist in the workspace: a root
+/// that no longer resolves would silently check nothing.
+#[test]
+fn the_stripe_and_bulk_lint_roots_resolve_in_the_workspace() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = xtask::lint::scan_workspace(&root).unwrap();
+    let files: Vec<&SourceFile> = ws
+        .files
+        .iter()
+        .filter(|f| f.graph)
+        .map(|f| &f.src)
+        .collect();
+    let graph = xtask::lint::callgraph::CallGraph::build(&files);
+    for name in [
+        "rsr_bulk",
+        "bulk_pull_service",
+        "stripe_drain",
+        "striped_send",
+    ] {
+        let reach = graph.reachable_from(name);
+        assert!(
+            reach.contains_key(name),
+            "lint root `{name}` does not resolve"
+        );
+        assert!(reach.len() > 1, "lint root `{name}` reaches nothing");
+    }
+}
