@@ -14,10 +14,17 @@
 //! `cargo run -p nexus-bench --bin all` runs everything and is what
 //! EXPERIMENTS.md records. [`ablation`] quantifies individual design
 //! choices (lightweight startpoints, connection sharing, adaptive
-//! skip_poll) via `--bin ablation`. [`rsrpath`] (`--bin rsrpath`),
-//! [`patterns`] (`--bin patterns`), and [`bulkpath`] (`--bin bulkpath`)
-//! gate the RSR hot path, the collective patterns, and the
-//! eager/rendezvous bulk paths against tracked baselines.
+//! skip_poll) via `--bin ablation`.
+//!
+//! `--bin gate` ([`harness`]) is the regression gate for the three tracked
+//! files. Each file has a scenario table, and each row is gated as a ratio
+//! to a reference measured beside it:
+//!
+//! | tracked file | table | rows | reference |
+//! |--------------|-------|------|-----------|
+//! | `BENCH_rsr.json` | [`rsrpath`] (`gate rsr`) | `Context::rsr` round trip: links × payload, idle sources, worker pool | bare queue `send` + `poll`, no `Context` |
+//! | `BENCH_stripe.json` | [`patterns`] (`gate stripe`) | rail / fan / striped-scatter × links × payload | one-link rail, same payload |
+//! | `BENCH_bulk.json` | [`bulkpath`] (`gate bulk`) | inline / pull-map / pull-wire × payload | `stripe-raw`, same links and payload |
 
 #![warn(missing_docs)]
 
@@ -25,6 +32,7 @@ pub mod ablation;
 pub mod bulkpath;
 pub mod fig4;
 pub mod fig6;
+pub mod harness;
 pub mod overhead;
 pub mod patterns;
 pub mod pollcost;
