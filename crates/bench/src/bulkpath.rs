@@ -105,6 +105,7 @@ pub(crate) fn knee_bytes(rows: &[Row], pull: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::assert_gates;
 
     fn s(name: &str, len: usize, ratio: f64) -> Row {
         Row::new(&format!("{name} links=1 payload={len}"), Some(ratio), 0.0)
@@ -142,5 +143,15 @@ mod tests {
     #[test]
     fn json_roundtrip_through_parser() {
         crate::harness::assert_roundtrips(&table());
+    }
+
+    #[test]
+    fn check_gates_ns_and_allocs_per_scenario() {
+        // Another path at the same shape is another row.
+        assert_gates(
+            &table(),
+            "pull-wire links=1 payload=4096",
+            "inline links=1 payload=4096",
+        );
     }
 }

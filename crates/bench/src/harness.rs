@@ -668,6 +668,55 @@ pub(crate) fn assert_roundtrips(table: &Table) {
     assert_eq!(parse_rows(&doc).unwrap(), rows);
 }
 
+/// The check's table, run on `table`'s row `key` under the table's
+/// same-run check: the ratio gated at the row's tolerance, allocs/op at
+/// the baseline x 1.25 + [`ALLOC_SLACK`], and a row the baseline lacks
+/// (`other`) neither judged nor matched, so a run that matched nothing
+/// fails as a whole.
+#[cfg(test)]
+pub(crate) fn assert_gates(table: &Table, key: &str, other: &str) {
+    // (current ratio, its tolerance, current allocs, baseline ratio,
+    // baseline allocs, expected failure substrings)
+    let ok: &[&str] = &[];
+    let cases = [
+        (1.24, TOLERANCE, 0.0, 1.0, 0.0, ok),
+        (1.26, TOLERANCE, 0.0, 1.0, 0.0, &["ratio 1.2600"]),
+        (0.5, TOLERANCE, 0.4, 1.0, 0.0, ok),
+        (0.5, TOLERANCE, 1.0, 1.0, 0.0, &["allocs/op 1.00"]),
+        (
+            2.0,
+            TOLERANCE,
+            30.0,
+            1.0,
+            4.0,
+            &["ratio", "allocs/op 30.00"],
+        ),
+        (9.0, TOLERANCE, 20.5, 8.0, 16.0, ok),
+        (3.9, 3.0, 0.0, 1.0, 0.0, ok),
+        (4.1, 3.0, 0.0, 1.0, 0.0, &["by more than 300 %"]),
+    ];
+    for (ratio, tolerance, allocs, base_ratio, base_allocs, want) in cases {
+        let cur = Row {
+            tolerance,
+            ..Row::new(key, Some(ratio), allocs)
+        };
+        let base = Row::new(key, Some(base_ratio), base_allocs);
+        let fails = check(&[cur], &[base], table.same_run).failures;
+        assert_eq!(fails.len(), want.len(), "{ratio} {allocs}: {fails:?}");
+        for (f, w) in fails.iter().zip(want) {
+            assert!(f.contains(w), "{f} lacks {w}");
+        }
+    }
+    let unknown = check(
+        &[Row::new(other, Some(9e9), 9e9)],
+        &[Row::new(key, Some(1.0), 0.0)],
+        table.same_run,
+    );
+    assert!(unknown.failures.is_empty());
+    assert_eq!(unknown.matched, 0);
+    assert!(unknown.verdict("B.json", TOLERANCE).is_err());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,51 +766,6 @@ mod tests {
             assert!(gate.failures[0].contains("reference did not run"));
             assert!(gate.verdict("B.json", TOLERANCE).is_err());
         }
-    }
-
-    #[test]
-    fn check_table() {
-        // (current ratio, its tolerance, current allocs, baseline ratio,
-        // baseline allocs, expected failure substrings)
-        let ok: &[&str] = &[];
-        let cases = [
-            (1.24, TOLERANCE, 0.0, 1.0, 0.0, ok),
-            (1.26, TOLERANCE, 0.0, 1.0, 0.0, &["ratio 1.2600"]),
-            (0.5, TOLERANCE, 0.4, 1.0, 0.0, ok),
-            (0.5, TOLERANCE, 1.0, 1.0, 0.0, &["allocs/op 1.00"]),
-            (
-                2.0,
-                TOLERANCE,
-                30.0,
-                1.0,
-                4.0,
-                &["ratio", "allocs/op 30.00"],
-            ),
-            (9.0, TOLERANCE, 20.5, 8.0, 16.0, ok),
-            (3.9, 3.0, 0.0, 1.0, 0.0, ok),
-            (4.1, 3.0, 0.0, 1.0, 0.0, &["by more than 300 %"]),
-        ];
-        for (ratio, tolerance, allocs, base_ratio, base_allocs, want) in cases {
-            let cur = Row {
-                tolerance,
-                ..Row::new("k", Some(ratio), allocs)
-            };
-            let fails = failures(cur, Row::new("k", Some(base_ratio), base_allocs));
-            assert_eq!(fails.len(), want.len(), "{ratio} {allocs}: {fails:?}");
-            for (f, w) in fails.iter().zip(want) {
-                assert!(f.contains(w), "{f} lacks {w}");
-            }
-        }
-        // A row the baseline lacks is neither judged nor matched, so a run
-        // that matched nothing fails as a whole.
-        let unknown = check(
-            &[Row::new("other", Some(9e9), 9e9)],
-            &[Row::new("k", Some(1.0), 0.0)],
-            no_same_run,
-        );
-        assert!(unknown.failures.is_empty());
-        assert_eq!(unknown.matched, 0);
-        assert!(unknown.verdict("B.json", TOLERANCE).is_err());
     }
 
     #[test]

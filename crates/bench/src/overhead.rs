@@ -18,10 +18,11 @@
 use nexus_mpi::{run_world, WorldLayout};
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::{ContextId, Fabric};
+use nexus_rt::descriptor::MethodId;
 use nexus_rt::endpoint::EndpointId;
 use nexus_rt::rsr::{Rsr, WireFrame};
 use nexus_transports::queue::{QueueMedium, QueueObject, QueueReceiver};
-use nexus_transports::register_queue_modules;
+use nexus_transports::{register_queue_modules, TcpModule};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,10 +57,8 @@ fn bare_pingpong(rounds: u64, size: usize) -> f64 {
     use nexus_rt::module::CommReceiver;
     let mut rx_a = QueueReceiver::new(Arc::clone(&medium), ContextId(0));
     let mut rx_b = QueueReceiver::new(Arc::clone(&medium), ContextId(1));
-    let to_b =
-        QueueObject::connect(nexus_rt::descriptor::MethodId::MPL, &medium, ContextId(1)).unwrap();
-    let to_a =
-        QueueObject::connect(nexus_rt::descriptor::MethodId::MPL, &medium, ContextId(0)).unwrap();
+    let to_b = QueueObject::connect(MethodId::MPL, &medium, ContextId(1)).unwrap();
+    let to_a = QueueObject::connect(MethodId::MPL, &medium, ContextId(0)).unwrap();
     let payload = bytes::Bytes::from(vec![0u8; size]);
     let msg_b = Rsr::new(ContextId(1), EndpointId(1), "p", payload.clone());
     let msg_a = Rsr::new(ContextId(0), EndpointId(1), "p", payload);
@@ -89,45 +88,49 @@ fn bare_pingpong(rounds: u64, size: usize) -> f64 {
     elapsed.as_secs_f64() * 1e6 / (2.0 * rounds as f64)
 }
 
-/// Nexus RSR ping-pong between two contexts on two threads.
+/// Nexus RSR ping-pong between two queue-transport contexts.
 fn rsr_pingpong(rounds: u64, size: usize) -> f64 {
     let fabric = Fabric::new();
     register_queue_modules(&fabric);
+    pingpong(fabric, false, rounds, size, |delivered| {
+        if !delivered {
+            std::thread::yield_now();
+        }
+    })
+}
+
+/// Ping-pong of `size`-byte RSRs between two contexts of `fabric` on two
+/// threads: B's handler echoes every ping back to A, and A waits for each
+/// pong. With `blocking`, both receive TCP on a blocking thread. B's
+/// thread calls `nap` after each progress pass, with whether the pass
+/// delivered anything. Returns one-way µs.
+fn pingpong(fabric: Fabric, blocking: bool, rounds: u64, size: usize, nap: fn(bool)) -> f64 {
     let a = fabric.create_context().unwrap();
     let b = fabric.create_context().unwrap();
+    if blocking {
+        a.start_blocking_poller(MethodId::TCP).unwrap();
+        b.start_blocking_poller(MethodId::TCP).unwrap();
+    }
     let count = Arc::new(AtomicU64::new(0));
-
-    let ep_a = a.create_endpoint();
-    let sp_to_a = a.startpoint_to(ep_a).unwrap();
-    let ep_b = b.create_endpoint();
-    let sp_to_b = b.startpoint_to(ep_b).unwrap();
-
-    // B echoes every ping back to A.
-    {
-        let b_ctx = Arc::clone(&b);
-        let sp = sp_to_a.clone();
-        b.register_handler("ping", move |args| {
-            let mut reply = Buffer::new();
-            reply.put_raw(args.buffer.as_slice());
-            b_ctx.rsr(&sp, "pong", reply).unwrap();
-        });
-    }
-    {
-        let c = Arc::clone(&count);
-        a.register_handler("pong", move |_| {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-    }
+    let sp_to_a = a.startpoint_to(a.create_endpoint()).unwrap();
+    let sp_to_b = b.startpoint_to(b.create_endpoint()).unwrap();
+    let b_ctx = Arc::clone(&b);
+    b.register_handler("ping", move |args| {
+        let mut reply = Buffer::new();
+        reply.put_raw(args.buffer.as_slice());
+        b_ctx.rsr(&sp_to_a, "pong", reply).unwrap();
+    });
+    let c = Arc::clone(&count);
+    a.register_handler("pong", move |_| {
+        c.fetch_add(1, Ordering::Relaxed);
+    });
 
     let stop = Arc::new(AtomicBool::new(false));
     let b_thread = {
         let stop = Arc::clone(&stop);
-        let b = Arc::clone(&b);
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                if !matches!(b.progress(), Ok(n) if n > 0) {
-                    std::thread::yield_now();
-                }
+                nap(matches!(b.progress(), Ok(n) if n > 0));
             }
         })
     };
@@ -140,8 +143,7 @@ fn rsr_pingpong(rounds: u64, size: usize) -> f64 {
         let mut buf = Buffer::with_capacity(size);
         buf.put_raw(&payload);
         a.rsr(&sp_to_b, "ping", buf).unwrap();
-        let target = i + 1;
-        while count.load(Ordering::Relaxed) < target {
+        while count.load(Ordering::Relaxed) < i + 1 {
             if !matches!(a.progress(), Ok(n) if n > 0) {
                 std::thread::yield_now();
             }
@@ -210,68 +212,17 @@ pub fn format(r: &OverheadResult) -> String {
 /// poll rotation; returns (one-way µs with polling, one-way µs with a
 /// blocking thread) for a TCP ping-pong.
 pub fn blocking_poller_comparison(rounds: u64) -> (f64, f64) {
-    fn tcp_pingpong(rounds: u64, blocking: bool) -> f64 {
+    let tcp_pingpong = |blocking: bool| {
         let fabric = Fabric::new();
-        fabric
-            .registry()
-            .register(Arc::new(nexus_transports::TcpModule::new()));
-        let a = fabric.create_context().unwrap();
-        let b = fabric.create_context().unwrap();
-        if blocking {
-            a.start_blocking_poller(nexus_rt::descriptor::MethodId::TCP)
-                .unwrap();
-            b.start_blocking_poller(nexus_rt::descriptor::MethodId::TCP)
-                .unwrap();
-        }
-        let count = Arc::new(AtomicU64::new(0));
-        let ep_a = a.create_endpoint();
-        let sp_to_a = a.startpoint_to(ep_a).unwrap();
-        let ep_b = b.create_endpoint();
-        let sp_to_b = b.startpoint_to(ep_b).unwrap();
-        {
-            let b_ctx = Arc::clone(&b);
-            let sp = sp_to_a.clone();
-            b.register_handler("ping", move |_| {
-                b_ctx.rsr(&sp, "pong", Buffer::new()).unwrap();
-            });
-        }
-        {
-            let c = Arc::clone(&count);
-            a.register_handler("pong", move |_| {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let b_thread = {
-            let stop = Arc::clone(&stop);
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = b.progress();
-                    if !blocking {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                }
-            })
+        fabric.registry().register(Arc::new(TcpModule::new()));
+        let nap: fn(bool) = if blocking {
+            |_| std::thread::sleep(Duration::from_micros(50))
+        } else {
+            |_| std::thread::yield_now()
         };
-        let start = Instant::now();
-        for i in 0..rounds {
-            a.rsr(&sp_to_b, "ping", Buffer::new()).unwrap();
-            while count.load(Ordering::Relaxed) < i + 1 {
-                if !matches!(a.progress(), Ok(n) if n > 0) {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        b_thread.join().unwrap();
-        fabric.shutdown();
-        elapsed.as_secs_f64() * 1e6 / (2.0 * rounds as f64)
-    }
-    (tcp_pingpong(rounds, false), tcp_pingpong(rounds, true))
+        pingpong(fabric, blocking, rounds, 0, nap)
+    };
+    (tcp_pingpong(false), tcp_pingpong(true))
 }
 
 #[cfg(test)]

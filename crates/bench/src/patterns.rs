@@ -72,6 +72,7 @@ pub(crate) fn table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::assert_gates;
 
     #[test]
     fn smoke_run_covers_every_pattern() {
@@ -97,5 +98,15 @@ mod tests {
     #[test]
     fn json_roundtrip_through_parser() {
         crate::harness::assert_roundtrips(&table());
+    }
+
+    #[test]
+    fn check_gates_ns_and_allocs_per_pattern() {
+        // Another pattern at the same shape is another row.
+        assert_gates(
+            &table(),
+            "rail links=2 payload=4096",
+            "fan links=2 payload=4096",
+        );
     }
 }

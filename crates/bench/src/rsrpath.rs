@@ -328,6 +328,22 @@ mod tests {
     }
 
     #[test]
+    fn check_flags_ns_regression_only_beyond_tolerance() {
+        // Data-path rows are gated at +25 %, pool rows at +300 %.
+        for case in &table().cases {
+            let pool = !case.key.ends_with("workers=0");
+            let want = if pool { POOL_TOLERANCE } else { TOLERANCE };
+            assert_eq!(case.tolerance, want, "{}", case.key);
+        }
+        crate::harness::assert_gates(&table(), &key(4096, 16, 0, 2), &key(1, 16, 0, 0));
+    }
+
+    #[test]
+    fn check_flags_alloc_regression_and_ignores_unknown_scenarios() {
+        crate::harness::assert_gates(&table(), &key(1, 16, 0, 0), &key(8, 16, 0, 0));
+    }
+
+    #[test]
     fn check_fails_a_4096_idle_row_past_twice_the_same_runs_1_idle_row() {
         let base = [idle_row(1, 10.0), idle_row(4096, 20.0)];
         // Ratios within the baseline's tolerance: only the same-run
