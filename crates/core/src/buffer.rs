@@ -306,7 +306,6 @@ impl Buffer {
     /// [`Buffer::get_bytes`] on hot paths, which returns a view instead.
     pub fn get_raw(&mut self, len: usize) -> Result<Vec<u8>> {
         self.check(len)?;
-        // lint:allow(hot-path-alloc) get_raw's contract is an owned copy; hot paths use get_bytes
         let v = self.bytes()[self.read..self.read + len].to_vec();
         self.read += len;
         Ok(v)

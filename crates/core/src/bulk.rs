@@ -685,7 +685,6 @@ impl Context {
         let best = self.connect_cached(target, first, &table)?;
         let map = best.supports_region_map();
         let rails = if map {
-            // lint:allow(hot-path-alloc) empty Vec never allocates; route construction runs once per cache miss (connect time)
             Vec::new()
         } else {
             self.rails_to(target, methods, &table)?

@@ -701,7 +701,6 @@ impl Context {
             link.last_round.store(round, Ordering::Relaxed);
             None
         };
-        // lint:allow(hot-path-alloc) empty Vec never allocates; it only grows after a send error
         let mut failed: Vec<MethodId> = Vec::new();
         loop {
             let sel = if failed.is_empty() {
@@ -1309,12 +1308,6 @@ impl Context {
                 }
             }
         }
-    }
-
-    /// Worker-pool snapshot of per-shard service counters, if workers
-    /// are running.
-    pub fn worker_stats(&self) -> Option<Vec<crate::shard::ShardSnapshot>> {
-        self.workers.lock().as_ref().map(|p| p.shard_stats())
     }
 
     /// Removes this context's armed readiness-tier sources from the

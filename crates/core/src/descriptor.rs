@@ -203,7 +203,6 @@ impl DescriptorTable {
     pub fn encode(&self, buf: &mut Buffer) {
         buf.put_u16(self.entries.len() as u16);
         for e in &self.entries {
-            // lint:allow(hot-path-alloc) descriptor-table packing runs at connect/pack time, not per message
             e.encode(buf);
         }
     }

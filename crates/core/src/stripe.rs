@@ -309,11 +309,6 @@ impl StripedObject {
         self.min_chunk.store(min_chunk.max(1), Ordering::Relaxed);
         self
     }
-
-    /// Number of rails.
-    pub fn rail_count(&self) -> usize {
-        self.rails.len()
-    }
 }
 
 impl CommObject for StripedObject {
@@ -360,7 +355,8 @@ impl CommObject for StripedObject {
     // responsible for invalidating it.
 }
 
-/// The stripe send path (a registered `hot-path-alloc` lint root).
+/// The stripe send path (a `poll-blocking` lint root and a row of the
+/// allocation census, `tests/alloc_census.rs`).
 ///
 /// Splits the encode-once frame body into weighted chunks, each sent as its
 /// data slice headed by its `StripeMeta` ([`CommObject::transfer`]).
@@ -615,8 +611,8 @@ impl StripeAssembler {
     }
 }
 
-/// The assembler ingest path (a registered `hot-path-alloc` and
-/// `poll-blocking` lint root): validates one chunk against its transfer,
+/// The assembler ingest path (a `poll-blocking` lint root and a row of
+/// the allocation census): validates one chunk against its transfer,
 /// files it, and extracts the transfer once every chunk has arrived.
 fn stripe_drain(state: &mut AssemblerState, payload: Bytes) -> Result<Option<CompleteTransfer>> {
     let meta = StripeMeta::parse(&payload)?;

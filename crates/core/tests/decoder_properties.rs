@@ -1,8 +1,9 @@
-//! Decoder totality for the stripe and bulk wire formats.
+//! Decoder totality for the RSR frame and the stripe and bulk wire formats.
 //!
-//! Arbitrary bytes, and valid chunks or announces with one field broken,
-//! fed to `StripeAssembler::ingest`, `BulkHandle::parse` and
-//! `bulk::parse_announce`, must come back as `Err` — never a panic, and
+//! Arbitrary bytes, and valid frames, chunks or announces with one field
+//! broken, fed to `Rsr::decode_shared`, `StripeAssembler::ingest`,
+//! `BulkHandle::parse` and `bulk::parse_announce`, must come back as
+//! `Err` — never a panic, and
 //! never an allocation sized from a length the bytes merely claim. A
 //! global allocator records the largest single request the process makes;
 //! every input here is at most a few hundred bytes, so an allocation sized
@@ -11,6 +12,8 @@
 use bytes::Bytes;
 use nexus_rt::bulk::{parse_announce, BulkHandle, HANDLE_LEN};
 use nexus_rt::context::ContextId;
+use nexus_rt::endpoint::EndpointId;
+use nexus_rt::rsr::{Rsr, HEADER_LEN};
 use nexus_rt::stripe::{StripeAssembler, StripeMeta, MAX_CHUNKS, META_LEN};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -126,8 +129,94 @@ fn broken_chunk(kind: u8, valid: StripeMeta, data: &[u8], noise: u32) -> Bytes {
     chunk(meta, data)
 }
 
+/// A valid frame carrying `payload` to handler `name` (letters, from
+/// `0..26` codes).
+fn frame(name: &[u8], payload: &[u8]) -> Vec<u8> {
+    let name: String = name.iter().map(|&c| char::from(b'a' + c % 26)).collect();
+    Rsr::new(
+        ContextId(4),
+        EndpointId(9),
+        &name,
+        Bytes::copy_from_slice(payload),
+    )
+    .encode()
+    .to_vec()
+}
+
+/// One broken field of a valid frame (see `broken_frame`).
+const FRAME_MUTATIONS: u8 = 6;
+
+/// The valid frame `v` (non-empty handler name) with one field broken by
+/// mutation `kind`.
+fn broken_frame(kind: u8, mut v: Vec<u8>, noise: u32) -> Vec<u8> {
+    // The body follows the header: `hlen` (u16), the name, `plen` (u32),
+    // the payload.
+    let at = HEADER_LEN;
+    let hlen = usize::from(u16::from_le_bytes([v[at], v[at + 1]]));
+    let plen_at = at + 2 + hlen;
+    match kind {
+        // A bad tag: the magic byte is not the RSR's.
+        0 => v[0] ^= 1 + (noise % 255) as u8,
+        // `hlen` points past the end of the frame.
+        1 => {
+            let past = (v.len() - at - 2 + 1 + noise as usize % 1000) as u16;
+            v[at..at + 2].copy_from_slice(&past.to_le_bytes());
+        }
+        // Truncated anywhere, the header included.
+        2 => v.truncate(noise as usize % v.len()),
+        // `plen` claims more or fewer bytes than follow it.
+        3 => {
+            let plen = u32::from_le_bytes(v[plen_at..plen_at + 4].try_into().unwrap());
+            let wrong = plen ^ (1 + noise % u32::from(u16::MAX));
+            v[plen_at..plen_at + 4].copy_from_slice(&wrong.to_le_bytes());
+        }
+        // A byte after the payload.
+        4 => v.push(noise as u8),
+        // The handler name is not UTF-8.
+        _ => v[at + 2] = 0xFF,
+    }
+    v
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes never panic `Rsr::decode_shared`; half the cases
+    /// carry the RSR magic, to get past the first check. The decoder
+    /// accepts only a real frame: what it returns encodes back to exactly
+    /// the bytes it was given.
+    #[test]
+    fn arbitrary_frame_bytes_are_total(
+        raw in proptest::collection::vec(any::<u8>(), 0..96),
+        magic in any::<bool>(),
+    ) {
+        let mut raw = raw;
+        if magic && !raw.is_empty() {
+            raw[0] = frame(&[0], &[])[0];
+        }
+        if let Ok(rsr) = Rsr::decode_shared(Bytes::from(raw.clone())) {
+            prop_assert_eq!(&rsr.encode()[..], &raw[..]);
+        }
+        assert_no_claimed_allocation();
+    }
+
+    /// Every mutation class of a valid frame is refused with `Err`.
+    #[test]
+    fn mutated_frames_are_refused(
+        kind in 0u8..FRAME_MUTATIONS,
+        name in proptest::collection::vec(0u8..26, 1..12),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        noise in any::<u32>(),
+    ) {
+        let valid = frame(&name, &payload);
+        prop_assert!(Rsr::decode_shared(Bytes::from(valid.clone())).is_ok());
+        let bad = broken_frame(kind, valid, noise);
+        prop_assert!(
+            Rsr::decode_shared(Bytes::from(bad)).is_err(),
+            "mutation {kind} accepted"
+        );
+        assert_no_claimed_allocation();
+    }
 
     /// Arbitrary bytes — including valid-looking headers with arbitrary
     /// fields — never panic the assembler or size a body from a claim.

@@ -114,7 +114,6 @@ impl QueueDescriptor {
         b.put_u32(info.id.0);
         b.put_u32(info.node.0);
         b.put_u32(info.partition.0);
-        // lint:allow(hot-path-alloc) descriptor construction runs once at module open
         CommDescriptor::new(method, b.into_bytes().to_vec())
     }
 

@@ -362,7 +362,6 @@ impl SenderShared {
         let base_rto = self.rto_ms.load(Ordering::Relaxed).max(1);
         let max_retries = self.max_retries.load(Ordering::Relaxed);
         let now = Instant::now();
-        // lint:allow(hot-path-alloc) empty Vec never allocates; it only fills on packet loss
         let mut to_retransmit = Vec::new();
         let mut died = false;
         {

@@ -322,7 +322,6 @@ const HELLO_MAX: usize = 64;
 /// listen address`.
 fn hello(listener: SocketAddr) -> Vec<u8> {
     let addr = listener.to_string();
-    // lint:allow(hot-path-alloc) one hello per dialled connection, written at connect time
     let mut frame = ((1 + addr.len()) as u32).to_le_bytes().to_vec();
     frame.push(HELLO);
     frame.extend_from_slice(addr.as_bytes());

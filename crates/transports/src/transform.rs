@@ -151,7 +151,6 @@ impl PayloadTransform for Checksum {
         if fnv1a(body) != stored {
             return Err(NexusError::Decode("payload checksum mismatch"));
         }
-        // lint:allow(hot-path-alloc) checksum stage strips its trailer; returning a copy is its contract
         Ok(body.to_vec())
     }
 }
@@ -176,17 +175,14 @@ impl PayloadTransform for Chain {
     }
 
     fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        // lint:allow(hot-path-alloc) chain stages rewrite the payload; the copy is the transform's contract
         let mut data = payload.to_vec();
         for s in &self.stages {
-            // lint:allow(hot-path-alloc) each chain stage produces the next payload by contract
             data = s.encode(&data);
         }
         data
     }
 
     fn decode(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        // lint:allow(hot-path-alloc) chain stages rewrite the payload; the copy is the transform's contract
         let mut data = payload.to_vec();
         for s in self.stages.iter().rev() {
             data = s.decode(&data)?;

@@ -140,7 +140,6 @@ impl CommObject for WrapObject {
         // shared frame cannot be reused: the wrapped RSR gets a frame of
         // its own (encoded once, reclaimed after the inner send).
         let wrapped = Rsr {
-            // lint:allow(hot-path-alloc) payload-rewriting transport: producing new bytes is the point
             payload: self.transform.encode(&rsr.payload).into(),
             ..rsr.clone()
         };

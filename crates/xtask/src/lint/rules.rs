@@ -71,16 +71,6 @@ pub const RULES: &[Rule] = &[
         run: rule_poll_blocking,
     },
     Rule {
-        name: "hot-path-alloc",
-        description: "no per-message allocation (to_vec/encode/Vec::new) in functions \
-                      reachable from Context::rsr, PollEngine::poll_once, the \
-                      ready-list drain, the shard worker loop, the socket reactor \
-                      loop, the striped bulk path, the bulk rendezvous path \
-                      (rsr_bulk / bulk_pull_service), or the TCP framing functions \
-                      and vectored writer",
-        run: rule_hot_path_alloc,
-    },
-    Rule {
         name: "module-contract",
         description: "communication modules must implement the full function-table contract",
         run: rule_module_contract,
@@ -647,164 +637,6 @@ fn rule_poll_blocking(ws: &Workspace) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// hot-path-alloc
-// ---------------------------------------------------------------------------
-
-/// Allocation tokens on the RSR data path. The zero-copy contract is that
-/// a steady-state send/poll/dispatch cycle performs **no** allocator calls:
-/// frames are encoded once into pooled storage, decode borrows, and the
-/// progress pass reuses a thread-local outcome. These tokens are the ways
-/// that contract has regressed before.
-const ALLOC_TOKENS: &[(&str, &str)] = &[
-    (".to_vec()", "`.to_vec()` copies into a fresh allocation"),
-    (
-        ".encode(",
-        "eager `.encode()` builds a new frame instead of reusing the shared one",
-    ),
-    ("Vec::new", "`Vec::new` grows into a per-message allocation"),
-];
-
-fn rule_hot_path_alloc(ws: &Workspace) -> Vec<Diagnostic> {
-    let graph_files: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|cf| cf.graph)
-        .map(|cf| &cf.src)
-        .collect();
-    if graph_files.is_empty() {
-        return Vec::new();
-    }
-    let graph = CallGraph::build(&graph_files);
-    // Both halves of the data path: `Context::rsr` (send) and
-    // `PollEngine::poll_once` (receive; `progress` reaches the same set
-    // through `poll_once_into`). The ready-list drain is additionally a
-    // root of its own: the doorbell tier's whole point is 0 allocs/RSR
-    // with thousands of armed sources, and that must not silently lapse
-    // if the drain is ever called from outside `poll_once`.
-    let mut reach = graph.reachable_from("rsr");
-    for (name, path) in graph.reachable_from("poll_once") {
-        reach.entry(name).or_insert(path);
-    }
-    for (name, path) in graph.reachable_from("drain_ready") {
-        reach.entry(name).or_insert(path);
-    }
-    // The sharded dispatch loop and the socket reactor service the same
-    // per-RSR work from their own threads; steady state on both must be
-    // allocation-free for the same reason as the drain.
-    for (name, path) in graph.reachable_from("shard_worker_loop") {
-        reach.entry(name).or_insert(path);
-    }
-    for (name, path) in graph.reachable_from("reactor_loop") {
-        reach.entry(name).or_insert(path);
-    }
-    // The striped bulk path's own halves: `striped_send` must stay
-    // encode-once (chunk tails borrow the shared body; combine buffers
-    // come from the pool) and `stripe_drain` reassembles into recycled
-    // slot vectors. Rooting them keeps the stripe alloc budget (exactly 0
-    // in steady state, pinned by the stripe_alloc_budget test) from
-    // silently lapsing if either stops being reachable from `rsr`.
-    for (name, path) in graph.reachable_from("striped_send") {
-        reach.entry(name).or_insert(path);
-    }
-    for (name, path) in graph.reachable_from("stripe_drain") {
-        reach.entry(name).or_insert(path);
-    }
-    // The bulk rendezvous path's own halves: `rsr_bulk` must stay
-    // pool-backed on the announce (the region itself is a refcount, never
-    // a copy) and `bulk_pull_service` serves pulls by borrowing the
-    // registered region — the mapped answer is a handle pass and the
-    // chunked answer slices it. The steady-state bulk pull is exactly 0
-    // allocs (pinned by the bulk alloc-budget test); rooting both keeps
-    // that from silently lapsing if either leaves the `rsr`/dispatch set.
-    // `connect_cached` paths under the pull service are excluded: a route
-    // miss opens a communication object — connect-time, not per-message.
-    // (`send_with_failover` needs no exclusion here: it is already fully
-    // rooted via `rsr`.)
-    for (name, path) in graph.reachable_from("rsr_bulk") {
-        reach.entry(name).or_insert(path);
-    }
-    for (name, path) in graph.reachable_from("bulk_pull_service") {
-        if path.iter().any(|hop| hop == "connect_cached") {
-            continue;
-        }
-        reach.entry(name).or_insert(path);
-    }
-    // The TCP data path's own halves (ROADMAP 1b's guard): the framing
-    // functions `TcpReceiver::scan` runs per connection — `read_frames`
-    // reads the socket, `cut_frames` cuts the window into frames — and
-    // `send_gathered`, the one vectored writer behind TCP's `transfer`,
-    // plain sends and chunk sends alike. They sit behind trait objects and
-    // the reactor shell, so rooting them keeps the "no user-space copy of
-    // a payload" path checked even if the name links from `poll_once` /
-    // `rsr` ever break.
-    // The writer's staging halves ride along: `stage_frame` copies a frame
-    // into the connection's fixed staging buffer, and the flushes that
-    // empty it — the owner context's `flush_listed`, TCP's `write_staged`
-    // and the backstop's `backstop_visit` — run once per burst on the
-    // sender, the worker and the reactor thread. (`flush` itself is a
-    // stoplisted name, so these names are what links.)
-    for root in [
-        "read_frames",
-        "cut_frames",
-        "send_gathered",
-        "stage_frame",
-        "flush_listed",
-        "write_staged",
-        "backstop_visit",
-    ] {
-        for (name, path) in graph.reachable_from(root) {
-            reach.entry(name).or_insert(path);
-        }
-    }
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    for def in &graph.fns {
-        if def.in_test || !reach.contains_key(&def.name) {
-            continue;
-        }
-        let Some((start, end)) = def.span else {
-            continue;
-        };
-        let f = graph_files[def.file];
-        for line in start..=end.min(f.code.len() - 1) {
-            if f.is_test_line(line) {
-                continue;
-            }
-            for (token, label) in ALLOC_TOKENS {
-                let mut from = 0;
-                while let Some(pos) = f.code[line][from..].find(token) {
-                    let col = from + pos;
-                    from = col + token.len();
-                    if !seen.insert((f.rel.clone(), line, col)) {
-                        continue;
-                    }
-                    let path = reach[&def.name].join(" -> ");
-                    out.push(
-                        Diagnostic::error(
-                            "hot-path-alloc",
-                            format!("{label} on the RSR data path"),
-                            &f.rel,
-                            line,
-                            col,
-                            &f.raw[line],
-                            token.len(),
-                        )
-                        .with_help(format!(
-                            "fn `{}` is reachable from the zero-copy data path \
-                             ({path}); borrow from the shared frame or reuse \
-                             pooled storage instead of allocating per message",
-                            def.name
-                        )),
-                    );
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // module-contract
 // ---------------------------------------------------------------------------
 
@@ -1339,156 +1171,6 @@ mod tests {
             .as_deref()
             .unwrap_or("")
             .contains("rsr_bulk -> announce"));
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_bulk_roots() {
-        // Each bulk half is rooted independently: neither fixture calls
-        // the other or any pre-existing root.
-        let ws = ws_one(
-            "b.rs",
-            "fn rsr_bulk() {\n    pack();\n}\nfn pack() {\n    let v = handle.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("rsr_bulk -> pack"));
-        let ws = ws_one(
-            "b.rs",
-            "fn bulk_pull_service() {\n    answer();\n}\nfn answer() {\n    let v = region.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("bulk_pull_service -> answer"));
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_striped_send_root() {
-        let ws = ws_one(
-            "t.rs",
-            "fn striped_send() {\n    chunk();\n}\nfn chunk() {\n    let v = body.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("striped_send -> chunk"));
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_tcp_framing_and_writer_roots() {
-        // Each root on its own — the staging and flush roots included: no
-        // fixture calls another root.
-        for (root, callee) in [
-            ("read_frames", "grow"),
-            ("cut_frames", "batch"),
-            ("send_gathered", "lead"),
-            ("stage_frame", "append"),
-            ("flush_listed", "drain_owned"),
-            ("write_staged", "gather"),
-            ("backstop_visit", "retry"),
-        ] {
-            let src = format!(
-                "fn {root}() {{\n    {callee}();\n}}\nfn {callee}() {{\n    let v = frame.to_vec();\n}}\n"
-            );
-            let ws = ws_one("t.rs", &src, false, true, true);
-            let diags = rule_hot_path_alloc(&ws);
-            assert_eq!(diags.len(), 1, "{root}: {diags:?}");
-            assert!(diags[0]
-                .help
-                .as_deref()
-                .unwrap_or("")
-                .contains(&format!("{root} -> {callee}")));
-        }
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_shard_worker_root() {
-        let ws = ws_one(
-            "s.rs",
-            "fn shard_worker_loop() {\n    deliver();\n}\nfn deliver() {\n    let v = msg.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("shard_worker_loop -> deliver"));
-    }
-
-    #[test]
-    fn hot_path_alloc_flags_reachable_allocations_only() {
-        let ws = ws_one(
-            "c.rs",
-            "fn rsr() {\n    build();\n}\nfn build() {\n    let v = data.to_vec();\n}\nfn cold() {\n    let v = data.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 5);
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("rsr -> build"));
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_ready_drain_root() {
-        // The doorbell service path must stay allocation-free on its own:
-        // here `drain_ready` is not called from `rsr` or `poll_once`, so
-        // only the dedicated root reaches the allocation.
-        let ws = ws_one(
-            "p.rs",
-            "fn drain_ready() {\n    service();\n}\nfn service() {\n    let v = tok.to_vec();\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0]
-            .help
-            .as_deref()
-            .unwrap_or("")
-            .contains("drain_ready -> service"));
-    }
-
-    #[test]
-    fn hot_path_alloc_covers_the_poll_root_too() {
-        let ws = ws_one(
-            "p.rs",
-            "fn poll_once() {\n    probe();\n}\nfn probe() {\n    let out = Vec::new();\n    let f = msg.encode(x);\n}\n",
-            false,
-            true,
-            true,
-        );
-        let diags = rule_hot_path_alloc(&ws);
-        assert_eq!(diags.len(), 2, "{diags:?}");
     }
 
     #[test]

@@ -234,9 +234,10 @@ fn partial_function_table_is_flagged_with_the_missing_fns() {
     }
 }
 
-/// The call-graph roots the `poll-blocking` and `hot-path-alloc` rules
-/// name for the stripe and bulk engines exist in the workspace: a root
-/// that no longer resolves would silently check nothing.
+/// Every call-graph root of the `poll-blocking` rule exists in the
+/// workspace and reaches something, and each hop the rule cuts paths at
+/// is reached from its root: a root or hop that no longer resolves would
+/// silently check nothing, or stop excluding anything.
 #[test]
 fn the_stripe_and_bulk_lint_roots_resolve_in_the_workspace() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -249,10 +250,15 @@ fn the_stripe_and_bulk_lint_roots_resolve_in_the_workspace() {
         .collect();
     let graph = xtask::lint::callgraph::CallGraph::build(&files);
     for name in [
+        "poll_once",
+        "drain_ready",
+        "reselect_candidate",
+        "shard_worker_loop",
+        "reactor_loop",
+        "striped_send",
+        "stripe_drain",
         "rsr_bulk",
         "bulk_pull_service",
-        "stripe_drain",
-        "striped_send",
     ] {
         let reach = graph.reachable_from(name);
         assert!(
@@ -260,5 +266,15 @@ fn the_stripe_and_bulk_lint_roots_resolve_in_the_workspace() {
             "lint root `{name}` does not resolve"
         );
         assert!(reach.len() > 1, "lint root `{name}` reaches nothing");
+    }
+    for (name, hop) in [
+        ("shard_worker_loop", "deliver"),
+        ("rsr_bulk", "send_with_failover"),
+        ("bulk_pull_service", "connect_cached"),
+    ] {
+        assert!(
+            graph.reachable_from(name).contains_key(hop),
+            "exclusion hop `{hop}` is not reached from lint root `{name}`"
+        );
     }
 }
