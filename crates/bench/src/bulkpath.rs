@@ -14,7 +14,7 @@
 //! one link, so where pull-map's ratio drops under inline's is the
 //! rendezvous knee (`knee_bytes`).
 
-use crate::harness::{Case, Fixture, Op, Pump, Row, Table, TOLERANCE};
+use crate::harness::{Case, Fixture, Op, Pump, Row, Table};
 
 const NOTE: &str = "ratio = ns/op of the row over ns/op of stripe-raw at the same links and \
 payload (plain rsr, striped over the same copying queue rails; at one link set_striped \
@@ -62,7 +62,7 @@ pub(crate) fn table() -> Table {
             cases.push(Case {
                 key: format!("{name} links={links} payload={len}"),
                 reference: format!("stripe-raw links={links} payload={len}"),
-                tolerance: TOLERANCE,
+                parallel: false,
                 build: Box::new(move || (path(name, links, len), path("stripe-raw", links, len))),
             });
         }

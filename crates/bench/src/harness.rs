@@ -107,9 +107,9 @@ pub(crate) struct Case {
     pub key: String,
     /// What the row divides by.
     pub reference: String,
-    /// How far the row's ratio may rise above its baseline's:
-    /// [`TOLERANCE`] unless the row's recorded A/A spread needs more.
-    pub tolerance: f64,
+    /// The row times threads running side by side: on a host with one
+    /// CPU it is not measured, and not judged.
+    pub parallel: bool,
     /// Builds `(row, reference)`.
     pub build: Box<dyn Fn() -> (Pump, Pump)>,
 }
@@ -134,19 +134,15 @@ pub(crate) struct Row {
     /// Median per-batch ratio to the reference; `None` when no reference
     /// batch ran.
     pub ratio: Option<f64>,
-    /// The row's case's tolerance (a tracked row reads [`TOLERANCE`]).
-    pub tolerance: f64,
     /// Global-allocator calls per op of the row.
     pub allocs_per_op: f64,
 }
 
 impl Row {
-    /// A row at the default [`TOLERANCE`].
     pub(crate) fn new(key: &str, ratio: Option<f64>, allocs_per_op: f64) -> Row {
         Row {
             key: key.to_owned(),
             ratio,
-            tolerance: TOLERANCE,
             allocs_per_op,
         }
     }
@@ -214,13 +210,10 @@ fn measure(case: &Case, pairs: usize) -> Row {
     }
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - a0;
     let allocs_per_op = allocs as f64 / f64::from(ALLOC_BATCHES * n_row);
-    let out = Row {
-        tolerance: case.tolerance,
-        ..Row::new(&case.key, estimate(&samples), allocs_per_op)
-    };
+    let out = Row::new(&case.key, estimate(&samples), allocs_per_op);
     let ns = |pick: fn(&(f64, f64)) -> f64| median(samples.iter().map(pick).collect());
     println!(
-        "{:<40} {:<36} {:>11.0} {:>11.0} {:>10.4} {:>9.2}",
+        "{:<52} {:<36} {:>11.0} {:>11.0} {:>10.4} {:>9.2}",
         case.key,
         case.reference,
         ns(|s| s.0).unwrap_or(0.0),
@@ -232,16 +225,16 @@ fn measure(case: &Case, pairs: usize) -> Row {
 }
 
 /// Why `cur` fails against its tracked row `base`: its ratio is more than
-/// its tolerance above the baseline's, it has no ratio (its reference did
+/// [`TOLERANCE`] above the baseline's, it has no ratio (its reference did
 /// not run), or its allocs/op exceed the baseline's budget.
 fn judge(cur: &Row, base: &Row) -> Vec<String> {
     let mut failures = Vec::new();
     match (cur.ratio, base.ratio) {
-        (Some(r), Some(b)) if r > b * (1.0 + cur.tolerance) => failures.push(format!(
+        (Some(r), Some(b)) if r > b * (1.0 + TOLERANCE) => failures.push(format!(
             "{}: ratio {r:.4} exceeds baseline {b:.4} by more than {:.0} % (limit {:.4})",
             cur.key,
-            cur.tolerance * 100.0,
-            b * (1.0 + cur.tolerance)
+            TOLERANCE * 100.0,
+            b * (1.0 + TOLERANCE)
         )),
         (Some(_), Some(_)) => {}
         _ => failures.push(format!(
@@ -364,6 +357,17 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
+/// The cases a host with `cpus` CPUs measures. A parallel row on one CPU
+/// has nothing to run side by side: it is skipped and printed as not
+/// judged, so the check neither matches nor judges it.
+pub(crate) fn runnable(cases: &[Case], cpus: usize) -> Vec<&Case> {
+    let (run, skip): (Vec<&Case>, _) = cases.iter().partition(|c| !c.parallel || cpus > 1);
+    for c in skip {
+        println!("{:<52} not judged (1 CPU)", c.key);
+    }
+    run
+}
+
 /// Reads the tracked rows at `path`.
 fn read_rows(path: &str) -> Result<Vec<Row>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -392,14 +396,17 @@ pub fn main(args: &[String]) -> i32 {
     };
     let pairs = if args.smoke { SMOKE_PAIRS } else { FULL_PAIRS };
     println!(
-        "{:<40} {:<36} {:>11} {:>11} {:>10} {:>9}",
+        "{:<52} {:<36} {:>11} {:>11} {:>10} {:>9}",
         "row", "reference", "row ns/op", "ref ns/op", "ratio", "allocs/op"
     );
-    let mut rows: Vec<Row> = table.cases.iter().map(|c| measure(c, pairs)).collect();
+    // The CPUs this process may run on, its affinity mask included.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cases = runnable(&table.cases, cpus);
+    let mut rows: Vec<Row> = cases.iter().map(|c| measure(c, pairs)).collect();
     // A row that fails is measured once more, from a fresh fixture, and
     // judged by that measurement: a host stall that outlasts one row's
     // whole loop moves that row once, while a regression moves it again.
-    for (row, case) in rows.iter_mut().zip(&table.cases) {
+    for (row, case) in rows.iter_mut().zip(cases) {
         let base = baseline.iter().flatten().find(|b| b.key == row.key);
         if base.is_some_and(|b| !judge(row, b).is_empty()) {
             println!("{}: failed; measuring it once more", row.key);
@@ -669,37 +676,31 @@ pub(crate) fn assert_roundtrips(table: &Table) {
 }
 
 /// The check's table, run on `table`'s row `key` under the table's
-/// same-run check: the ratio gated at the row's tolerance, allocs/op at
+/// same-run check: the ratio gated at [`TOLERANCE`], allocs/op at
 /// the baseline x 1.25 + [`ALLOC_SLACK`], and a row the baseline lacks
 /// (`other`) neither judged nor matched, so a run that matched nothing
 /// fails as a whole.
 #[cfg(test)]
 pub(crate) fn assert_gates(table: &Table, key: &str, other: &str) {
-    // (current ratio, its tolerance, current allocs, baseline ratio,
-    // baseline allocs, expected failure substrings)
+    // (current ratio, current allocs, baseline ratio, baseline allocs,
+    // expected failure substrings)
     let ok: &[&str] = &[];
     let cases = [
-        (1.24, TOLERANCE, 0.0, 1.0, 0.0, ok),
-        (1.26, TOLERANCE, 0.0, 1.0, 0.0, &["ratio 1.2600"]),
-        (0.5, TOLERANCE, 0.4, 1.0, 0.0, ok),
-        (0.5, TOLERANCE, 1.0, 1.0, 0.0, &["allocs/op 1.00"]),
+        (1.24, 0.0, 1.0, 0.0, ok),
         (
-            2.0,
-            TOLERANCE,
-            30.0,
+            1.26,
+            0.0,
             1.0,
-            4.0,
-            &["ratio", "allocs/op 30.00"],
+            0.0,
+            &["ratio 1.2600 exceeds baseline 1.0000 by more than 25 %"],
         ),
-        (9.0, TOLERANCE, 20.5, 8.0, 16.0, ok),
-        (3.9, 3.0, 0.0, 1.0, 0.0, ok),
-        (4.1, 3.0, 0.0, 1.0, 0.0, &["by more than 300 %"]),
+        (0.5, 0.4, 1.0, 0.0, ok),
+        (0.5, 1.0, 1.0, 0.0, &["allocs/op 1.00"]),
+        (2.0, 30.0, 1.0, 4.0, &["ratio", "allocs/op 30.00"]),
+        (9.0, 20.5, 8.0, 16.0, ok),
     ];
-    for (ratio, tolerance, allocs, base_ratio, base_allocs, want) in cases {
-        let cur = Row {
-            tolerance,
-            ..Row::new(key, Some(ratio), allocs)
-        };
+    for (ratio, allocs, base_ratio, base_allocs, want) in cases {
+        let cur = Row::new(key, Some(ratio), allocs);
         let base = Row::new(key, Some(base_ratio), base_allocs);
         let fails = check(&[cur], &[base], table.same_run).failures;
         assert_eq!(fails.len(), want.len(), "{ratio} {allocs}: {fails:?}");

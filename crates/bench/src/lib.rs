@@ -22,7 +22,7 @@
 //!
 //! | tracked file | table | rows | reference |
 //! |--------------|-------|------|-----------|
-//! | `BENCH_rsr.json` | [`rsrpath`] (`gate rsr`) | `Context::rsr` round trip: links × payload, idle sources, worker pool | bare queue `send` + `poll`, no `Context` |
+//! | `BENCH_rsr.json` | [`rsrpath`] (`gate rsr`) | `Context::rsr` round trip: links × payload, idle sources, 4 096-link fan-out; the fair row: a `WorkerPool` of 2 over that fan-out with a 2 µs handler | bare queue `send` + `poll`, no `Context`; the fair row: the same fan-out drained inline |
 //! | `BENCH_stripe.json` | [`patterns`] (`gate stripe`) | rail / fan / striped-scatter × links × payload | one-link rail, same payload |
 //! | `BENCH_bulk.json` | [`bulkpath`] (`gate bulk`) | inline / pull-map / pull-wire × payload | `stripe-raw`, same links and payload |
 

@@ -11,7 +11,7 @@
 //! pattern moves `payload` bytes per op, and every row divides by the
 //! one-link rail at the same payload, on which `set_striped` declines.
 
-use crate::harness::{Case, Fixture, Op, Pump, Table, TOLERANCE};
+use crate::harness::{Case, Fixture, Op, Pump, Table};
 
 const NOTE: &str = "ratio = ns/op of the row over ns/op of the one-link rail at the same \
 payload (one copying queue rail, on which set_striped declines, so the reference never \
@@ -56,7 +56,7 @@ pub(crate) fn table() -> Table {
                 cases.push(Case {
                     key: format!("{name} links={links} payload={len}"),
                     reference: format!("rail links=1 payload={len}"),
-                    tolerance: TOLERANCE,
+                    parallel: false,
                     build: Box::new(move || (pattern(name, links, len), pattern("rail", 1, len))),
                 });
             }

@@ -7,10 +7,12 @@
 //! the layer below: a bare round trip through the queue transport's own
 //! `send` and `poll`, with no `Context`, at the same payload. Rows sweep
 //! payload size and multicast width, silent readiness-armed sources (the
-//! poll engine's O(ready) claim), and a 4 096-link fan-out drained inline
-//! or by a shared `WorkerPool`.
+//! poll engine's O(ready) claim), and a 4 096-link fan-out drained inline.
+//! The fair row divides a shared `WorkerPool` draining that fan-out, with
+//! a 2 µs handler, by the same fixture drained inline: the pool's claim
+//! is that its workers run handlers side by side.
 
-use crate::harness::{counted, payload, Case, Pump, Row, Table, Teardown, TOLERANCE};
+use crate::harness::{counted, payload, Case, Pump, Row, Table, Teardown};
 use nexus_rt::buffer::Buffer;
 use nexus_rt::context::{ContextId, Fabric};
 use nexus_rt::descriptor::MethodId;
@@ -22,35 +24,32 @@ use nexus_rt::shard::WorkerPool;
 use nexus_transports::queue::{QueueMedium, QueueObject, QueueReceiver};
 use nexus_transports::register_queue_modules;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-const NOTE: &str = "ratio = ns/op of the row over ns/op of a bare queue round trip \
-(the queue transport's own send and poll, no Context) at the same payload: the median of \
-per-batch ratios, row and reference batches alternating in one loop. allocs_per_op counts \
-global-allocator calls per rsr call over the row batches; it is absolute and budgeted at \
-baseline x 1.25 + 0.5. links x payload rows multicast from one context to its own endpoints \
-on the local method; idle rows add that many silent readiness-armed sources, and the same run \
-must hold idle=4096 within 2x idle=1 (O(ready)); workers rows spread 4096 links over 64 \
-receiver contexts, drained inline (workers=0) or by a shared WorkerPool; the pool rows \
-(workers > 0) time thread wake-ups, whose ratio moved up to 3.3x between runs hours apart and \
-between host shapes, and are gated at +300 % instead of +25 %. What the ratio cannot see: a slowdown in \
-the shared queue layer moves row and reference alike; \
-BENCHMARK.json's multimethod_mix covers that layer. This file guards in-process invariants \
-(zero allocations, O(ready), the Context layer's cost over the bare queue); every claim \
-about speed belongs in BENCHMARK.json.";
+const NOTE: &str = "ratio = ns/op of the row over ns/op of a bare queue round trip (the queue \
+transport's own send and poll, no Context) at the same payload: the median of per-batch ratios, \
+row and reference batches alternating in one loop. allocs_per_op counts global-allocator calls \
+per rsr call over the row batches; it is absolute and budgeted at baseline x 1.25 + 0.5. links x \
+payload rows multicast from one context to its own endpoints on the local method; idle rows add \
+that many silent readiness-armed sources, and the same run must hold idle=4096 within 2x idle=1 \
+(O(ready)); the workers=0 row spreads 4096 links over 64 receiver contexts drained inline. The \
+fair row (handler=2us) is that fan-out with a handler spinning 2 us on the clock, drained by a \
+shared WorkerPool of 2 threads, over the same fixture drained inline: below 1 means the pool runs \
+handlers side by side; on one CPU it is not judged. Every row is gated at +25 %. What the ratio \
+cannot see: a slowdown in the shared queue layer moves row and reference alike; BENCHMARK.json's \
+multimethod_mix covers that layer. This file guards in-process invariants (zero allocations, \
+O(ready), the Context layer's cost over the bare queue); every claim about speed belongs in \
+BENCHMARK.json.";
 
 /// Most the `idle = 4096` row's ratio may be, as a multiple of the
 /// `idle = 1` row's: O(ready) means silent armed sources add nothing to a
 /// pass.
 const FLAT_LIMIT: f64 = 2.0;
 
-/// Tolerance of the `workers > 0` rows. Their time is the pool threads'
-/// wake-up and hand-off latency, which a same-thread reference cannot
-/// cancel: in the recorded A/A runs their ratio moved 1.7–3.3x from the
-/// tracked value in runs hours later, on two CPUs and under `taskset -c 0`.
-/// They catch only a gross slowdown of the pool.
-const POOL_TOLERANCE: f64 = 3.0;
+/// The fair row: the many-link fan-out with a 2 µs handler, drained by a
+/// pool of 2 threads, over the same fixture drained inline.
+const FAIR_KEY: &str = "links=4096 payload=16 idle=0 workers=2 handler=2us";
 
 /// How many receiver contexts the many-link rows spread their links
 /// across. The queue modules register one shared inbox per context, so
@@ -59,34 +58,31 @@ const POOL_TOLERANCE: f64 = 3.0;
 /// serialize every delivery through one slot.
 const SWEEP_RX_CONTEXTS: usize = 64;
 
-fn key(links: usize, payload: usize, idle: usize, workers: usize) -> String {
-    format!("links={links} payload={payload} idle={idle} workers={workers}")
+fn key(links: usize, payload: usize, idle: usize) -> String {
+    format!("links={links} payload={payload} idle={idle} workers=0")
 }
 
 /// The table: links x payload, then the idle-source sweep (links 1,
-/// payload 16), then the many-link worker sweep (payload 16).
+/// payload 16), then the many-link fan-out drained inline (payload 16),
+/// then the fair row.
 pub(crate) fn table() -> Table {
-    let mut rows: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut rows: Vec<(usize, usize, usize)> = Vec::new();
     for links in [1, 8] {
         for payload in [16, 4096, 262_144] {
-            rows.push((links, payload, 0, 0));
+            rows.push((links, payload, 0));
         }
     }
-    rows.extend([1, 64, 4096].map(|idle| (1, 16, idle, 0)));
-    rows.extend([0, 1, 2, 4].map(|workers| (4096, 16, 0, workers)));
-    let cases = rows
+    rows.extend([1, 64, 4096].map(|idle| (1, 16, idle)));
+    rows.push((4096, 16, 0));
+    let mut cases: Vec<Case> = rows
         .into_iter()
-        .map(|(links, len, idle, workers)| Case {
-            key: key(links, len, idle, workers),
+        .map(|(links, len, idle)| Case {
+            key: key(links, len, idle),
             reference: format!("bare-queue payload={len}"),
-            tolerance: if workers > 0 {
-                POOL_TOLERANCE
-            } else {
-                TOLERANCE
-            },
+            parallel: false,
             build: Box::new(move || {
                 let row = if links > SWEEP_RX_CONTEXTS {
-                    many_link(links, workers)
+                    many_link(links, 0, Duration::ZERO)
                 } else {
                     local(links, len, idle)
                 };
@@ -94,6 +90,15 @@ pub(crate) fn table() -> Table {
             }),
         })
         .collect();
+    cases.push(Case {
+        key: FAIR_KEY.to_owned(),
+        reference: "inline links=4096 handler=2us".to_owned(),
+        parallel: true,
+        build: Box::new(|| {
+            let work = Duration::from_micros(2);
+            (many_link(4096, 2, work), many_link(4096, 0, work))
+        }),
+    });
     Table {
         note: NOTE,
         cases,
@@ -107,7 +112,7 @@ pub(crate) fn table() -> Table {
 pub(crate) fn flatness(rows: &[Row]) -> Result<String, String> {
     let ratio = |idle| {
         rows.iter()
-            .find(|r| r.key == key(1, 16, idle, 0))
+            .find(|r| r.key == key(1, 16, idle))
             .and_then(|r| r.ratio)
     };
     let (Some(one), Some(many)) = (ratio(1), ratio(4096)) else {
@@ -189,35 +194,33 @@ fn local(links: usize, len: usize, idle: usize) -> Pump {
 /// [`SWEEP_RX_CONTEXTS`] receiver contexts, whose readiness-armed sources
 /// are all adopted by ONE shared `WorkerPool` of `workers` threads
 /// (`workers = 0` keeps deliveries inline: the caller round-robins
-/// `progress()` over the receivers). One op is one `rsr` call plus
-/// delivery and dispatch of every link's copy.
-fn many_link(links: usize, workers: usize) -> Pump {
+/// `progress()` over the receivers). Each delivery's handler spins for
+/// `work`. One op is one `rsr` call plus delivery and dispatch of every
+/// link's copy.
+fn many_link(links: usize, workers: usize, work: Duration) -> Pump {
     let fabric = Fabric::new();
     register_queue_modules(&fabric);
     let tx = fabric.create_context().expect("create sender context");
     let received = Arc::new(AtomicU64::new(0));
-    // Completion doorbell for the worker rows: the caller blocks here
-    // instead of spinning, so it never competes with the workers for
-    // cores (decisive on small machines). `target` is the delivery count
-    // the caller is currently waiting for.
+    // Completion wake-up for a pool: the caller parks instead of spinning,
+    // so it never competes with the workers for cores. `target` is the
+    // delivery count the caller is currently waiting for.
     let target = Arc::new(AtomicU64::new(u64::MAX));
-    let done = Arc::new((Mutex::new(()), Condvar::new()));
+    let caller = std::thread::current();
     let rx_count = links.min(SWEEP_RX_CONTEXTS);
     let mut rxs = Vec::with_capacity(rx_count);
     let mut sp = None;
     for i in 0..rx_count {
         let ctx = fabric.create_context().expect("create receiver context");
-        let (r, t, d) = (
-            Arc::clone(&received),
-            Arc::clone(&target),
-            Arc::clone(&done),
-        );
+        let (r, t, c) = (Arc::clone(&received), Arc::clone(&target), caller.clone());
         ctx.register_handler("bench", move |_| {
+            let t0 = (!work.is_zero()).then(Instant::now);
+            while t0.is_some_and(|t0| t0.elapsed() < work) {
+                std::hint::spin_loop();
+            }
             let n = r.fetch_add(1, Ordering::AcqRel) + 1;
             if n >= t.load(Ordering::Acquire) {
-                let (lock, cv) = &*d;
-                let _guard = lock.lock().unwrap_or_else(|p| p.into_inner());
-                cv.notify_one();
+                c.unpark();
             }
         });
         // Receiver i owns links/rx_count endpoints (the remainder goes to
@@ -244,7 +247,7 @@ fn many_link(links: usize, workers: usize) -> Pump {
         let adopted: usize = rxs.iter().map(|ctx| pool.adopt(ctx)).sum();
         assert!(
             adopted >= rx_count,
-            "pool adopted {adopted} sources across {rx_count} receiver contexts"
+            "adopted {adopted} of {rx_count} sources"
         );
         pool
     });
@@ -253,12 +256,9 @@ fn many_link(links: usize, workers: usize) -> Pump {
     let mut expected = 0_u64;
     Box::new(move |n| {
         // The batch is pipelined: every call is issued before the drain
-        // wait, keeping the service side saturated. An isolated rsr on an
-        // idle pool would only measure park/unpark latency; a sharded
-        // engine's job is sustained service rate under many-link load.
-        // While the batch is in flight the completion target is parked at
-        // MAX so in-flight deliveries never take the notify lock; it is
-        // lowered to the real count only once the caller starts waiting.
+        // wait, keeping the service side saturated. While it is in flight
+        // the target is parked at MAX, so deliveries never wake the caller;
+        // it drops to the real count once the caller waits.
         target.store(u64::MAX, Ordering::Release);
         for _ in 0..n {
             tx.rsr(&sp, "bench", Buffer::from_bytes(data.clone()))
@@ -273,20 +273,11 @@ fn many_link(links: usize, workers: usize) -> Pump {
             }
             return;
         }
-        // Deliveries run on the shard workers; block until the fan-out
-        // drains (timeout-bounded: a notify racing the park costs one
-        // period, and a batch fully drained before the store below never
-        // notifies at all, which the pre-check of `received` absorbs).
+        // Deliveries run on the pool; park until the fan-out drains (an
+        // unpark that comes first makes the next park return at once).
         target.store(expected, Ordering::Release);
-        let (lock, cv) = &*done;
         while received.load(Ordering::Acquire) < expected {
-            let guard = lock.lock().unwrap_or_else(|p| p.into_inner());
-            if received.load(Ordering::Acquire) >= expected {
-                break;
-            }
-            let _unused = cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(|p| p.into_inner());
+            std::thread::park_timeout(Duration::from_millis(1));
         }
     })
 }
@@ -297,7 +288,7 @@ mod tests {
     use crate::harness::check;
 
     fn idle_row(idle: usize, ratio: f64) -> Row {
-        Row::new(&key(1, 16, idle, 0), Some(ratio), 0.0)
+        Row::new(&key(1, 16, idle), Some(ratio), 0.0)
     }
 
     #[test]
@@ -305,21 +296,30 @@ mod tests {
         let t = table();
         assert_eq!(
             t.cases.len(),
-            6 + 3 + 4,
-            "2x3 matrix, 3 idle rows, 4 worker rows"
+            6 + 3 + 1 + 1,
+            "2x3 matrix, 3 idle rows, the inline fan-out, the fair row"
         );
-        // One op and one reference batch of every shape, workers included.
-        for case in [&t.cases[0], &t.cases[8], &t.cases[12]] {
+        // One op and one reference batch of every shape, the pool's included.
+        for case in [&t.cases[0], &t.cases[8], &t.cases[9], &t.cases[10]] {
             let (mut row, mut reference) = (case.build)();
             row(2);
             reference(2);
         }
         assert_eq!(t.cases[8].key, "links=1 payload=16 idle=4096 workers=0");
-        assert_eq!(t.cases[12].key, "links=4096 payload=16 idle=0 workers=4");
-        assert!(t
-            .cases
+        assert_eq!(t.cases[9].key, "links=4096 payload=16 idle=0 workers=0");
+        assert_eq!(t.cases[10].key, FAIR_KEY);
+        assert!(t.cases[..10]
             .iter()
             .all(|c| c.reference.starts_with("bare-queue")));
+    }
+
+    #[test]
+    fn the_fair_row_is_not_judged_on_one_cpu() {
+        let t = table();
+        let one = crate::harness::runnable(&t.cases, 1);
+        assert_eq!(one.len(), t.cases.len() - 1);
+        assert!(one.iter().all(|c| c.key != FAIR_KEY));
+        assert_eq!(crate::harness::runnable(&t.cases, 2).len(), t.cases.len());
     }
 
     #[test]
@@ -329,18 +329,14 @@ mod tests {
 
     #[test]
     fn check_flags_ns_regression_only_beyond_tolerance() {
-        // Data-path rows are gated at +25 %, pool rows at +300 %.
-        for case in &table().cases {
-            let pool = !case.key.ends_with("workers=0");
-            let want = if pool { POOL_TOLERANCE } else { TOLERANCE };
-            assert_eq!(case.tolerance, want, "{}", case.key);
-        }
-        crate::harness::assert_gates(&table(), &key(4096, 16, 0, 2), &key(1, 16, 0, 0));
+        // The fair row is gated like every other row, at +25 %.
+        crate::harness::assert_gates(&table(), FAIR_KEY, &key(1, 16, 0));
+        crate::harness::assert_gates(&table(), &key(4096, 16, 0), FAIR_KEY);
     }
 
     #[test]
     fn check_flags_alloc_regression_and_ignores_unknown_scenarios() {
-        crate::harness::assert_gates(&table(), &key(1, 16, 0, 0), &key(8, 16, 0, 0));
+        crate::harness::assert_gates(&table(), &key(1, 16, 0), &key(8, 16, 0));
     }
 
     #[test]

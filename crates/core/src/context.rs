@@ -331,7 +331,7 @@ pub struct Context {
     /// Set after a push onto `flush_list`, cleared by the flusher that
     /// drains it — a pass with nothing listed pays one load.
     flush_pending: AtomicBool,
-    /// Sharded worker pool servicing this context's readiness tier when
+    /// The worker pool servicing this context's readiness tier when
     /// [`Context::start_workers`] is active; `None` means the single
     /// progress thread (or inline `progress` calls) does everything.
     workers: Mutex<Option<crate::shard::WorkerPool>>,
@@ -1270,11 +1270,11 @@ impl Context {
         Ok(())
     }
 
-    // -- sharded workers ----------------------------------------------------------
+    // -- worker pool --------------------------------------------------------------
 
-    /// Moves this context's readiness tier onto a pool of `n` shard
-    /// worker threads: doorbells route to per-worker shards and both the
-    /// drain and the handler run on the worker that pops the token.
+    /// Moves this context's readiness tier onto a pool of `n` worker
+    /// threads: doorbells push onto the pool's one ready list, and both
+    /// the drain and the handler run on the worker that pops the token.
     /// Returns the number of sources adopted (0 if nothing is armed).
     ///
     /// The polled tier (and blocking pollers) stay with `progress`;

@@ -62,7 +62,7 @@
 //! | [`module`] | the `CommModule` function-table trait + registry/loaders |
 //! | [`selection`] | automatic/manual/QoS selection policies + enquiry |
 //! | [`poll`] | unified polling, `skip_poll`, blocking pollers |
-//! | [`shard`] | sharded multi-worker servicing of the readiness tier |
+//! | [`shard`] | the worker pool: N threads servicing the readiness tier from one ready list |
 //! | [`pool`] | thread-local frame-buffer reuse for the send path |
 //! | [`rsr`] | RSR wire format: encode-once frames, zero-copy decode |
 //! | [`handler`] | handler registration and dispatch |
@@ -108,7 +108,7 @@ pub mod prelude {
         applicable_methods, method_cost_estimate, ExcludeMethods, FirstApplicable,
         MethodCostEstimate, QosAware, SelectionPolicy,
     };
-    pub use crate::shard::{ShardSnapshot, WorkerPool};
+    pub use crate::shard::WorkerPool;
     pub use crate::startpoint::{Startpoint, Target};
     pub use crate::stripe::{weighted_shares, StripeAssembler, StripeRail, StripedObject};
     pub use crate::trace::{

@@ -401,7 +401,7 @@ pub mod test_support {
 
     /// One context's receive inbox: the message queue plus the doorbell
     /// installed when the poll engine arms the source. Replaceable (not
-    /// write-once) so a worker pool can re-arm the source with a sharded
+    /// write-once) so a worker pool can re-arm the source with its own
     /// doorbell after adoption.
     struct TestInbox {
         queue: SegQueue<Rsr>,

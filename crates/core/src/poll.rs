@@ -30,7 +30,7 @@ use crate::trace::{MethodTrace, Trace, TraceEventKind, SAMPLE_EVERY};
 // the xtask model checker) can build a ready list without depending on
 // crossbeam directly.
 pub use crossbeam::queue::SegQueue;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -105,22 +105,17 @@ const READY_BATCH: u64 = 32;
 ///
 /// [`ReadySignal`] is generic over where a consumed `false → true` edge
 /// queues its token: the single-threaded engine uses a plain MPSC list
-/// ([`SegQueue`]), the sharded worker pool routes tokens to their home
-/// shard ([`ReadyShards`]) and additionally wakes a parked worker. The
-/// push must be internally synchronized — it runs on the producer's
-/// thread, concurrently with consumers draining.
+/// ([`SegQueue`]); the worker pool (`crate::shard`) pushes onto its own
+/// list and additionally wakes a parked worker, a wake the engine's
+/// doorbells do not pay for. The push must be internally synchronized —
+/// it runs on the producer's thread, concurrently with consumers
+/// draining.
 pub trait ReadySink: Send + Sync {
     /// Queues a rung source's token for a consumer to service.
     fn push_ready(&self, token: usize);
 }
 
 impl ReadySink for SegQueue<usize> {
-    fn push_ready(&self, token: usize) {
-        self.push(token);
-    }
-}
-
-impl ReadySink for ReadyShards {
     fn push_ready(&self, token: usize) {
         self.push(token);
     }
@@ -156,7 +151,7 @@ struct SignalShared {
     /// The source's slot in the engine's token table.
     token: usize,
     /// Where a consumed ring queues the token (the engine's shared
-    /// ready-list, or a worker pool's shard set).
+    /// ready-list, or a worker pool's).
     sink: Arc<dyn ReadySink>,
 }
 
@@ -167,7 +162,7 @@ impl ReadySignal {
     }
 
     /// Creates a signal that queues `token` into an arbitrary
-    /// [`ReadySink`] when rung — the sharded engine's entry point.
+    /// [`ReadySink`] when rung — the worker pool's entry point.
     pub fn with_sink(token: usize, sink: Arc<impl ReadySink + 'static>) -> Self {
         ReadySignal {
             inner: Arc::new(SignalShared {
@@ -194,121 +189,6 @@ impl ReadySignal {
     /// clear *before* polling the source, exactly as the engine does.
     pub fn clear(&self) {
         self.inner.ready.swap(false, Ordering::Acquire);
-    }
-}
-
-/// Per-shard ready-lists for the planned sharded poll engine: tokens are
-/// routed to `token % shards()`, each shard is drained by its owning
-/// worker, and a retiring or rebalancing worker hands its whole shard to
-/// another with [`ReadyShards::handoff`].
-///
-/// The handoff protocol's subtlety — the reason the xtask `shard-handoff`
-/// model check exists — is that producers keep pushing to a shard *while*
-/// it is being handed off. `handoff` moves only the tokens it observes;
-/// anything pushed concurrently stays behind on the source shard, so a
-/// consumer that takes over responsibility for a shard must keep draining
-/// it (or use [`ReadyShards::pop_any`], which scans every shard and can
-/// strand nothing).
-pub struct ReadyShards {
-    shards: Box<[SegQueue<usize>]>,
-    /// Rotating start for the steal scan in [`ReadyShards::pop_any`].
-    /// Without it every consumer with the same `home` scans the other
-    /// shards in the same fixed order, draining the first non-empty shard
-    /// to exhaustion while later shards starve under sustained load.
-    steal_cursor: AtomicUsize,
-}
-
-impl ReadyShards {
-    /// Creates `n` empty shards (at least one).
-    pub fn new(n: usize) -> Self {
-        ReadyShards {
-            shards: (0..n.max(1)).map(|_| SegQueue::new()).collect(),
-            steal_cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pre-sizes every shard's ring for up to `tokens` queued tokens.
-    /// The doorbell latch ([`ReadySignal::ring`]) queues each token at
-    /// most once, so a pool that reserves its installed-source count
-    /// here never grows a ring on the producer path — even in the worst
-    /// case of every token homed to one shard. Called at source-install
-    /// time, off the hot path; this is what keeps the 4096-source
-    /// worker-pool sweep allocation-free in steady state.
-    pub fn reserve(&self, tokens: usize) {
-        for shard in self.shards.iter() {
-            shard.reserve(tokens);
-        }
-    }
-
-    /// Queues a ready token onto its home shard (`token % shards()`).
-    pub fn push(&self, token: usize) {
-        self.push_to(token, token);
-    }
-
-    /// Queues a token onto an explicit shard (reduced modulo the shard
-    /// count) instead of the `token % shards()` default. The worker pool
-    /// routes through this with a stride-mixing hash: adoption installs
-    /// each context's sources as a contiguous run, and a raw modulo
-    /// aliases with that stride (every context's inbox for one method
-    /// landing on the same shard), which can collapse the whole pool
-    /// onto a single worker.
-    pub fn push_to(&self, shard: usize, token: usize) {
-        self.shards[shard % self.shards.len()].push(token);
-    }
-
-    /// Pops from one shard only — the owning worker's fast path.
-    pub fn pop_local(&self, shard: usize) -> Option<usize> {
-        self.shards[shard % self.shards.len()].pop()
-    }
-
-    /// Pops from `home` first, then steals from the other shards — the
-    /// takeover path after a handoff, and the reason no token can strand:
-    /// every shard is reachable from every consumer.
-    ///
-    /// The steal scan starts from a per-call rotating cursor rather than a
-    /// fixed offset of `home`: a fixed start always found the same
-    /// non-empty shard first, so under sustained load the shards just
-    /// after `home` were drained continuously while distant shards waited
-    /// until every earlier one went empty.
-    pub fn pop_any(&self, home: usize) -> Option<usize> {
-        let n = self.shards.len();
-        if let Some(t) = self.shards[home % n].pop() {
-            return Some(t);
-        }
-        let start = self.steal_cursor.fetch_add(1, Ordering::Relaxed);
-        (0..n).find_map(|i| self.shards[(start + i) % n].pop())
-    }
-
-    /// Moves every currently queued token of `from` onto `to`, returning
-    /// how many moved. Tokens pushed concurrently with the handoff may
-    /// remain on `from`.
-    pub fn handoff(&self, from: usize, to: usize) -> usize {
-        let n = self.shards.len();
-        let (from, to) = (from % n, to % n);
-        if from == to {
-            return 0; // self-handoff is a no-op, not an infinite loop
-        }
-        let mut moved = 0;
-        while let Some(t) = self.shards[from].pop() {
-            self.shards[to].push(t);
-            moved += 1;
-        }
-        moved
-    }
-
-    /// Total queued tokens across all shards (racy snapshot).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(SegQueue::len).sum()
-    }
-
-    /// Whether every shard is empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(SegQueue::is_empty)
     }
 }
 
@@ -678,9 +558,9 @@ impl PollEngine {
     }
 
     /// Removes and returns every armed source (readiness tier), leaving
-    /// the polled tier intact. The caller — a sharded worker pool taking
-    /// over a context's doorbell traffic — re-arms each receiver with its
-    /// own sharded signal; any receiver that refuses the new signal should
+    /// the polled tier intact. The caller — a worker pool taking over a
+    /// context's doorbell traffic — re-arms each receiver with its own
+    /// signal; any receiver that refuses the new signal should
     /// be handed back via [`PollEngine::add_source`] + re-arming.
     pub fn take_armed(&mut self) -> Vec<(MethodId, Box<dyn CommReceiver>)> {
         let methods: Vec<MethodId> = self
@@ -1637,201 +1517,6 @@ mod tests {
             "poll errors surface in the event ring"
         );
         poller.stop();
-    }
-
-    #[test]
-    fn ready_shards_route_tokens_to_their_home_shard() {
-        let shards = ReadyShards::new(3);
-        for t in 0..9 {
-            shards.push(t);
-        }
-        assert_eq!(shards.len(), 9);
-        for home in 0..3 {
-            let mut got = Vec::new();
-            while let Some(t) = shards.pop_local(home) {
-                got.push(t);
-            }
-            assert_eq!(got, vec![home, home + 3, home + 6], "shard {home}");
-        }
-        assert!(shards.is_empty());
-    }
-
-    #[test]
-    fn ready_shards_pop_any_reaches_every_shard() {
-        let shards = ReadyShards::new(4);
-        shards.push(3); // home shard 3, consumer homed on 0
-        assert_eq!(shards.pop_any(0), Some(3));
-        assert_eq!(shards.pop_any(0), None);
-    }
-
-    #[test]
-    fn ready_shards_handoff_moves_the_whole_shard() {
-        let shards = ReadyShards::new(2);
-        for t in [1, 3, 5] {
-            shards.push(t);
-        }
-        shards.push(0);
-        assert_eq!(shards.handoff(1, 0), 3);
-        assert_eq!(shards.pop_local(1), None, "source shard is empty");
-        let mut got = Vec::new();
-        while let Some(t) = shards.pop_local(0) {
-            got.push(t);
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 3, 5]);
-        assert_eq!(shards.handoff(0, 0), 0, "self-handoff is a no-op");
-    }
-
-    #[test]
-    fn ready_shards_concurrent_push_and_steal_lose_nothing() {
-        use std::sync::atomic::AtomicUsize;
-        const PER_THREAD: usize = 400;
-        const THREADS: usize = 4;
-        let shards = ReadyShards::new(THREADS);
-        let popped = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let shards = &shards;
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        shards.push(t + THREADS * i);
-                    }
-                });
-            }
-            // One stealer drains via pop_any while producers push, with a
-            // mid-stream handoff thrown in.
-            let shards = &shards;
-            let popped = &popped;
-            s.spawn(move || {
-                let mut n = 0;
-                while n < THREADS * PER_THREAD {
-                    if n == PER_THREAD {
-                        shards.handoff(1, 0);
-                    }
-                    if shards.pop_any(0).is_some() {
-                        n += 1;
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                popped.store(n, std::sync::atomic::Ordering::Release);
-            });
-        });
-        assert_eq!(
-            popped.load(std::sync::atomic::Ordering::Acquire),
-            THREADS * PER_THREAD
-        );
-        assert!(shards.is_empty(), "every token was popped exactly once");
-    }
-
-    /// Regression (fixed pop_any scan start): with `home` empty, the steal
-    /// scan used to probe the other shards in the same fixed order every
-    /// call, so the first backlogged shard was drained to exhaustion while
-    /// later ones starved. The rotating cursor must reach every backlogged
-    /// shard within one full rotation.
-    #[test]
-    fn ready_shards_pop_any_steal_scan_is_fair_across_backlogged_shards() {
-        const N: usize = 4;
-        let shards = ReadyShards::new(N);
-        // Shards 1..3 each hold a deep backlog; home shard 0 stays empty.
-        for i in 0..100 {
-            for shard in 1..N {
-                shards.push(N * i + shard);
-            }
-        }
-        let mut seen = [false; N];
-        // One rotation of the cursor plus one call must visit every
-        // backlogged shard; the old fixed-start scan would return tokens
-        // from shard 1 a hundred times in a row here.
-        for _ in 0..=N {
-            let t = shards.pop_any(0).expect("backlog is non-empty");
-            seen[t % N] = true;
-        }
-        assert!(
-            seen[1] && seen[2] && seen[3],
-            "steal scan starved a backlogged shard: {seen:?}"
-        );
-    }
-
-    /// Live-thread witness for the DPOR `shard-handoff` model check:
-    /// producers keep pushing while one worker retires mid-stream via
-    /// `handoff` and a surviving worker takes over with `pop_any`. Every
-    /// token must be serviced exactly once — none lost to the handoff
-    /// window, none duplicated by the concurrent steal.
-    #[test]
-    fn ready_shards_handoff_with_live_producers_services_each_token_once() {
-        use parking_lot::Mutex;
-        const N: usize = 4;
-        const PER_PRODUCER: usize = 2_000;
-        const PRODUCERS: usize = 2;
-        let shards = ReadyShards::new(N);
-        let serviced: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let retiring_seen = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            // Producers push disjoint token ranges, landing on all shards.
-            for p in 0..PRODUCERS {
-                let shards = &shards;
-                s.spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        shards.push(p * PER_PRODUCER + i);
-                    }
-                });
-            }
-            // The retiring worker owns shard 1: it services part of its
-            // backlog, then hands the shard to worker 0 and exits — while
-            // both producers are still pushing (tokens pushed to shard 1
-            // after the handoff stay there; the survivor's pop_any scan is
-            // what keeps them from stranding).
-            let shards = &shards;
-            let serviced_ref = &serviced;
-            let retiring = &retiring_seen;
-            s.spawn(move || {
-                let mut mine = Vec::new();
-                while mine.len() < 64 {
-                    if let Some(t) = shards.pop_local(1) {
-                        mine.push(t);
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                shards.handoff(1, 0);
-                retiring.store(mine.len(), Ordering::Release);
-                serviced_ref.lock().extend(mine);
-            });
-            // The surviving worker drains its own shard while the retiree
-            // is active (stealing shard 1 out from under it would starve
-            // the retiree's fixed quota), then takes over everything via
-            // pop_any once the handoff has happened.
-            s.spawn(move || {
-                let total = PRODUCERS * PER_PRODUCER;
-                let mut mine = Vec::new();
-                loop {
-                    let others = retiring.load(Ordering::Acquire);
-                    let popped = if others > 0 {
-                        shards.pop_any(0)
-                    } else {
-                        shards.pop_local(0)
-                    };
-                    if let Some(t) = popped {
-                        mine.push(t);
-                        continue;
-                    }
-                    if others > 0 && mine.len() + others == total {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                serviced_ref.lock().extend(mine);
-            });
-        });
-        let mut got = serviced.into_inner();
-        got.sort_unstable();
-        let expected: Vec<usize> = (0..PRODUCERS * PER_PRODUCER).collect();
-        assert_eq!(
-            got, expected,
-            "handoff lost or duplicated tokens under live producers"
-        );
-        assert!(shards.is_empty());
     }
 
     #[test]

@@ -343,7 +343,9 @@ impl Startpoint {
         if n > 4096 {
             return Err(NexusError::Decode("startpoint link count too large"));
         }
-        let mut links = Vec::with_capacity(n);
+        // A link is at least 4 + 8 + 1 bytes: a claimed count the buffer
+        // cannot hold reserves no more than the buffer could.
+        let mut links = Vec::with_capacity(n.min(buf.remaining() / 13));
         for _ in 0..n {
             let ctx = ContextId(buf.get_u32()?);
             let ep = EndpointId(buf.get_u64()?);

@@ -1,7 +1,9 @@
-//! Decoder totality for the RSR frame and the stripe and bulk wire formats.
+//! Decoder totality for the RSR frame, the startpoint and descriptor
+//! table, and the stripe and bulk wire formats.
 //!
 //! Arbitrary bytes, and valid frames, chunks or announces with one field
-//! broken, fed to `Rsr::decode_shared`, `StripeAssembler::ingest`,
+//! broken, fed to `Rsr::decode_shared`, `Startpoint::unpack_standalone`,
+//! `DescriptorTable::decode`, `StripeAssembler::ingest`,
 //! `BulkHandle::parse` and `bulk::parse_announce`, must come back as
 //! `Err` — never a panic, and
 //! never an allocation sized from a length the bytes merely claim. A
@@ -10,10 +12,13 @@
 //! from a claimed `body_len` or region length shows at once.
 
 use bytes::Bytes;
+use nexus_rt::buffer::Buffer;
 use nexus_rt::bulk::{parse_announce, BulkHandle, HANDLE_LEN};
 use nexus_rt::context::ContextId;
+use nexus_rt::descriptor::DescriptorTable;
 use nexus_rt::endpoint::EndpointId;
 use nexus_rt::rsr::{Rsr, HEADER_LEN};
+use nexus_rt::startpoint::Startpoint;
 use nexus_rt::stripe::{StripeAssembler, StripeMeta, MAX_CHUNKS, META_LEN};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -196,6 +201,37 @@ proptest! {
         }
         if let Ok(rsr) = Rsr::decode_shared(Bytes::from(raw.clone())) {
             prop_assert_eq!(&rsr.encode()[..], &raw[..]);
+        }
+        assert_no_claimed_allocation();
+    }
+
+    /// Arbitrary bytes behind a link count of at most 4 096 (the most the
+    /// decoder accepts) never panic `Startpoint::unpack_standalone`, and
+    /// the count reserves nothing the bytes cannot hold: a link takes at
+    /// least 13 bytes. What it accepts is exactly what it consumed.
+    #[test]
+    fn arbitrary_startpoint_bytes_are_total(
+        count in 0u16..4097,
+        tail in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut raw = count.to_le_bytes().to_vec();
+        raw.extend_from_slice(&tail);
+        let mut buf = Buffer::from_bytes(Bytes::from(raw.clone()));
+        if let Ok(sp) = Startpoint::unpack_standalone(&mut buf) {
+            prop_assert_eq!(sp.wire_len(), raw.len() - buf.remaining());
+        }
+        assert_no_claimed_allocation();
+    }
+
+    /// Arbitrary bytes never panic `DescriptorTable::decode`; what it
+    /// accepts is exactly what it consumed.
+    #[test]
+    fn arbitrary_descriptor_table_bytes_are_total(
+        raw in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut buf = Buffer::from_bytes(Bytes::from(raw.clone()));
+        if let Ok(table) = DescriptorTable::decode(&mut buf) {
+            prop_assert_eq!(table.wire_len(), raw.len() - buf.remaining());
         }
         assert_no_claimed_allocation();
     }

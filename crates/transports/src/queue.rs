@@ -24,7 +24,7 @@ use std::time::Duration;
 /// (not write-once): when a context hands its armed sources to a
 /// [`nexus_rt::shard::WorkerPool`] and later takes them back, each
 /// transition re-arms the source with a fresh signal routing to the new
-/// owner's ready list.
+/// owner's ready list (the context engine's, or the pool's one list).
 pub struct QueueInbox {
     queue: SegQueue<Rsr>,
     bell: RwLock<Option<ReadySignal>>,

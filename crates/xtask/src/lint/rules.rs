@@ -529,11 +529,12 @@ fn rule_poll_blocking(ws: &Workspace) -> Vec<Diagnostic> {
     for (name, path) in graph.reachable_from("reselect_candidate") {
         reach.entry(name).or_insert(path);
     }
-    // The sharded workers and the socket reactor are the poll loop's
-    // multi-threaded form. A blocked worker stalls every source hashed to
-    // its shard; a blocked reactor stalls readiness for every socket in
-    // the process. (Their intentional waits — the worker's bounded park
-    // and the reactor's `epoll_wait` — are not spelled with these tokens.)
+    // The pool workers and the socket reactor are the poll loop's
+    // multi-threaded form. A blocked worker takes one of the pool's few
+    // threads from every adopted source; a blocked reactor stalls
+    // readiness for every socket in the process. (Their intentional
+    // waits — the worker's bounded park and the reactor's `epoll_wait` —
+    // are not spelled with these tokens.)
     //
     // `deliver` (`Context::deliver`) is the worker's dispatch hand-off: past it run
     // application handlers, which may block — the same boundary the

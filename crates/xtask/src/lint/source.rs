@@ -289,20 +289,39 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
         if !is_test_attr {
             continue;
         }
-        // Find the item's opening brace, then match to its close.
+        // Find the item's opening brace, then match to its close. An item
+        // with no brace of its own (a struct field, a literal's field, an
+        // arm) ends at its `,` outside parentheses, brackets and generics,
+        // or at a `}` that closes the braces around it.
         let mut depth = 0i64;
         let mut opened = false;
+        let (mut nest, mut angle) = (0i64, 0i64);
         'scan: for (l, text) in code.iter().enumerate().skip(start) {
+            let mut prev = ' ';
             for ch in text.chars() {
+                let open = !opened && depth == 0;
                 match ch {
                     '{' => {
                         depth += 1;
                         opened = true;
                     }
+                    '}' if open => {
+                        test[l] |= !text.trim_start().starts_with('}');
+                        break 'scan;
+                    }
                     '}' => depth -= 1,
-                    ';' if !opened && depth == 0 && l > start => break 'scan,
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest -= 1,
+                    '<' if prev.is_alphanumeric() || matches!(prev, '_' | ':') => angle += 1,
+                    '>' if angle > 0 && !matches!(prev, '-' | '=') => angle -= 1,
+                    ',' if open && nest == 0 && angle == 0 => {
+                        test[l] = true;
+                        break 'scan;
+                    }
+                    ';' if open && l > start => break 'scan,
                     _ => {}
                 }
+                prev = ch;
             }
             test[l] = true;
             if opened && depth <= 0 {
@@ -403,6 +422,20 @@ mod tests {
         assert!(f.is_test_line(3));
         assert!(f.is_test_line(4));
         assert!(!f.is_test_line(5));
+    }
+
+    #[test]
+    fn a_cfg_test_field_or_arm_masks_only_itself() {
+        let f = parse(
+            "let o = Outbox {\n    a: 1,\n    #[cfg(test)]\n    b: f(x, y),\n    c: 2,\n};\nmatch k {\n    #[cfg(test)]\n    K::T => t(),\n    K::L => l(),\n}\n",
+        );
+        let marked: Vec<usize> = (0..11).filter(|&l| f.is_test_line(l)).collect();
+        assert_eq!(marked, [2, 3, 7, 8]);
+        // Commas in a test fn's generics or arguments do not end its mask.
+        let f =
+            parse("#[cfg(test)]\nfn h<A, B>(a: A,\n b: B) {\n    a.unwrap();\n}\nfn live() {}\n");
+        let marked: Vec<usize> = (0..6).filter(|&l| f.is_test_line(l)).collect();
+        assert_eq!(marked, [0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nexus_rt::descriptor::MethodId;
 use nexus_rt::endpoint::EndpointId;
 use nexus_rt::error::Result as NexusResult;
 use nexus_rt::module::CommReceiver;
-use nexus_rt::poll::{PollEngine, ReadyShards, ReadySignal, SegQueue};
+use nexus_rt::poll::{PollEngine, ReadySignal, SegQueue};
 use nexus_rt::rsr::Rsr;
 use nexus_rt::trace::{Ewma, LogHistogram, Trace, TraceEventKind};
 use std::cell::{Cell, RefCell};
@@ -118,12 +118,6 @@ pub const CHECKS: &[Check] = &[
              once, read, and armed",
         kind: Kind::Systematic,
         run: handoff,
-    },
-    Check {
-        name: "shard-handoff",
-        description: "per-shard ready-list handoff strands no token under any interleaving",
-        kind: Kind::Systematic,
-        run: shard_handoff,
     },
     Check {
         name: "stage-flush",
@@ -586,7 +580,7 @@ fn doorbell(cx: &CheckCtx) -> Result<u64, String> {
 }
 
 // ---------------------------------------------------------------------------
-// systematic doorbell + shard handoff
+// systematic doorbell
 // ---------------------------------------------------------------------------
 
 /// One modeled source for the systematic doorbell check: a real
@@ -734,57 +728,4 @@ fn stage_flush(cx: &CheckCtx) -> Result<u64, String> {
             .map(|stats| stats.schedules)
             .map_err(|v| v.to_string()),
     }
-}
-
-/// The per-shard ready-list handoff on a real [`ReadyShards`]: two
-/// producers push tokens to disjoint shards (independent — the sweep
-/// prunes their commuting orders) while a consumer hands shard 1 off to
-/// shard 0 mid-stream and drains via `pop_any`. No interleaving may lose
-/// or duplicate a token.
-fn shard_handoff(cx: &CheckCtx) -> Result<u64, String> {
-    const SHARD0: u64 = 1;
-    const SHARD1: u64 = 2;
-    struct ShardRun {
-        shards: ReadyShards,
-        got: Vec<usize>,
-    }
-    // Producer 0 pushes tokens 0 and 2 (home shard 0); producer 1 pushes
-    // 1 and 3 (home shard 1); the consumer's handoff and steals touch
-    // both shards.
-    let footprints = vec![
-        vec![SHARD0, SHARD0],
-        vec![SHARD1, SHARD1],
-        vec![SHARD0 | SHARD1; 3],
-    ];
-    let init = || ShardRun {
-        shards: ReadyShards::new(2),
-        got: Vec::new(),
-    };
-    let step = |st: &mut ShardRun, t: usize, op: usize| match t {
-        0 => st.shards.push(2 * op),
-        1 => st.shards.push(2 * op + 1),
-        _ => {
-            if op == 0 {
-                st.shards.handoff(1, 0);
-            } else if let Some(tok) = st.shards.pop_any(0) {
-                st.got.push(tok);
-            }
-        }
-    };
-    let check = |st: &mut ShardRun| -> Result<(), String> {
-        while let Some(tok) = st.shards.pop_any(0) {
-            st.got.push(tok);
-        }
-        let mut got = st.got.clone();
-        got.sort_unstable();
-        if got == [0, 1, 2, 3] {
-            Ok(())
-        } else {
-            Err(format!(
-                "handoff lost or duplicated tokens: drained {got:?}, expected \
-                 [0, 1, 2, 3] exactly once each"
-            ))
-        }
-    };
-    systematic(cx, &footprints, &init, &step, &check)
 }

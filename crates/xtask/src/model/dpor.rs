@@ -24,7 +24,7 @@
 //!   Sleep sets keep at least one representative per Mazurkiewicz trace,
 //!   so an end-of-schedule `check` over commuting ops loses nothing.
 //! * There is no in-place backtracking: each complete schedule re-runs
-//!   from a fresh `init`, so real structures (rings, doorbells, shard
+//!   from a fresh `init`, so real structures (rings, doorbells, ready
 //!   lists) can be explored without snapshot support.
 //!
 //! ## Schedules

@@ -148,6 +148,38 @@ fn blocking_call_reachable_from_poll_once_is_flagged() {
 }
 
 #[test]
+fn a_test_only_struct_field_masks_that_field_only() {
+    let ws = fixture("test_field_mask.rs", false, false, true);
+    let out = lint_workspace(&ws, Some("poll-blocking"));
+    // The mask of the `#[cfg(test)]` field at line 19 once ran on to the
+    // next `{` past the literal's `})`: `send_gathered`'s signature,
+    // which made the whole fn test code and hid its sleep.
+    assert_eq!(out.errors.len(), 1, "{}", render(&out.errors));
+    let d = &out.errors[0];
+    assert_eq!(d.line, 25);
+    assert_eq!(d.message, "`thread::sleep` on the poll path");
+    let src = &ws.files[0].src;
+    for (line, test) in [
+        (10, false),
+        (11, true),
+        (12, true),
+        (13, false),
+        (15, false),
+    ] {
+        assert_eq!(src.is_test_line(line - 1), test, "struct line {line}");
+    }
+    for (line, test) in [
+        (18, false),
+        (19, true),
+        (20, true),
+        (21, false),
+        (24, false),
+    ] {
+        assert_eq!(src.is_test_line(line - 1), test, "literal line {line}");
+    }
+}
+
+#[test]
 fn opposite_lock_orders_are_flagged_with_both_witness_paths() {
     let ws = fixture("lock_order.rs", false, false, true);
     let out = lint_workspace(&ws, Some("lock-order"));
