@@ -7,7 +7,8 @@
 //! the layer below: a bare round trip through the queue transport's own
 //! `send` and `poll`, with no `Context`, at the same payload. Rows sweep
 //! payload size and multicast width, silent readiness-armed sources (the
-//! poll engine's O(ready) claim), and a 4 096-link fan-out drained inline.
+//! poll engine's O(ready) claim), and a 4 096-link fan-out drained inline,
+//! which divides by the same fan-out through the bare queue.
 //! The fair row divides a shared `WorkerPool` draining that fan-out, with
 //! a 2 µs handler, by the same fixture drained inline: the pool's claim
 //! is that its workers run handlers side by side.
@@ -33,7 +34,8 @@ row and reference batches alternating in one loop. allocs_per_op counts global-a
 per rsr call over the row batches; it is absolute and budgeted at baseline x 1.25 + 0.5. links x \
 payload rows multicast from one context to its own endpoints on the local method; idle rows add \
 that many silent readiness-armed sources, and the same run must hold idle=4096 within 2x idle=1 \
-(O(ready)); the workers=0 row spreads 4096 links over 64 receiver contexts drained inline. The \
+(O(ready)); the workers=0 row spreads 4096 links over 64 receiver contexts drained inline, over \
+the same pipelined fan-out through the bare queue's send and poll. The \
 fair row (handler=2us) is that fan-out with a handler spinning 2 us on the clock, drained by a \
 shared WorkerPool of 2 threads, over the same fixture drained inline: below 1 means the pool runs \
 handlers side by side; on one CPU it is not judged. Every row is gated at +25 %. What the ratio \
@@ -76,18 +78,24 @@ pub(crate) fn table() -> Table {
     rows.push((4096, 16, 0));
     let mut cases: Vec<Case> = rows
         .into_iter()
-        .map(|(links, len, idle)| Case {
-            key: key(links, len, idle),
-            reference: format!("bare-queue payload={len}"),
-            parallel: false,
-            build: Box::new(move || {
-                let row = if links > SWEEP_RX_CONTEXTS {
-                    many_link(links, 0, Duration::ZERO)
+        .map(|(links, len, idle)| {
+            let fan_out = links > SWEEP_RX_CONTEXTS;
+            Case {
+                key: key(links, len, idle),
+                reference: if fan_out {
+                    format!("bare-queue links={links} payload={len}")
                 } else {
-                    local(links, len, idle)
-                };
-                (row, bare_queue(len))
-            }),
+                    format!("bare-queue payload={len}")
+                },
+                parallel: false,
+                build: Box::new(move || {
+                    if fan_out {
+                        (many_link(links, 0, Duration::ZERO), bare_fan_out(links))
+                    } else {
+                        (local(links, len, idle), bare_queue(len))
+                    }
+                }),
+            }
         })
         .collect();
     cases.push(Case {
@@ -142,6 +150,35 @@ fn bare_queue(len: usize) -> Pump {
             tx.send(&rsr, &frame).expect("queue send");
             let got = rx.poll().expect("queue poll").expect("sent rsr is queued");
             std::hint::black_box(got);
+        }
+    })
+}
+
+/// The many-link row's reference: the same pipelined fan-out, `links`
+/// 16-byte frames per op spread over [`SWEEP_RX_CONTEXTS`] receivers,
+/// through the queue transport's own `send` and `poll`.
+fn bare_fan_out(links: usize) -> Pump {
+    let medium = Arc::new(QueueMedium::new());
+    let ids = (1..=links.min(SWEEP_RX_CONTEXTS) as u32).map(ContextId);
+    let mut rxs: Vec<_> = ids
+        .clone()
+        .map(|id| QueueReceiver::new(Arc::clone(&medium), id))
+        .collect();
+    let txs: Vec<Arc<dyn CommObject>> = ids
+        .map(|id| QueueObject::connect(MethodId::SHMEM, &medium, id).expect("connect queue"))
+        .collect();
+    let rsr = Rsr::new(ContextId(0), EndpointId(1), "bench", payload(16));
+    let frame = WireFrame::new();
+    Box::new(move |n| {
+        for _ in 0..n {
+            for i in 0..links {
+                txs[i % txs.len()].send(&rsr, &frame).expect("queue send");
+            }
+        }
+        for rx in &mut rxs {
+            while let Some(got) = rx.poll().expect("queue poll") {
+                std::hint::black_box(got);
+            }
         }
     })
 }

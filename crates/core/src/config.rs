@@ -47,21 +47,6 @@ impl RtConfig {
         Self::parse(&text)
     }
 
-    /// Resolves the configuration the way the Nexus runtime did: the file
-    /// named by the `NEXUSRC` environment variable if set (missing file =
-    /// error), else `.nexusrc` in the current directory if present, else
-    /// the empty default configuration.
-    pub fn from_environment() -> Result<RtConfig> {
-        if let Ok(path) = std::env::var("NEXUSRC") {
-            return Self::load(path);
-        }
-        match std::fs::read_to_string(".nexusrc") {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(RtConfig::default()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Parses resource-database text.
     pub fn parse(text: &str) -> Result<RtConfig> {
         let mut cfg = RtConfig::default();

@@ -484,11 +484,6 @@ impl Context {
         *g = cfg;
     }
 
-    /// Current re-selection configuration (enquiry).
-    pub fn reselection(&self) -> Option<ReselectConfig> {
-        *self.reselect.read()
-    }
-
     /// Enquiry: methods of `sp`'s first link applicable from this context,
     /// in priority order.
     pub fn applicable_methods(&self, sp: &Startpoint) -> Result<Vec<MethodId>> {

@@ -46,11 +46,14 @@
 //!
 //! No wake-up can be missed: a one-shot, level-triggered `MOD`
 //! re-evaluates readiness, so bytes that raced in between the last read
-//! and the re-arm fire the event at once (`cargo run -p xtask -- model`,
-//! check `rearm-dpor`, enumerates that window, the rest and the listener).
-//! There is no userspace mirror of the interest set to go stale: the
-//! kernel drops a closed fd's entry itself, and a new owner of the same
-//! fd *number* adds it.
+//! and the re-arm fire the event at once. There is no userspace mirror of
+//! the interest set to go stale: the kernel drops a closed fd's entry
+//! itself, and a new owner of the same fd *number* adds it.
+//!
+//! [`SourceState`] makes these decisions without a syscall and returns
+//! each kernel action for [`ReactorReceiver`] to perform; `cargo run -p
+//! xtask -- model` (checks `rearm-dpor`, `handoff`) performs them on model
+//! fds, with arrivals, peers and announcements between any two actions.
 //!
 //! A **periodic** registration (the `rudp` sender pump) is the one other
 //! shape: level-triggered without one-shot, its callback drains the
@@ -382,17 +385,9 @@ struct Bell {
     callbacks: std::sync::atomic::AtomicU32,
 }
 
-impl Bell {
-    fn ring(&self) {
-        if let Some(s) = self.signal.read().as_ref() {
-            s.ring();
-        }
-    }
-}
-
 /// What the reactor does for a [`ReactorReceiver`]'s readable fd, from any
 /// thread: TCP announces the read side of a socket it dialled this way.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct Announcer(Arc<Bell>);
 
 impl Announcer {
@@ -400,7 +395,13 @@ impl Announcer {
     /// receiver is armed; an unarmed one scans on every poll anyway).
     pub(crate) fn announce(&self) {
         self.0.fired.store(true, Ordering::Release);
-        self.0.ring();
+        self.ring();
+    }
+
+    fn ring(&self) {
+        if let Some(s) = self.0.signal.read().as_ref() {
+            s.ring();
+        }
     }
 }
 
@@ -421,9 +422,10 @@ impl Announcer {
 const REST: Duration = Duration::from_micros(10);
 
 /// Where a source stands between the kernel and the draining thread.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Default, PartialEq)]
 enum Heat {
     /// Every fd is armed in the kernel; a visit reads only if `fired`.
+    #[default]
     Cold,
     /// The fds that produced bytes are disarmed and read in place: the
     /// source keeps itself on the ready list and every visit reads.
@@ -433,18 +435,121 @@ enum Heat {
     Resting { until: Instant },
 }
 
+/// What a [`SourceState`] asks its driver to do next.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// [`FdSource::scan`], then [`SourceState::scanned`].
+    Scan { fired: bool },
+    /// Re-arm [`FdSource::fill_listen_fds`].
+    RearmListeners,
+    /// Re-arm [`FdSource::fill_fds`], then [`SourceState::rearmed`].
+    Rearm,
+    /// [`SourceState::ring`]; the visit is over.
+    Ring,
+    /// The visit is over.
+    Done,
+}
+
+/// The receive protocol of one reactor-armed source (module docs); it
+/// reads the clock only through `now`, when a rest starts or may end. A
+/// visit: deliver what is queued, ask [`SourceState::next`], perform the
+/// action, report a scan or a re-arm; until `Ring` or `Done`.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct SourceState {
+    bell: Announcer,
+    heat: Heat,
+    /// This visit read the sockets; once its queue is delivered it is over.
+    scanned: bool,
+    /// The current visit's scan was told `fired`.
+    announced: bool,
+    /// What the scan decided comes next (kept if the engine cut the
+    /// visit short, which re-rings).
+    due: Option<Action>,
+}
+
+impl SourceState {
+    /// Installs the doorbell that `announce` and [`Action::Ring`] ring.
+    pub fn set_signal(&self, signal: ReadySignal) {
+        *self.bell.0.signal.write() = Some(signal);
+    }
+
+    /// What the reactor thread does for a readable fd of this source.
+    pub fn announce(&self) {
+        self.bell.announce();
+    }
+
+    /// Performs [`Action::Ring`].
+    pub fn ring(&self) {
+        self.bell.ring();
+    }
+
+    /// The visit's next action, once everything queued is delivered.
+    pub fn next(&mut self, now: impl FnOnce() -> Instant) -> Action {
+        if let Some(due) = self.due.take() {
+            return due;
+        }
+        if std::mem::take(&mut self.scanned) {
+            // Everything this visit read is delivered (possibly nothing:
+            // part of a frame). It did read, so stay hot: no re-arm, the
+            // next pass reads the sockets directly.
+            return Action::Ring;
+        }
+        let fired = self.bell.0.fired.swap(false, Ordering::Acquire);
+        match self.heat {
+            Heat::Cold if !fired => Action::Done,
+            Heat::Resting { until } if !fired && now() < until => Action::Ring,
+            _ => {
+                self.announced = fired;
+                Action::Scan { fired }
+            }
+        }
+    }
+
+    /// Reports whether an [`Action::Scan`] took anything off a socket.
+    pub fn scanned(&mut self, found: bool, now: impl FnOnce() -> Instant) {
+        self.due = if found {
+            (self.heat, self.scanned) = (Heat::Hot, true);
+            // The announcement may have spent a listening fd's one-shot
+            // entry, and hot scans will not look at it again: hand those
+            // back now, so a new peer announces itself however long the
+            // hot period lasts.
+            self.announced.then_some(Action::RearmListeners)
+        } else if self.heat == Heat::Hot && !self.announced {
+            self.heat = Heat::Resting {
+                until: now() + REST,
+            };
+            Some(Action::Ring)
+        } else {
+            Some(Action::Rearm)
+        };
+    }
+
+    /// Reports an [`Action::Rearm`] (`all`: the kernel took every fd);
+    /// returns how the visit ends.
+    pub fn rearmed(&mut self, all: bool) -> Action {
+        // `fired` stays: set since this visit took it, it may announce a
+        // dialled socket, which no MOD re-raises (model check `handoff`).
+        // An fd the kernel refused is read in place instead.
+        let (heat, end) = if all {
+            (Heat::Cold, Action::Done)
+        } else {
+            (Heat::Hot, Action::Ring)
+        };
+        self.heat = heat;
+        end
+    }
+}
+
 /// Wraps an [`FdSource`] receiver so the global reactor provides its
 /// readiness: no pump thread, no syscall on the engine's poll path while
 /// the source is cold or resting, one read per delivering visit while it
-/// is hot.
+/// is hot. It performs what its [`SourceState`] decides.
 pub struct ReactorReceiver<R: FdSource> {
     inner: R,
-    bell: Arc<Bell>,
+    state: SourceState,
     reg: Option<RegistrationId>,
-    heat: Heat,
-    /// The current visit already read the sockets; once its queue is
-    /// delivered the visit is over.
-    scanned: bool,
     /// Reused fd scratch for re-arms (no per-drain allocation).
     fds: Vec<RawFd>,
 }
@@ -455,50 +560,31 @@ impl<R: FdSource> ReactorReceiver<R> {
     pub fn new(inner: R) -> Self {
         ReactorReceiver {
             inner,
-            bell: Arc::default(),
+            state: SourceState::default(),
             reg: None,
-            heat: Heat::Cold,
-            scanned: false,
             fds: Vec::new(),
         }
     }
 
-    /// Hands every fd back to the kernel: the source is cold. Data that
-    /// raced in after the read fires at once — the re-arm is
-    /// level-triggered.
-    fn rearm(&mut self, id: RegistrationId) {
-        let Some(reactor) = Reactor::global() else {
-            return;
-        };
-        // `fired` stays: set since this visit took it, it may announce a
-        // dialled socket, which no MOD re-raises (model check `handoff`).
+    /// Hands the fds `fill` names back to the kernel (level-triggered: what
+    /// raced in since the last read fires at once); whether it took all.
+    fn resume(&mut self, id: RegistrationId, fill: fn(&R, &mut Vec<RawFd>)) -> bool {
         self.fds.clear();
-        self.inner.fill_fds(&mut self.fds);
-        self.heat = if reactor.resume(id, &self.fds) {
-            Heat::Cold
-        } else {
-            // The kernel refused an fd: keep reading in place instead.
-            self.bell.ring();
-            Heat::Hot
-        };
+        fill(&self.inner, &mut self.fds);
+        Reactor::global().is_some_and(|r| r.resume(id, &self.fds))
     }
 
-    /// After a scan the reactor announced has left the source hot: the
-    /// announcement may have been a listening fd's, whose one-shot entry
-    /// is then spent, and hot scans will not look at it again. Hands those
-    /// fds back now; a peer that queued up since the scan fires at once.
-    fn rearm_listeners(&mut self, id: RegistrationId) {
-        self.fds.clear();
-        self.inner.fill_listen_fds(&mut self.fds);
-        if let Some(reactor) = Reactor::global() {
-            // Refused: the re-arm that ends the hot period asks again.
-            reactor.resume(id, &self.fds);
+    /// Performs [`Action::Rearm`] and how it ends the visit.
+    fn rearm(&mut self, id: RegistrationId) {
+        let all = self.resume(id, R::fill_fds);
+        if self.state.rearmed(all) == Action::Ring {
+            self.state.ring();
         }
     }
 
     /// The handle that announces to this receiver from another thread.
     pub(crate) fn announcer(&self) -> Announcer {
-        Announcer(Arc::clone(&self.bell))
+        self.state.bell.clone()
     }
 
     fn disarm(&mut self) {
@@ -521,47 +607,31 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
             if let Some(m) = self.inner.pop() {
                 return Ok(Some(m));
             }
-            if std::mem::take(&mut self.scanned) {
-                // Everything this visit read is delivered (possibly
-                // nothing: part of a frame). It did read, so stay hot: no
-                // re-arm, the next pass reads the sockets directly.
-                self.bell.ring();
-                return Ok(None);
-            }
-            let fired = self.bell.fired.swap(false, Ordering::Acquire);
-            match self.heat {
-                Heat::Cold if !fired => return Ok(None),
-                Heat::Resting { until } if !fired && Instant::now() < until => {
-                    self.bell.ring();
-                    return Ok(None);
-                }
-                _ => {}
-            }
-            match self.inner.scan(fired) {
-                Ok(true) => {
-                    (self.heat, self.scanned) = (Heat::Hot, true);
-                    if fired {
-                        self.rearm_listeners(id);
+            match self.state.next(Instant::now) {
+                Action::Scan { fired } => match self.inner.scan(fired) {
+                    Ok(found) => self.state.scanned(found, Instant::now),
+                    // Errors do not retire the source: the engine re-rings
+                    // on error, and the kernel must keep watching for
+                    // whatever the next visit finds (or the same error,
+                    // surfaced again).
+                    Err(e) => {
+                        self.rearm(id);
+                        return Err(e);
                     }
+                },
+                Action::RearmListeners => {
+                    // Refused: the re-arm that ends the hot period asks again.
+                    self.resume(id, R::fill_listen_fds);
                 }
-                Ok(false) if self.heat == Heat::Hot && !fired => {
-                    self.heat = Heat::Resting {
-                        until: Instant::now() + REST,
-                    };
-                    self.bell.ring();
-                    return Ok(None);
-                }
-                Ok(false) => {
+                Action::Rearm => {
                     self.rearm(id);
                     return Ok(None);
                 }
-                // Errors do not retire the source: the engine re-rings on
-                // error, and the kernel must keep watching for whatever
-                // the next visit finds (or the same error, surfaced again).
-                Err(e) => {
-                    self.rearm(id);
-                    return Err(e);
+                Action::Ring => {
+                    self.state.ring();
+                    return Ok(None);
                 }
+                Action::Done => return Ok(None),
             }
         }
     }
@@ -578,7 +648,7 @@ impl<R: FdSource> CommReceiver for ReactorReceiver<R> {
         // Under a replacement doorbell (worker-pool adoption) nothing
         // else changes: the new owner primes it, and that visit finds
         // the source hot, resting, fired, or armed in the kernel.
-        *self.bell.signal.write() = Some(signal);
+        self.state.set_signal(signal);
         if self.reg.is_none() {
             self.fds.clear();
             self.inner.fill_fds(&mut self.fds);
@@ -723,16 +793,16 @@ mod tests {
 
         /// Visits until the source has re-armed.
         fn cool(&mut self) -> Vec<Rsr> {
-            self.drive_until(|rx| rx.heat == Heat::Cold)
+            self.drive_until(|rx| rx.state.heat == Heat::Cold)
         }
 
         /// Visits until an empty-handed visit has put the source to rest.
         fn rest(&mut self) -> Vec<Rsr> {
-            self.drive_until(|rx| matches!(rx.heat, Heat::Resting { .. }))
+            self.drive_until(|rx| matches!(rx.state.heat, Heat::Resting { .. }))
         }
 
         fn callbacks(&self) -> u32 {
-            self.rx.bell.callbacks.load(Ordering::Relaxed)
+            self.rx.state.bell.0.callbacks.load(Ordering::Relaxed)
         }
     }
 
@@ -750,8 +820,8 @@ mod tests {
     }
 
     /// A socket the context dials is handed to its own armed receiver while
-    /// that source is hot, resting or cold (the `handoff` model check, on
-    /// the real code): what the peer writes back on it is delivered once,
+    /// that source is hot, resting or cold (what the `handoff` model check
+    /// explores on model fds, here over real sockets): what the peer writes back on it is delivered once,
     /// and after the source cools the socket's fd is armed — the peer's
     /// next frame arrives through the reactor.
     #[test]
@@ -764,7 +834,7 @@ mod tests {
             send(&other, "warm");
             assert_eq!(armed.collect(1)[0].handler, "warm");
             match state {
-                "hot" => assert!(armed.rx.heat == Heat::Hot),
+                "hot" => assert!(armed.rx.state.heat == Heat::Hot),
                 "resting" => drop(armed.rest()),
                 _ => drop(armed.cool()),
             }
@@ -950,7 +1020,7 @@ mod tests {
         drop(obj);
         armed.drive_until(|rx| rx.inner.conn_count() == 0);
         assert!(
-            armed.rx.heat == Heat::Cold,
+            armed.rx.state.heat == Heat::Cold,
             "an EOF is not bytes: the visit re-armed"
         );
     }
@@ -979,7 +1049,7 @@ mod tests {
                 send(&first, "keep-hot");
                 let got = armed.visit().expect("hot or resting: doorbell rung");
                 seen = got.iter().any(|m| m.handler == late);
-                assert!(armed.rx.heat != Heat::Cold, "the hot period ended");
+                assert!(armed.rx.state.heat != Heat::Cold, "the hot period ended");
             }
         }
         assert_eq!(armed.rx.inner.conn_count(), 3);
@@ -998,7 +1068,7 @@ mod tests {
             send(&obj, "f");
             let mut delivered = 0;
             while delivered == 0 {
-                let hot = armed.rx.heat == Heat::Hot;
+                let hot = armed.rx.state.heat == Heat::Hot;
                 let (reads, accepts) = armed.rx.inner.syscalls();
                 delivered = armed.visit().expect("doorbell rung").len();
                 if hot && delivered > 0 {
@@ -1016,7 +1086,7 @@ mod tests {
         armed.rest();
         // Held open, so that what is observed is a resting visit however
         // slowly this thread runs.
-        armed.rx.heat = Heat::Resting {
+        armed.rx.state.heat = Heat::Resting {
             until: Instant::now() + PATIENCE,
         };
         let before = (armed.rx.inner.syscalls(), armed.callbacks());
@@ -1187,7 +1257,10 @@ mod tests {
         armed.signal.clear();
         assert!(matches!(armed.rx.poll(), Err(NexusError::ConnectionClosed)));
         assert!(armed.rx.reg.is_some(), "the error retired the source");
-        assert!(armed.rx.heat == Heat::Cold, "the error did not re-arm");
+        assert!(
+            armed.rx.state.heat == Heat::Cold,
+            "the error did not re-arm"
+        );
 
         // Visits unwrap every poll: a second error fails the test.
         tx.send_to(b"next", addr).unwrap();

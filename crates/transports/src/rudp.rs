@@ -47,9 +47,11 @@ const TYPE_ACK: u8 = 1;
 /// Maximum DATA payload per packet (one RSR frame; no fragmentation).
 pub const MAX_FRAME: usize = 59_000;
 
-/// Sender window: cap on unacked packets before `send` applies
-/// backpressure.
-const WINDOW: usize = 512;
+/// The window, in sequence numbers: `send` waits until its seq is below
+/// the oldest unacked seq + `WINDOW`, and the receiver drops, unacked, any
+/// seq at or past its next expected + `WINDOW`, so it buffers at most
+/// `WINDOW` frames per connection.
+const WINDOW: u64 = 512;
 
 /// Cap on the exponential backoff shift so the RTO cannot overflow
 /// (effective ceiling: `rto_ms << 8` = 256x the base RTO).
@@ -222,6 +224,9 @@ impl RudpReceiver {
                         continue; // receivers only consume DATA
                     }
                     let st = self.conns.entry(conn).or_default();
+                    if seq >= st.next_expected.saturating_add(WINDOW) {
+                        continue; // out of window: unacked, retransmitted later
+                    }
                     if seq < st.next_expected || st.reorder.contains_key(&seq) {
                         // Duplicate of a frame already validated: re-ack it
                         // (the original ack may have raced the retransmit).
@@ -458,7 +463,12 @@ impl RudpObject {
             return Err(NexusError::ConnectionClosed);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.unacked.lock().len() >= WINDOW {
+        // Concurrent senders may overshoot; the receiver drops that unacked.
+        let open = || match self.shared.unacked.lock().keys().next() {
+            Some(&(_, oldest)) => self.next_seq.load(Ordering::Relaxed) < oldest + WINDOW,
+            None => true,
+        };
+        while !open() {
             if self.shared.dead.load(Ordering::Relaxed) || Instant::now() >= deadline {
                 return Err(NexusError::ConnectionClosed);
             }
@@ -844,6 +854,42 @@ mod tests {
             raw.recv_from(&mut buf).is_err(),
             "receiver acked a frame it could not decode"
         );
+    }
+
+    /// Regression: the receiver acked and buffered any DATA ahead of its
+    /// next expected seq, however far: one datagram at `u64::MAX` held its
+    /// frame for ever. Out-of-window frames are now dropped unacked.
+    #[test]
+    fn out_of_window_data_is_neither_acked_nor_buffered() {
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let addr = socket.local_addr().unwrap();
+        let mut rx = RudpReceiver::new(socket, Arc::default());
+        let raw = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        raw.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        // Seq 0 is delivered, so the window is [1, 1 + WINDOW): seq 2 waits
+        // for seq 1 inside it, the two past its end are refused.
+        for seq in [0, WINDOW + 1, u64::MAX, 2, 1] {
+            let packet = encode_packet(TYPE_DATA, 5, seq, &msg(seq as u32).encode());
+            raw.send_to(&packet, addr).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rx.ready.len() < 3 && Instant::now() < deadline {
+            rx.drain_socket().unwrap();
+        }
+        let got: Vec<u8> = rx.ready.iter().map(|m| m.payload[0]).collect();
+        assert_eq!(got, [0, 1, 2], "in-window traffic delivers in order");
+        assert!(
+            rx.conns[&5].reorder.is_empty(),
+            "out-of-window frame buffered"
+        );
+        let mut acked = Vec::new();
+        let mut buf = [0u8; 64];
+        while let Ok(n) = raw.recv(&mut buf) {
+            acked.push(decode_header(&buf[..n]).unwrap().2);
+        }
+        assert_eq!(acked, [0, 2, 1], "out-of-window frame acked");
     }
 
     /// Regression: an ack naming another connection id must not clear this

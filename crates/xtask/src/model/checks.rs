@@ -8,6 +8,7 @@
 
 use super::dpor;
 use super::rng::XorShift64;
+use super::socket::{self, Program, Start};
 use nexus_rt::context::ContextId;
 use nexus_rt::descriptor::MethodId;
 use nexus_rt::endpoint::EndpointId;
@@ -108,16 +109,20 @@ pub const CHECKS: &[Check] = &[
     },
     Check {
         name: "rearm-dpor",
-        description: "socket hot/resting/cold hand-off: no re-arm misses an arrival or a peer",
+        description: "reactor::SourceState hot/resting/cold hand-off: no re-arm misses an arrival \
+             or a peer",
         kind: Kind::Systematic,
-        run: rearm_dpor,
+        run: |cx| socket::check(cx.schedule.as_deref(), Program::Rearm, &[Start::Cold]),
     },
     Check {
         name: "handoff",
-        description: "a dialled socket handed to a hot, resting or cold TCP receiver is taken \
-             once, read, and armed",
+        description: "reactor::SourceState: a dialled socket handed to a hot, resting or cold \
+             TCP receiver is taken once, read, and armed",
         kind: Kind::Systematic,
-        run: handoff,
+        run: |cx| {
+            let starts = [Start::Cold, Start::Hot, Start::Resting];
+            socket::check(cx.schedule.as_deref(), Program::Handoff, &starts)
+        },
     },
     Check {
         name: "stage-flush",
@@ -129,15 +134,15 @@ pub const CHECKS: &[Check] = &[
 ];
 
 /// Drives a systematic spec: full exploration by default, single-schedule
-/// replay when the ctx carries `--schedule`.
-fn systematic<S>(
-    cx: &CheckCtx,
+/// replay of `schedule` (`--schedule`) when given.
+pub(super) fn systematic<S>(
+    schedule: Option<&[usize]>,
     footprints: &[Vec<u64>],
     init: &dyn Fn() -> S,
     step: &dyn Fn(&mut S, usize, usize),
     check: &dyn Fn(&mut S) -> Result<(), String>,
 ) -> Result<u64, String> {
-    match &cx.schedule {
+    match schedule {
         Some(s) => dpor::replay(footprints, init, step, check, s).map(|()| 1),
         None => dpor::explore(footprints, init, step, check)
             .map(|stats| stats.schedules)
@@ -236,7 +241,7 @@ fn ring_exhaustive(cx: &CheckCtx) -> Result<u64, String> {
         st.done[t] += 1;
     };
     let check = |st: &mut RingRun| check_ring(&st.trace, CAPACITY, (THREADS * OPS) as u64);
-    systematic(cx, &footprints, &init, &step, &check)
+    systematic(cx.schedule.as_deref(), &footprints, &init, &step, &check)
 }
 
 /// Real-thread hammer: every thread pushes a seeded number of events with
@@ -670,48 +675,7 @@ fn doorbell_dpor(cx: &CheckCtx) -> Result<u64, String> {
             ))
         }
     };
-    systematic(cx, &footprints, &init, &step, &check)
-}
-
-/// The socket transports' hot / resting / cold hand-off
-/// (`transports::reactor`) as the micro-op program in [`super::programs`]:
-/// kernel arrivals — bytes on the connection, a peer at the listener —
-/// raise an event iff that one-shot fd is armed, the reactor turns events
-/// into rings, and the drainer's visit is split enter / read / re-arm,
-/// where the read asks the listener only if `fired` was observed and the
-/// re-arm is the listener's (after an announced read) or everything's
-/// (after the read that ends a rest found nothing). Arrivals land in
-/// every gap — above all between an empty read and the level-triggered
-/// `MOD`.
-fn rearm_dpor(cx: &CheckCtx) -> Result<u64, String> {
-    match &cx.schedule {
-        Some(s) => super::programs::replay_rearm(false, s).map(|()| 1),
-        None => super::programs::explore_rearm(false)
-            .map(|stats| stats.schedules)
-            .map_err(|v| v.to_string()),
-    }
-}
-
-/// The dialled-socket hand-off (`transports::tcp`, § Connections) as the
-/// micro-op program in [`super::programs`], from each state the receiving
-/// source can be in: the dialler queues its socket, sets `fired` and
-/// rings; the reply lands on the socket in any gap. The socket must be
-/// taken exactly once, its bytes read, and its fd armed at quiescence.
-/// A replayed schedule runs from every start.
-fn handoff(cx: &CheckCtx) -> Result<u64, String> {
-    use super::programs::{explore_handoff, replay_handoff, Handoff, Start};
-    let mut schedules = 0;
-    for start in [Start::Cold, Start::Hot, Start::Resting] {
-        let tag = |e: String| format!("from {start:?}: {e}");
-        schedules += match &cx.schedule {
-            Some(s) => replay_handoff(start, Handoff::Fixed, s).map(|()| 1),
-            None => explore_handoff(start, Handoff::Fixed)
-                .map(|stats| stats.schedules)
-                .map_err(|v| v.to_string()),
-        }
-        .map_err(tag)?;
-    }
-    Ok(schedules)
+    systematic(cx.schedule.as_deref(), &footprints, &init, &step, &check)
 }
 
 /// TCP write staging (`transports::tcp`, `Context::flush_listed`) as the

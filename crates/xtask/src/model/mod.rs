@@ -27,6 +27,7 @@ pub mod checks;
 pub mod dpor;
 pub mod programs;
 pub mod rng;
+pub mod socket;
 
 pub use checks::{find_check, Check, CheckCtx, Kind, CHECKS};
 

@@ -21,24 +21,6 @@
 //!   flag *after* draining loses a ring that lands in between (the
 //!   producer saw `true`, queued no token, and the message strands).
 //!   The fix clears before draining, so a mid-drain ring re-queues.
-//! * **rearm** — the socket transports' hot / resting / cold hand-off
-//!   (`transports::reactor`): the draining thread reads a connection in
-//!   place while it is hot, rests after the first empty read, and re-arms
-//!   its one-shot fds after the read that ends the rest found nothing;
-//!   the listener is asked only in a visit the reactor announced and is
-//!   re-armed right after it. Bytes and peers can land in every gap. Not
-//!   a historical bug but the variant the design rules out: a re-arm
-//!   that only watches for *new* edges strands them; the level-triggered
-//!   `EPOLL_CTL_MOD` the code issues re-evaluates readiness and fires.
-//! * **handoff** — a TCP dialler hands the read side of its socket to its
-//!   own context's receiver (`transports::tcp`, § Connections): it queues
-//!   the socket, sets the receiver's `fired` and rings, and the next
-//!   announced scan takes it into the connections it reads and re-arms.
-//!   No kernel event re-raises that announcement, so two variants strand
-//!   the socket: ringing without `fired` (a cold or hot visit that was
-//!   not announced never looks at the queue), and a re-arm that clears
-//!   `fired` — which the reactor did before dialled sockets existed — in
-//!   the gap after the visit that decided to re-arm.
 //! * **stage-flush** — TCP write staging (`transports::tcp`,
 //!   `Context::flush_listed`): a stager appends a frame under the writer
 //!   lock and, if it took the owner claim (`listed`), puts the connection
@@ -327,446 +309,6 @@ pub fn replay_doorbell(broken: bool, schedule: &[usize]) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// rearm
-// ---------------------------------------------------------------------------
-
-/// Where the drainer's current doorbell visit stands.
-#[derive(Default, PartialEq)]
-enum Visit {
-    #[default]
-    Idle,
-    /// Token popped, flag cleared, the connection is to be read — and the
-    /// listener asked, if the reactor fired since the last read.
-    Read { fired: bool },
-    /// The announced read left the source hot: the listener's entry may
-    /// be spent, and is to be handed back to the kernel.
-    RearmListener,
-    /// The read found nothing and no rest is due: every fd is to be
-    /// handed back to the kernel.
-    Rearm,
-}
-
-/// The drainer's picture of the source (`reactor::Heat`).
-#[derive(Default, PartialEq)]
-enum Heat {
-    #[default]
-    Cold,
-    /// Reading the connection in place, its fd disarmed.
-    Hot,
-    /// The last read found nothing; the next one decides. Visits inside
-    /// the rest touch nothing and are not modeled: the rest is over
-    /// whenever the scheduler runs the next visit.
-    Resting,
-}
-
-/// One one-shot fd as the kernel sees it.
-#[derive(Default)]
-struct Fd {
-    /// Unread bytes (connection) or unaccepted peers (listener).
-    pending: u64,
-    armed: bool,
-}
-
-impl Fd {
-    /// Raises the fd's event iff it is armed, which disarms it.
-    fn raise_if_armed(&mut self, event: &mut bool) {
-        if self.armed {
-            self.armed = false;
-            *event = true;
-        }
-    }
-
-    /// `EPOLL_CTL_MOD`: level-triggered, so readiness is re-evaluated —
-    /// unless `broken`, which only watches for new edges.
-    fn rearm(&mut self, event: &mut bool, broken: bool) {
-        self.armed = true;
-        if !broken && self.pending > 0 {
-            self.raise_if_armed(event);
-        }
-    }
-}
-
-#[derive(Default)]
-struct RearmState {
-    conn: Fd,
-    listener: Fd,
-    /// Kernel: an event of this source is queued for the reactor thread
-    /// (both fds carry the same registration id).
-    event: bool,
-    /// Set by the reactor callback, consumed by the next visit.
-    fired: bool,
-    /// The doorbell latch (flag set, token queued).
-    rung: bool,
-    heat: Heat,
-    visit: Visit,
-    sent: u64,
-    received: u64,
-}
-
-impl RearmState {
-    /// A cold source with both fds armed and nothing in flight.
-    fn new() -> Self {
-        let mut st = RearmState::default();
-        st.conn.armed = true;
-        st.listener.armed = true;
-        st
-    }
-
-    /// Kernel: bytes arrive on the connection.
-    fn arrive(&mut self) {
-        self.conn.pending += 1;
-        self.sent += 1;
-        self.conn.raise_if_armed(&mut self.event);
-    }
-
-    /// Kernel: a peer connects (and is counted like a message: it has to
-    /// be accepted for its bytes ever to be read).
-    fn connect(&mut self) {
-        self.listener.pending += 1;
-        self.sent += 1;
-        self.listener.raise_if_armed(&mut self.event);
-    }
-
-    /// Reactor thread: turn a queued event into flag + doorbell ring.
-    fn dispatch(&mut self) {
-        if self.event {
-            self.event = false;
-            self.fired = true;
-            self.rung = true;
-        }
-    }
-
-    /// Drainer: one third of a visit — enter, read, re-arm.
-    fn drain(&mut self, stage: usize, broken: bool) {
-        match stage {
-            0 => {
-                // Pop the token and clear the flag; a cold source reads
-                // only if the reactor said something fired.
-                if std::mem::take(&mut self.rung) {
-                    let fired = std::mem::take(&mut self.fired);
-                    if fired || self.heat != Heat::Cold {
-                        self.visit = Visit::Read { fired };
-                    }
-                }
-            }
-            1 => {
-                let Visit::Read { fired } = self.visit else {
-                    return;
-                };
-                let mut n = std::mem::take(&mut self.conn.pending);
-                if fired {
-                    n += std::mem::take(&mut self.listener.pending);
-                }
-                self.received += n;
-                self.visit = if n > 0 {
-                    // Read something: hot, ring our own doorbell.
-                    self.heat = Heat::Hot;
-                    self.rung = true;
-                    if fired {
-                        Visit::RearmListener
-                    } else {
-                        Visit::Idle
-                    }
-                } else if self.heat == Heat::Hot && !fired {
-                    // First empty read: rest, still on the ready list.
-                    self.heat = Heat::Resting;
-                    self.rung = true;
-                    Visit::Idle
-                } else {
-                    Visit::Rearm
-                };
-            }
-            _ => {
-                match self.visit {
-                    Visit::RearmListener => self.listener.rearm(&mut self.event, broken),
-                    Visit::Rearm => {
-                        self.heat = Heat::Cold;
-                        self.conn.rearm(&mut self.event, broken);
-                        self.listener.rearm(&mut self.event, broken);
-                    }
-                    _ => return,
-                }
-                self.visit = Visit::Idle;
-            }
-        }
-    }
-}
-
-fn rearm_footprints() -> Vec<Vec<u64>> {
-    // Kernel: two arrivals on the connection; one peer at the listener.
-    // Reactor: two dispatches. Drainer: three visits of three micro-ops
-    // each — enough for announced read, empty read (rest), deciding read
-    // and re-arm to be scheduled apart.
-    vec![
-        vec![SHARED; 2],
-        vec![SHARED; 1],
-        vec![SHARED; 2],
-        vec![SHARED; 9],
-    ]
-}
-
-fn rearm_step(broken: bool) -> impl Fn(&mut RearmState, usize, usize) {
-    move |st, t, op| match t {
-        0 => st.arrive(),
-        1 => st.connect(),
-        2 => st.dispatch(),
-        _ => st.drain(op % 3, broken),
-    }
-}
-
-fn rearm_check(broken: bool) -> impl Fn(&mut RearmState) -> Result<(), String> {
-    move |st| {
-        // Quiescence: no sender is left, so let the reactor and the
-        // drainer run until neither has anything to do. Whatever is then
-        // still in a socket has nobody left to announce it.
-        for stage in 1..3 {
-            st.drain(stage, broken);
-        }
-        while st.event || st.rung {
-            st.dispatch();
-            for stage in 0..3 {
-                st.drain(stage, broken);
-            }
-        }
-        if st.received == st.sent {
-            Ok(())
-        } else {
-            let describe = |fd: &Fd| {
-                format!(
-                    "{} stranded, {}",
-                    fd.pending,
-                    if fd.armed {
-                        "armed but never re-evaluated"
-                    } else {
-                        "disarmed with no visit pending"
-                    }
-                )
-            };
-            Err(format!(
-                "missed wakeup: read {} of {} arrivals (connection: {}; listener: {})",
-                st.received,
-                st.sent,
-                describe(&st.conn),
-                describe(&st.listener),
-            ))
-        }
-    }
-}
-
-/// Explores the hot / resting / cold re-arm hand-off; `broken` re-arms
-/// without re-evaluating readiness.
-pub fn explore_rearm(broken: bool) -> Result<Explored, Violation> {
-    dpor::explore(
-        &rearm_footprints(),
-        &RearmState::new,
-        &rearm_step(broken),
-        &rearm_check(broken),
-    )
-}
-
-/// Replays one schedule of the re-arm hand-off model.
-pub fn replay_rearm(broken: bool, schedule: &[usize]) -> Result<(), String> {
-    dpor::replay(
-        &rearm_footprints(),
-        &RearmState::new,
-        &rearm_step(broken),
-        &rearm_check(broken),
-        schedule,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// handoff
-// ---------------------------------------------------------------------------
-
-/// Where the receiving source stands when the dialler hands its socket.
-#[derive(Clone, Copy, Debug)]
-pub enum Start {
-    Cold,
-    Hot,
-    Resting,
-}
-
-/// The hand-off as the code does it, or one of the variants that strand
-/// the socket.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Handoff {
-    Fixed,
-    /// The dialler rings without setting `fired`.
-    RingWithoutFired,
-    /// The re-arm clears `fired` before handing the fds back.
-    RearmClearsFired,
-}
-
-#[derive(Default)]
-struct HandoffState {
-    /// The connection the receiver already reads.
-    conn: Fd,
-    /// The handed socket as the kernel sees it: not armed until a re-arm
-    /// after the receiver took it adds its fd.
-    handed: Fd,
-    /// In the hand-off queue; taken into the receiver's connections.
-    queued: bool,
-    taken: u32,
-    event: bool,
-    fired: bool,
-    rung: bool,
-    heat: Heat,
-    visit: Visit,
-    sent: u64,
-    received: u64,
-}
-
-impl HandoffState {
-    fn new(start: Start) -> Self {
-        let mut st = HandoffState::default();
-        match start {
-            Start::Cold => st.conn.armed = true,
-            // A hot or resting source keeps itself on the ready list.
-            Start::Hot => (st.heat, st.rung) = (Heat::Hot, true),
-            Start::Resting => (st.heat, st.rung) = (Heat::Resting, true),
-        }
-        st
-    }
-
-    /// Drainer: one third of a visit — enter, scan, re-arm.
-    fn drain(&mut self, stage: usize, bug: Handoff) {
-        match stage {
-            0 => {
-                if std::mem::take(&mut self.rung) {
-                    let fired = std::mem::take(&mut self.fired);
-                    if fired || self.heat != Heat::Cold {
-                        self.visit = Visit::Read { fired };
-                    }
-                }
-            }
-            1 => {
-                let Visit::Read { fired } = self.visit else {
-                    return;
-                };
-                // Only an announced scan takes what was handed.
-                let took = fired && std::mem::take(&mut self.queued);
-                self.taken += u32::from(took);
-                let mut n = std::mem::take(&mut self.conn.pending);
-                if self.taken > 0 {
-                    n += std::mem::take(&mut self.handed.pending);
-                }
-                self.received += n;
-                self.visit = if n > 0 || took {
-                    self.heat = Heat::Hot;
-                    self.rung = true;
-                    Visit::Idle
-                } else if self.heat == Heat::Hot && !fired {
-                    self.heat = Heat::Resting;
-                    self.rung = true;
-                    Visit::Idle
-                } else {
-                    Visit::Rearm
-                };
-            }
-            _ => {
-                if self.visit != Visit::Rearm {
-                    return;
-                }
-                if bug == Handoff::RearmClearsFired {
-                    self.fired = false;
-                }
-                self.heat = Heat::Cold;
-                self.conn.rearm(&mut self.event, false);
-                if self.taken > 0 {
-                    self.handed.rearm(&mut self.event, false);
-                }
-                self.visit = Visit::Idle;
-            }
-        }
-    }
-
-    fn dispatch(&mut self) {
-        if std::mem::take(&mut self.event) {
-            self.fired = true;
-            self.rung = true;
-        }
-    }
-}
-
-fn handoff_footprints() -> Vec<Vec<u64>> {
-    // Dialler: queue, `fired`, ring. Kernel: the reply arrives on the
-    // handed socket. Reactor: one dispatch. Drainer: three visits.
-    vec![
-        vec![SHARED; 3],
-        vec![SHARED; 1],
-        vec![SHARED; 1],
-        vec![SHARED; 9],
-    ]
-}
-
-fn handoff_step(bug: Handoff) -> impl Fn(&mut HandoffState, usize, usize) {
-    move |st, t, op| match (t, op) {
-        (0, 0) => st.queued = true,
-        (0, 1) => st.fired |= bug != Handoff::RingWithoutFired,
-        (0, _) => st.rung = true,
-        (1, _) => {
-            st.handed.pending += 1;
-            st.sent += 1;
-            st.handed.raise_if_armed(&mut st.event);
-        }
-        (2, _) => st.dispatch(),
-        _ => st.drain(op % 3, bug),
-    }
-}
-
-fn handoff_check(bug: Handoff) -> impl Fn(&mut HandoffState) -> Result<(), String> {
-    move |st| {
-        // Quiescence, as for `rearm`: run reactor and drainer dry.
-        for stage in 1..3 {
-            st.drain(stage, bug);
-        }
-        while st.event || st.rung {
-            st.dispatch();
-            for stage in 0..3 {
-                st.drain(stage, bug);
-            }
-        }
-        if st.taken == 1 && st.received == st.sent && st.handed.armed {
-            Ok(())
-        } else {
-            Err(format!(
-                "handed socket taken {} times, {} of {} arrivals read, its fd {}",
-                st.taken,
-                st.received,
-                st.sent,
-                if st.handed.armed {
-                    "armed"
-                } else {
-                    "not armed"
-                }
-            ))
-        }
-    }
-}
-
-/// Explores the dialled-socket hand-off from `start` under `bug`.
-pub fn explore_handoff(start: Start, bug: Handoff) -> Result<Explored, Violation> {
-    dpor::explore(
-        &handoff_footprints(),
-        &|| HandoffState::new(start),
-        &handoff_step(bug),
-        &handoff_check(bug),
-    )
-}
-
-/// Replays one schedule of the hand-off model.
-pub fn replay_handoff(start: Start, bug: Handoff, schedule: &[usize]) -> Result<(), String> {
-    dpor::replay(
-        &handoff_footprints(),
-        &|| HandoffState::new(start),
-        &handoff_step(bug),
-        &handoff_check(bug),
-        schedule,
-    )
-}
-
-// ---------------------------------------------------------------------------
 // stage-flush
 // ---------------------------------------------------------------------------
 
@@ -922,14 +464,7 @@ mod tests {
             ("seq-ring", explore_seq_ring(false)),
             ("ewma-first", explore_ewma_first(false)),
             ("doorbell", explore_doorbell(false)),
-            ("rearm", explore_rearm(false)),
             ("stage-flush", explore_stage_flush(false)),
-            ("handoff cold", explore_handoff(Start::Cold, Handoff::Fixed)),
-            ("handoff hot", explore_handoff(Start::Hot, Handoff::Fixed)),
-            (
-                "handoff resting",
-                explore_handoff(Start::Resting, Handoff::Fixed),
-            ),
         ] {
             let stats = got.unwrap_or_else(|v| panic!("{name} fixed variant failed: {v}"));
             assert!(stats.schedules > 0, "{name} explored nothing");
@@ -942,7 +477,6 @@ mod tests {
             ("seq-ring", explore_seq_ring(true)),
             ("ewma-first", explore_ewma_first(true)),
             ("doorbell", explore_doorbell(true)),
-            ("rearm", explore_rearm(true)),
             ("stage-flush", explore_stage_flush(true)),
         ] {
             let v = got.expect_err(name);
@@ -952,28 +486,9 @@ mod tests {
                 "seq-ring" => replay_seq_ring(true, &v.schedule),
                 "ewma-first" => replay_ewma_first(true, &v.schedule),
                 "doorbell" => replay_doorbell(true, &v.schedule),
-                "rearm" => replay_rearm(true, &v.schedule),
                 _ => replay_stage_flush(true, &v.schedule),
             };
             replayed.expect_err(name);
-        }
-    }
-
-    /// Each broken hand-off is refuted from some start (ringing without
-    /// `fired` from every one), and its schedule replays the violation.
-    #[test]
-    fn broken_handoffs_are_refuted() {
-        for (bug, starts) in [
-            (
-                Handoff::RingWithoutFired,
-                &[Start::Cold, Start::Hot, Start::Resting][..],
-            ),
-            (Handoff::RearmClearsFired, &[Start::Resting][..]),
-        ] {
-            for &start in starts {
-                let v = explore_handoff(start, bug).expect_err("refuted");
-                replay_handoff(start, bug, &v.schedule).expect_err("replays");
-            }
         }
     }
 }

@@ -10,6 +10,8 @@
 //!   the lines before its first column-0 `mod tests` of any visibility
 //!   ([`non_test_lines`]); everything before that cut counts, `#[cfg(test)]`
 //!   items included;
+//! * non-test lines under `crates/xtask/src/model` (the model checker,
+//!   which drives shipped code instead of growing mirrors of it);
 //! * the methods of the `CommObject` trait;
 //! * the allows `xtask lint` reports;
 //! * every `.rs` line under `vendor/` and `crates/bench`.
@@ -108,6 +110,10 @@ pub fn measure(root: &Path) -> io::Result<Vec<Count>> {
         Count {
             name: "tcp_rs_lines",
             value: non_test_lines(&file("crates/transports/src/tcp.rs")?),
+        },
+        Count {
+            name: "model_lines",
+            value: sum_lines(root, &["crates/xtask/src/model"], non_test_lines)?,
         },
         Count {
             name: "comm_object_methods",
@@ -291,6 +297,19 @@ impl X {
         );
         assert!(parse_budget("[1]").is_err());
         assert!(parse_budget("{\"x\": one}").is_err());
+    }
+
+    #[test]
+    fn a_directory_count_sums_every_rust_file_below_it_without_its_tests() {
+        let dir = std::env::temp_dir().join(format!("xtask-size-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("model/inner")).unwrap();
+        let with_tests = "fn a() {}\nfn b() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        std::fs::write(dir.join("model/checks.rs"), with_tests).unwrap();
+        std::fs::write(dir.join("model/inner/socket.rs"), "fn c() {}\n").unwrap();
+        std::fs::write(dir.join("model/notes.txt"), "not rust\n").unwrap();
+        let got = sum_lines(&dir, &["model"], non_test_lines);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(got.unwrap(), 4);
     }
 
     #[test]

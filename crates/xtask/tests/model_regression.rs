@@ -34,6 +34,7 @@
 //! * `4151209476244410783` — derived under master seed 1
 //! * `11309951222947488521` — derived under master seed 3
 
+use xtask::model::socket::{self, Kernel, Program, Start};
 use xtask::model::{dpor, programs, run, ModelConfig};
 
 /// Replays a captured seed as the master seed of a single-check run.
@@ -77,44 +78,56 @@ fn doorbell_seed_from_master_3_stays_fixed() {
 //
 // The op-level models in `xtask::model::programs` encode the three
 // historical races above at the micro-op granularity where each bug
-// lived, plus the protocol variants current designs rule out (a socket
-// re-arm that does not re-evaluate readiness; a TCP staging flush that
-// releases its owner claim after the write instead of before it under
-// the writer lock — `001120011112`: a frame staged between the write and
-// the release lists nothing and strands). Unlike the seeds, these pins
-// are *deterministic*: the sleep-set
-// explorer re-finds each race by enumeration on every run — no lucky
-// seed — and the exact violating interleaving is pinned as a schedule
-// digit string. The fixed counterparts (micro-ops fused, as the
-// production fixes did) must pass every schedule.
+// lived, plus a protocol variant the current design rules out (a TCP
+// staging flush that releases its owner claim after the write instead of
+// before it under the writer lock — `001120011112`: a frame staged
+// between the write and the release lists nothing and strands). Unlike
+// the seeds, these pins are *deterministic*: the sleep-set explorer
+// re-finds each race by enumeration on every run — no lucky seed — and
+// the exact violating interleaving is pinned as a schedule digit string.
+// The fixed counterparts (micro-ops fused, as the production fixes did)
+// must pass every schedule.
+//
+// `rearm` is a property of the model kernel, not of a model of our code:
+// `xtask::model::socket` drives the shipped `reactor::SourceState`, and
+// its broken run swaps the level-triggered `EPOLL_CTL_MOD` for one that
+// only watches for new arrivals. Schedule `0122331333333`: the announced
+// scan accepts the first peer, the second connects before the listener's
+// re-arm, and that re-arm never announces it while the connection stays
+// hot.
 
 /// (model, pinned first violating schedule found by exploration)
 const PINNED: &[(&str, &str)] = &[
     ("seq-ring", "0110"),
     ("ewma-first", "001101"),
     ("doorbell", "010111"),
-    ("rearm", "01223333333303"),
+    ("rearm", "0122331333333"),
     ("stage-flush", "001120011112"),
 ];
 
-fn explore(model: &str, broken: bool) -> Result<dpor::Explored, dpor::Violation> {
+/// Explores (`schedule` `None`) or replays `model`; a violation is its
+/// report, schedule marker included.
+fn model_run(model: &str, broken: bool, schedule: Option<&[usize]>) -> Result<(), String> {
+    let mirror = |explore: fn(bool) -> Result<dpor::Explored, dpor::Violation>,
+                  replay: fn(bool, &[usize]) -> Result<(), String>| {
+        match schedule {
+            Some(s) => replay(broken, s),
+            None => explore(broken).map(drop).map_err(|v| v.to_string()),
+        }
+    };
     match model {
-        "seq-ring" => programs::explore_seq_ring(broken),
-        "ewma-first" => programs::explore_ewma_first(broken),
-        "doorbell" => programs::explore_doorbell(broken),
-        "rearm" => programs::explore_rearm(broken),
-        "stage-flush" => programs::explore_stage_flush(broken),
-        other => panic!("unknown model {other}"),
-    }
-}
-
-fn replay_schedule(model: &str, broken: bool, schedule: &[usize]) -> Result<(), String> {
-    match model {
-        "seq-ring" => programs::replay_seq_ring(broken, schedule),
-        "ewma-first" => programs::replay_ewma_first(broken, schedule),
-        "doorbell" => programs::replay_doorbell(broken, schedule),
-        "rearm" => programs::replay_rearm(broken, schedule),
-        "stage-flush" => programs::replay_stage_flush(broken, schedule),
+        "seq-ring" => mirror(programs::explore_seq_ring, programs::replay_seq_ring),
+        "ewma-first" => mirror(programs::explore_ewma_first, programs::replay_ewma_first),
+        "doorbell" => mirror(programs::explore_doorbell, programs::replay_doorbell),
+        "stage-flush" => mirror(programs::explore_stage_flush, programs::replay_stage_flush),
+        "rearm" => {
+            let kernel = if broken {
+                Kernel::EdgeOnly
+            } else {
+                Kernel::Level
+            };
+            socket::run(Program::Rearm, kernel, Start::Cold, schedule).map(drop)
+        }
         other => panic!("unknown model {other}"),
     }
 }
@@ -122,12 +135,12 @@ fn replay_schedule(model: &str, broken: bool, schedule: &[usize]) -> Result<(), 
 #[test]
 fn dpor_refinds_every_historical_race_deterministically() {
     for &(model, pinned) in PINNED {
-        let v =
-            explore(model, true).expect_err("the broken variant must be refuted by enumeration");
+        let v = model_run(model, true, None)
+            .expect_err("the broken variant must be refuted by enumeration");
         assert_eq!(
-            dpor::encode(&v.schedule),
-            pinned,
-            "{model}: the explorer's first violation drifted"
+            dpor::extract_schedule(&v).as_deref(),
+            Some(pinned),
+            "{model}: the explorer's first violation drifted: {v}"
         );
     }
 }
@@ -136,14 +149,15 @@ fn dpor_refinds_every_historical_race_deterministically() {
 fn pinned_schedules_replay_to_the_same_violation() {
     for &(model, pinned) in PINNED {
         let schedule = dpor::parse_schedule(pinned).unwrap();
-        let err = replay_schedule(model, true, &schedule)
+        let err = model_run(model, true, Some(&schedule))
             .expect_err("pinned schedule must still violate the broken model");
         assert!(
             err.contains(&format!("[schedule {pinned}]")),
             "{model}: {err}"
         );
         // Once the micro-ops are fused the way the production fix fused
-        // them, no schedule of the model can violate at all.
-        explore(model, false).expect("the fixed variant passes every schedule");
+        // them (or the kernel re-evaluates readiness), no schedule of the
+        // model can violate at all.
+        model_run(model, false, None).expect("the fixed variant passes every schedule");
     }
 }
